@@ -81,29 +81,25 @@ def cmd_mode(args) -> int:
     raise AssertionError
 
 
-def _parse_lattice(text: str) -> lattice.Expr:
-    return lattice.parse_expr(text)
-
-
 def cmd_lattice(args) -> int:
     table = lattice.AtomTable()
     try:
         if args.lattice_command == "nf":
-            poly = lattice.canon(_parse_lattice(args.expr), table)
+            poly = lattice.canon(lattice.parse_expr(args.expr), table)
             print(lattice.format_poly(poly, table))
             return EXIT_OK
         if args.lattice_command == "eq":
-            lhs = lattice.canon(_parse_lattice(args.lhs), table)
-            rhs = lattice.canon(_parse_lattice(args.rhs), table)
+            lhs = lattice.canon(lattice.parse_expr(args.lhs), table)
+            rhs = lattice.canon(lattice.parse_expr(args.rhs), table)
             print("true" if lattice.eq(lhs, rhs) else "false")
             return EXIT_OK
         if args.lattice_command == "leq":
-            lhs = lattice.canon(_parse_lattice(args.lhs), table)
-            rhs = lattice.canon(_parse_lattice(args.rhs), table)
+            lhs = lattice.canon(lattice.parse_expr(args.lhs), table)
+            rhs = lattice.canon(lattice.parse_expr(args.rhs), table)
             print("true" if lattice.leq(lhs, rhs) else "false")
             return EXIT_OK
         if args.lattice_command == "phoa":
-            poly = lattice.canon(_parse_lattice(args.expr), table)
+            poly = lattice.canon(lattice.parse_expr(args.expr), table)
             atom = table.intern(args.atom)
             p0, p1 = lattice.phoa_endpoints(poly, atom)
             print(f"({lattice.format_poly(p0, table)}, {lattice.format_poly(p1, table)})")

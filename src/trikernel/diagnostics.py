@@ -1,38 +1,13 @@
-"""Positioned, coded diagnostics shared by the parser, kernel and CLI."""
+"""Positioned, coded diagnostics shared by the parser, kernel and CLI.
+
+The codes and the JSON format are specified by docs/diagnostic.schema.json.
+"""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Optional
-
-CODES = (
-    "E-PARSE",
-    "E-UNBOUND",
-    "E-MODALITY",
-    "E-2CELL-BOUNDARY",
-    "E-CONV",
-    "E-UNIVERSE",
-    "E-LATTICE-SIZE",
-)
-
-# Shipped schema for the line-delimited JSON diagnostic format.
-DIAGNOSTIC_SCHEMA = {
-    "type": "object",
-    "required": ["file", "code", "message", "start", "end", "line", "column"],
-    "properties": {
-        "file": {"type": "string"},
-        "code": {"type": "string", "enum": list(CODES)},
-        "message": {"type": "string"},
-        "start": {"type": "integer", "minimum": 0},
-        "end": {"type": "integer", "minimum": 0},
-        "line": {"type": "integer", "minimum": 1},
-        "column": {"type": "integer", "minimum": 1},
-        "expected": {"type": "string"},
-        "actual": {"type": "string"},
-    },
-    "additionalProperties": False,
-}
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 
 class LineMap:
@@ -94,61 +69,16 @@ class Diagnostic:
         return json.dumps(obj, sort_keys=True)
 
 
-def validate_json_diagnostic(line: str) -> list[str]:
-    """Check one JSON diagnostic line against the shipped schema.
-
-    Returns a list of violations; empty means valid.
-    """
-    problems = []
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        return [f"not JSON: {exc}"]
-    if not isinstance(obj, dict):
-        return ["not an object"]
-    props = DIAGNOSTIC_SCHEMA["properties"]
-    for req in DIAGNOSTIC_SCHEMA["required"]:
-        if req not in obj:
-            problems.append(f"missing field {req}")
-    for key, value in obj.items():
-        if key not in props:
-            problems.append(f"unexpected field {key}")
-            continue
-        spec = props[key]
-        if spec["type"] == "string" and not isinstance(value, str):
-            problems.append(f"{key} must be a string")
-        if spec["type"] == "integer" and not isinstance(value, int):
-            problems.append(f"{key} must be an integer")
-        if "enum" in spec and value not in spec["enum"]:
-            problems.append(f"{key} not in {spec['enum']}")
-        if "minimum" in spec and isinstance(value, int) and value < spec["minimum"]:
-            problems.append(f"{key} below minimum")
-    return problems
-
-
 class KernelError(Exception):
-    """Internal carrier for a single diagnostic; converted at the API edge."""
+    """Internal carrier for a single diagnostic; converted at the API edge.
 
-    def __init__(self, diagnostic: Diagnostic):
+    The kernel leaves `expected` and `actual` as core terms, with the `names`
+    of the context they live in, and prints them only for the diagnostic it
+    returns (`Checker.run_module`).  Text built at the raise site stays text.
+    """
+
+    def __init__(self, diagnostic: Diagnostic, expected=None, actual=None,
+                 names: Sequence[str] = ()):
         super().__init__(diagnostic.message)
         self.diagnostic = diagnostic
-
-
-def fail(
-    code: str,
-    message: str,
-    span: tuple[int, int] = (0, 0),
-    file: str = "<input>",
-    expected: Optional[str] = None,
-    actual: Optional[str] = None,
-):
-    raise KernelError(
-        Diagnostic(
-            file=file,
-            code=code,
-            message=message,
-            span=span,
-            expected=expected,
-            actual=actual,
-        )
-    )
+        self.expected, self.actual, self.names = expected, actual, names

@@ -53,6 +53,7 @@ from .core import (
     Up,
     Var,
     Zero,
+    _children,
     apply_cell,
     free_in,
     mk_mkmod,
@@ -110,17 +111,20 @@ class Checker:
 
     # -- diagnostics ---------------------------------------------------------
 
-    def err(self, code: str, message: str, expected: Optional[str] = None,
-            actual: Optional[str] = None, span: Optional[tuple[int, int]] = None):
+    def err(self, code: str, message: str, expected: Term | str | None = None,
+            actual: Term | str | None = None, span: Optional[tuple[int, int]] = None,
+            ctx: Optional[Ctx] = None):
+        """Raise a diagnostic; core terms stay unprinted until `run_module`."""
         raise KernelError(
             Diagnostic(
                 file=self.file,
                 code=code,
                 message=message,
                 span=span or (self._spans[-1] if self._spans else (0, 0)),
-                expected=expected,
-                actual=actual,
-            )
+            ),
+            expected,
+            actual,
+            ctx.names() if ctx is not None else [],
         )
 
     # -- weak-head normalization ----------------------------------------------
@@ -251,7 +255,7 @@ class Checker:
                     return False
                 return self.conv(Snd(t), Snd(u), subst(cod, Fst(t)))
             case IntT():
-                return self.int_canon(t) == self.int_canon(u)
+                return self._collect_poly(t) == self._collect_poly(u)
             case _:
                 return self.conv_str(t, u)
 
@@ -310,7 +314,8 @@ class Checker:
                 self.err(
                     "E-CONV",
                     "expected a type",
-                    actual=print_core(tyw, ctx.names()),
+                    actual=tyw,
+                    ctx=ctx,
                 )
                 raise AssertionError
 
@@ -400,7 +405,11 @@ class Checker:
         entry = ctx.decl_at(ix)
         annotation = normalize(entry.word)
         trailing = ctx.trailing(ix)
-        candidates = list(self._lock_candidates(trailing))
+        candidates = []
+        for word in self._lock_candidates(trailing):
+            if explicit is None and word == annotation:
+                return None  # identity access
+            candidates.append(word)
         if explicit is not None:
             try:
                 explicit.validate()
@@ -420,8 +429,6 @@ class Checker:
                     f"locks compose to {format_word(candidates[-1])}",
                 )
             return cell_normalize(explicit)
-        if annotation in candidates:
-            return None  # identity access
         for target in candidates:
             found = cell_search(annotation, target, self.depth)
             if found is not None:
@@ -483,8 +490,9 @@ class Checker:
         self.err(
             "E-CONV",
             "expected a type",
-            actual=print_core(ttyw, ctx.names()),
+            actual=ttyw,
             span=s.span if s.span != (0, 0) else None,
+            ctx=ctx,
         )
         raise AssertionError
 
@@ -565,7 +573,8 @@ class Checker:
                     self.err(
                         "E-CONV",
                         "application of a non-function",
-                        actual=print_core(ftyw, ctx.names()),
+                        actual=ftyw,
+                        ctx=ctx,
                     )
                 ac = self.check(ctx.lock(ftyw.word), arg, ftyw.dom)
                 return App(fc, ac), subst(ftyw.cod, ac)
@@ -574,14 +583,14 @@ class Checker:
                 atyw = self.whnf(aty)
                 if not isinstance(atyw, Sigma):
                     self.err("E-CONV", "fst of a non-pair",
-                             actual=print_core(atyw, ctx.names()))
+                             actual=atyw, ctx=ctx)
                 return Fst(ac), atyw.dom
             case syntax.SSnd(arg):
                 ac, aty = self.infer(ctx, arg)
                 atyw = self.whnf(aty)
                 if not isinstance(atyw, Sigma):
                     self.err("E-CONV", "snd of a non-pair",
-                             actual=print_core(atyw, ctx.names()))
+                             actual=atyw, ctx=ctx)
                 return Snd(ac), subst(atyw.cod, Fst(ac))
             case syntax.SEq(lhs, rhs):
                 lc, lty = self.infer(ctx, lhs)
@@ -592,7 +601,7 @@ class Checker:
                 etyw = self.whnf(ety)
                 if not isinstance(etyw, IdT):
                     self.err("E-CONV", "J eliminates a path; this is not one",
-                             actual=print_core(etyw, ctx.names()))
+                             actual=etyw, ctx=ctx)
                 if not (isinstance(motive, syntax.SLam)
                         and isinstance(motive.body, syntax.SLam)):
                     self.err(
@@ -665,7 +674,7 @@ class Checker:
                 atyw = self.whnf(aty)
                 if not isinstance(atyw, LiftT):
                     self.err("E-CONV", "down of an unlifted term",
-                             actual=print_core(atyw, ctx.names()))
+                             actual=atyw, ctx=ctx)
                 return Down(ac), atyw.ty
             case syntax.SLam(_, _):
                 self.err("E-CONV", "cannot infer the type of a bare function; "
@@ -688,7 +697,8 @@ class Checker:
                     self.err(
                         "E-CONV",
                         "function literal against a non-function type",
-                        expected=print_core(tyw, ctx.names()),
+                        expected=tyw,
+                        ctx=ctx,
                     )
                 ctx2 = ctx.extend(
                     name, tyw.word, tyw.dom, self.is_interval_type(tyw.dom, tyw.word)
@@ -700,7 +710,8 @@ class Checker:
                     self.err(
                         "E-CONV",
                         "pair literal against a non-pair type",
-                        expected=print_core(tyw, ctx.names()),
+                        expected=tyw,
+                        ctx=ctx,
                     )
                 ac = self.check(ctx, a, tyw.dom)
                 bc = self.check(ctx, b, subst(tyw.cod, ac))
@@ -710,14 +721,16 @@ class Checker:
                     self.err(
                         "E-CONV",
                         "refl against a non-equation type",
-                        expected=print_core(tyw, ctx.names()),
+                        expected=tyw,
+                        ctx=ctx,
                     )
                 if not self.conv(tyw.lhs, tyw.rhs, tyw.ty):
                     self.err(
                         "E-CONV",
                         "refl requires definitionally equal sides",
-                        expected=print_core(self.whnf(tyw.lhs), ctx.names()),
-                        actual=print_core(self.whnf(tyw.rhs), ctx.names()),
+                        expected=self.whnf(tyw.lhs),
+                        actual=self.whnf(tyw.rhs),
+                        ctx=ctx,
                     )
                 return Refl()
             case syntax.SNum(value):
@@ -738,7 +751,8 @@ class Checker:
                             "E-CONV",
                             f"modal introduction mod{{{format_word(word)}}} against "
                             "a different type",
-                            expected=print_core(cur, ctx.names()),
+                            expected=cur,
+                            ctx=ctx,
                         )
                     cur = cur.ty
                 for _ in range(k):
@@ -747,7 +761,8 @@ class Checker:
                         self.err(
                             "E-CONV",
                             "path-modal introduction against a non-path type",
-                            expected=print_core(tyw, ctx.names()),
+                            expected=tyw,
+                            ctx=ctx,
                         )
                     cur = cur.cod
                 bc = self.check(ctx.lock(word), body, cur)
@@ -766,14 +781,16 @@ class Checker:
             self.err(
                 "E-UNIVERSE",
                 f"universe level mismatch: U {ityw.level} is not U {tyw.level}",
-                expected=print_core(tyw, ctx.names()),
-                actual=print_core(ityw, ctx.names()),
+                expected=tyw,
+                actual=ityw,
+                ctx=ctx,
             )
         self.err(
             "E-CONV",
             "type mismatch",
-            expected=print_core(tyw, ctx.names()),
-            actual=print_core(ityw, ctx.names()),
+            expected=tyw,
+            actual=ityw,
+            ctx=ctx,
         )
         raise AssertionError
 
@@ -797,7 +814,8 @@ class Checker:
                 "E-CONV",
                 f"let-mod expects a value in <{format_word(word)}| ->",
                 expected=f"<{format_word(word)}| _>",
-                actual=print_core(styw, ctx.names()),
+                actual=styw,
+                ctx=ctx,
             )
             raise AssertionError
         ctx2 = ctx.extend(s.name, compose(frame, word), inner_ty,
@@ -840,7 +858,8 @@ class Checker:
                     f"coercion along {format_word(src)} => {format_word(dst)} "
                     "expects a matching modal argument",
                     expected=f"<{format_word(src)}| _>",
-                    actual=print_core(ttyw, ctx.names()),
+                    actual=ttyw,
+                    ctx=ctx,
                 )
             inner = ttyw.ty
             body = Var(npee(dst), cell if not cell.is_identity() else None)
@@ -901,7 +920,7 @@ class Checker:
                 try:
                     self.run_decl(decl)
                 except KernelError as exc:
-                    return [exc.diagnostic]
+                    return [_printed(exc)]
                 finally:
                     self._spans.pop()
             return []
@@ -926,137 +945,145 @@ def _strip_trailing_p(word) -> tuple[tuple, int]:
 
 
 # ---------------------------------------------------------------------------
-# Core printer (diagnostics only)
+# Readback to surface syntax (diagnostics only)
 # ---------------------------------------------------------------------------
 
 
+def _printed(exc: KernelError) -> Diagnostic:
+    """The diagnostic of `exc` with its core terms printed."""
+    d = exc.diagnostic
+    d.expected, d.actual = (
+        shown if shown is None or isinstance(shown, str) else print_core(shown, exc.names)
+        for shown in (exc.expected, exc.actual)
+    )
+    return d
+
+
 def print_core(t: Term, names: Optional[list[str]] = None) -> str:
-    env = list(names or [])
+    """Surface text of `t` in a context whose variables are `names`."""
+    return syntax.print_term(readback(t, names or []))
 
-    def fresh(base: str) -> str:
-        if base in ("_", "") or base in env:
-            i = 0
-            while f"x{i}" in env:
-                i += 1
-            return f"x{i}"
-        return base
 
-    def go(u: Term, depth_names: list[str], prec: int) -> str:
-        def par(txt: str, level: int) -> str:
-            return f"({txt})" if level < prec else txt
+def _constants(t: Term) -> set[str]:
+    out, todo = set(), [t]
+    while todo:
+        u = todo.pop()
+        if isinstance(u, Const):
+            out.add(u.name)
+        todo.extend(child for _, child, _ in _children(u))
+    return out
 
+
+def readback(t: Term, names: list[str]) -> syntax.STerm:
+    """A surface term that elaborates back to `t` in a context named `names`.
+
+    Binder names are fresh against every name in scope and every constant
+    `t` mentions; a Pi or Sigma binder whose variable is unused is left
+    anonymous.  Nat literals below 2 read back as `zero` and `succ zero`, so
+    they do not parse as interval endpoints.
+    """
+    taken = _constants(t)
+
+    def fresh(base: str, scope: list[str]) -> str:
+        name, k = base, 0
+        while name in scope or name in taken:
+            name, k = f"{base}{k}", k + 1
+        return name
+
+    def binder(body: Term, scope: list[str]) -> str:
+        return fresh("x", scope) if free_in(body, 0) else "_"
+
+    def go(u: Term, scope: list[str]) -> syntax.STerm:
         match u:
             case Var(ix, cell):
-                if ix < len(depth_names):
-                    base = depth_names[-1 - ix] if ix < len(depth_names) else f"@{ix}"
-                else:
-                    base = f"@{ix}"
-                if cell is not None and not cell.is_identity():
-                    return f"{base}^{{{cell.describe()}}}"
-                return base
+                var = syntax.SVar(scope[-1 - ix] if ix < len(scope) else f"@{ix}")
+                if cell is None or cell.is_identity():
+                    return var
+                factors = tuple(syntax.SCellFactor(st.left, st.gen, st.right)
+                                for st in cell.steps)
+                return syntax.SCellApp(var, syntax.SCell(factors))
             case Const(name):
-                return name
+                return syntax.SVar(name)
             case Univ(level):
-                return par(f"U {level}", 5)
+                return syntax.SUniv(level)
             case Pi(word, dom, cod):
-                nm = fresh("x")
-                ann = f" @ {format_word(word)}" if word else ""
-                return par(
-                    f"({nm} : {go(dom, depth_names, 0)}{ann}) -> "
-                    f"{go(cod, depth_names + [nm], 0)}",
-                    0,
-                )
+                x = binder(cod, scope)
+                return syntax.SPi(x, word, go(dom, scope), go(cod, scope + [x]))
             case Sigma(dom, cod):
-                nm = fresh("x")
-                return par(
-                    f"({nm} : {go(dom, depth_names, 0)}) * "
-                    f"{go(cod, depth_names + [nm], 1)}",
-                    1,
-                )
+                x = binder(cod, scope)
+                return syntax.SSigma(x, go(dom, scope), go(cod, scope + [x]))
             case Lam(body):
-                nm = fresh("x")
-                return par(f"fun {nm} => {go(body, depth_names + [nm], 0)}", 0)
+                x = fresh("x", scope)
+                return syntax.SLam(x, go(body, scope + [x]))
             case App(fn, arg):
-                return par(f"{go(fn, depth_names, 5)} {go(arg, depth_names, 6)}", 5)
+                return syntax.SApp(go(fn, scope), go(arg, scope))
             case Pair(a, b):
-                return f"({go(a, depth_names, 0)}, {go(b, depth_names, 0)})"
+                return syntax.SPair(go(a, scope), go(b, scope))
             case Fst(arg):
-                return par(f"fst {go(arg, depth_names, 6)}", 5)
+                return syntax.SFst(go(arg, scope))
             case Snd(arg):
-                return par(f"snd {go(arg, depth_names, 6)}", 5)
+                return syntax.SSnd(go(arg, scope))
             case IdT(_, lhs, rhs):
-                return par(
-                    f"{go(lhs, depth_names, 3)} = {go(rhs, depth_names, 3)}", 2
-                )
+                return syntax.SEq(go(lhs, scope), go(rhs, scope))
             case Refl():
-                return "refl"
+                return syntax.SRefl()
             case J(motive, base, eq):
-                nm, pm = fresh("b"), "q"
-                mt = go(motive, depth_names + [nm, pm], 0)
-                return f"J(fun {nm} {pm} => {mt}, {go(base, depth_names, 0)}, {go(eq, depth_names, 0)})"
+                b = fresh("b", scope)
+                q = fresh("q", scope + [b])
+                mot = syntax.SLam(b, syntax.SLam(q, go(motive, scope + [b, q])))
+                return syntax.SJ(mot, go(base, scope), go(eq, scope))
+            case NatRec(motive, zcase, scase, scrut):
+                n = fresh("n", scope)
+                k = fresh("k", scope)
+                r = fresh("r", scope + [k])
+                sc = syntax.SLam(k, syntax.SLam(r, go(scase, scope + [k, r])))
+                return syntax.SNatRec(syntax.SLam(n, go(motive, scope + [n])),
+                                      go(zcase, scope), sc, go(scrut, scope))
+            case BoolRec(motive, tcase, fcase, scrut):
+                b = fresh("b", scope)
+                return syntax.SBoolRec(syntax.SLam(b, go(motive, scope + [b])),
+                                       go(tcase, scope), go(fcase, scope), go(scrut, scope))
             case NatT():
-                return "Nat"
+                return syntax.SConstT("Nat")
             case Zero():
-                return "0"
+                return syntax.SConstT("zero")
             case Suc(arg):
-                inner = u
-                count = 0
+                n, inner = 1, arg
                 while isinstance(inner, Suc):
-                    count += 1
-                    inner = inner.arg
-                if isinstance(inner, Zero):
-                    return str(count)
-                return par(f"succ {go(arg, depth_names, 6)}", 5)
-            case NatRec(motive, z, s, n):
-                nm = fresh("n")
-                return (
-                    f"natrec(fun {nm} => {go(motive, depth_names + [nm], 0)}, "
-                    f"{go(z, depth_names, 0)}, fun k r => {go(s, depth_names + ['k', 'r'], 0)}, "
-                    f"{go(n, depth_names, 0)})"
-                )
+                    n, inner = n + 1, inner.arg
+                if n > 1 and isinstance(inner, Zero):
+                    return syntax.SNum(n)
+                return syntax.SSucc(go(arg, scope))
             case BoolT():
-                return "Bool"
+                return syntax.SConstT("Bool")
             case TrueC():
-                return "true"
+                return syntax.SConstT("true")
             case FalseC():
-                return "false"
-            case BoolRec(motive, tc, fc, b):
-                nm = fresh("b")
-                return (
-                    f"boolrec(fun {nm} => {go(motive, depth_names + [nm], 0)}, "
-                    f"{go(tc, depth_names, 0)}, {go(fc, depth_names, 0)}, "
-                    f"{go(b, depth_names, 0)})"
-                )
+                return syntax.SConstT("false")
             case IntT():
-                return "Int"
+                return syntax.SConstT("Int")
             case I0():
-                return "0"
+                return syntax.SNum(0)
             case I1():
-                return "1"
+                return syntax.SNum(1)
             case MeetT(lhs, rhs):
-                return par(f"{go(lhs, depth_names, 5)} /\\ {go(rhs, depth_names, 5)}", 4)
+                return syntax.SMeet(go(lhs, scope), go(rhs, scope))
             case JoinT(lhs, rhs):
-                return par(f"{go(lhs, depth_names, 4)} \\/ {go(rhs, depth_names, 4)}", 3)
+                return syntax.SJoin(go(lhs, scope), go(rhs, scope))
             case Modify(word, ty):
-                inner_names = depth_names + [f"i{k}" for k in range(npee(word))]
-                return f"<{format_word(word)}| {go(ty, inner_names, 0)}>"
+                # each p in the word locks the body under an interval named i
+                return syntax.SModify(word, go(ty, scope + ["i"] * npee(word)))
             case MkMod(word, body):
-                inner_names = depth_names + [f"i{k}" for k in range(npee(word))]
-                return f"mod{{{format_word(word)}}}({go(body, inner_names, 0)})"
+                return syntax.SMkMod(word, go(body, scope + ["i"] * npee(word)))
             case LetMod(frame, word, scrut, body):
-                nm = fresh("x")
-                fr = f"[{format_word(frame)}]" if frame else ""
-                return par(
-                    f"let mod{{{format_word(word)}}}({nm}) ={fr} "
-                    f"{go(scrut, depth_names, 0)} in {go(body, depth_names + [nm], 0)}",
-                    0,
-                )
+                x = fresh("x", scope)
+                return syntax.SLetMod(word, x, frame, go(scrut, scope), go(body, scope + [x]))
             case LiftT(ty):
-                return par(f"Lift {go(ty, depth_names, 6)}", 5)
+                return syntax.SLift(go(ty, scope))
             case Up(arg):
-                return par(f"up {go(arg, depth_names, 6)}", 5)
+                return syntax.SUp(go(arg, scope))
             case Down(arg):
-                return par(f"down {go(arg, depth_names, 6)}", 5)
-        return repr(u)
+                return syntax.SDown(go(arg, scope))
+        raise TypeError(f"cannot read back {u!r}")
 
-    return go(t, env, 0)
+    return go(t, list(names))

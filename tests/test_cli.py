@@ -5,19 +5,32 @@ import os
 import subprocess
 import sys
 
+import jsonschema
 import pytest
 
 from trikernel.cli import main
 from trikernel.corpus import default_stdlib_dir
-from trikernel.diagnostics import validate_json_diagnostic
+from trikernel.diagnostics import Diagnostic
 
 STDLIB = default_stdlib_dir()
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+with open(os.path.join(ROOT, "docs", "diagnostic.schema.json")) as _handle:
+    SCHEMA = json.load(_handle)
 
 
 def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def json_diagnostics(out):
+    """The JSON diagnostic lines of `out`, each validated against the schema."""
+    objs = [json.loads(line) for line in out.splitlines() if line.strip()]
+    for obj in objs:
+        jsonschema.validate(obj, SCHEMA)
+    return objs
 
 
 def test_mode_normalize(capsys):
@@ -96,10 +109,9 @@ def test_check_negative_file_json(capsys):
     path = os.path.join(STDLIB, "neg", "escape-s.ttt")
     code, out, _ = run_cli(["check", path, "--json"], capsys)
     assert code == 1
-    lines = [line for line in out.splitlines() if line.strip()]
-    assert len(lines) == 1
-    assert validate_json_diagnostic(lines[0]) == []
-    obj = json.loads(lines[0])
+    objs = json_diagnostics(out)
+    assert len(objs) == 1
+    obj = objs[0]
     assert obj["code"] == "E-MODALITY"
     assert obj["line"] == 3
 
@@ -119,6 +131,7 @@ def test_check_multiple_files_deterministic_order(capsys):
     assert code == 1
     # output sorted by (file, offset) regardless of argument order
     assert out1 == out2
+    assert len(json_diagnostics(out1)) == 2
 
 
 def test_corpus_run(capsys):
@@ -153,15 +166,15 @@ def test_prelude_flag_overrides(capsys, tmp_path):
     # without the override the name is unbound against the real prelude
     code, out, _ = run_cli(["check", str(user), "--json"], capsys)
     assert code == 1
-    assert json.loads(out.splitlines()[0])["code"] == "E-UNBOUND"
+    assert json_diagnostics(out)[0]["code"] == "E-UNBOUND"
 
 
 def test_shipped_schema_matches_code():
-    from trikernel.diagnostics import DIAGNOSTIC_SCHEMA
-
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    with open(os.path.join(root, "docs", "diagnostic.schema.json")) as handle:
-        assert json.load(handle) == DIAGNOSTIC_SCHEMA
+    bare = json.loads(Diagnostic("f.ttt", "E-CONV", "m").to_json())
+    full = json.loads(Diagnostic("f.ttt", "E-CONV", "m", expected="A", actual="B").to_json())
+    assert set(SCHEMA["required"]) == set(bare)
+    assert set(SCHEMA["properties"]) == set(full)
+    jsonschema.validate(full, SCHEMA)
 
 
 def test_console_script_entry():

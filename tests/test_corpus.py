@@ -13,9 +13,10 @@ from trikernel.corpus import (
     load_manifest,
     run_corpus,
 )
-from trikernel.kernel import Checker
+from trikernel.core import Ctx
+from trikernel.kernel import Checker, print_core
 from trikernel.prelude import load_prelude, parse_metadata, read_prelude
-from trikernel.syntax import parse_module, print_decl
+from trikernel.syntax import parse_module, parse_term, print_decl
 
 STDLIB = default_stdlib_dir()
 
@@ -140,3 +141,18 @@ def test_hom_file_golden_print():
     # and the whole file roundtrips through the printer
     for decl in module.decls:
         assert parse_module(print_decl(decl)).decls[0] == decl
+
+
+def test_global_types_print_and_elaborate_back():
+    """Every global type of the prelude and the passing corpus prints as
+    surface syntax that parses and elaborates back to the same core term."""
+    checker = Checker()
+    assert load_prelude(checker) == []
+    for entry in load_manifest().entries:
+        if entry.expect_code is None:  # manifest order loads dependencies first
+            assert checker.check_source(read_corpus_file(entry.file), entry.file) == []
+    assert len(checker.global_order) == 218
+    for name in checker.global_order:
+        ty = checker.globals[name].ty
+        printed = print_core(ty)
+        assert checker.elab_type(Ctx(), parse_term(printed))[0] == ty, (name, printed)

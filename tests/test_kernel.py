@@ -17,9 +17,11 @@ from trikernel.core import (
     apply_cell,
     mk_mkmod,
     mk_modify,
+    nat_literal,
     shift,
     subst,
 )
+from trikernel import kernel
 from trikernel.diagnostics import KernelError
 from trikernel.kernel import Checker, print_core
 from trikernel.modality import cell_whisker, generator_cell, identity_cell
@@ -316,6 +318,43 @@ def test_subject_reduction_samples():
 def test_print_core_output():
     checker = run_ok("def c : (A : U 0) -> A -> A := fun A a => a")
     assert "U 0" in print_core(checker.globals["c"].ty)
+    assert print_core(checker.globals["c"].ty) == "(x : U 0) -> x -> x"
+
+
+def test_print_core_nat_literals_are_not_endpoints():
+    printed = [print_core(nat_literal(n)) for n in range(3)]
+    assert printed == ["zero", "succ zero", "2"]
+    assert [print_core(I0()), print_core(MeetT(Var(0), Var(1)), ["i", "j"])] == ["0", "j /\\ i"]
+
+
+def test_expected_fail_check_prints_nothing(monkeypatch):
+    calls = []
+    real = kernel.print_core
+    monkeypatch.setattr(kernel, "print_core", lambda *a: calls.append(a) or real(*a))
+    decls = "axiom A : U 0\naxiom B : U 0\n"
+    run_ok(decls + 'fail-check "E-CONV" (fun x => x) : A -> B\n')
+    assert calls == []
+    _, diags = run(decls + "check (fun x => x) : A -> B\n")
+    assert (diags[0].expected, diags[0].actual) == ("B", "A")
+    assert len(calls) == 2
+
+
+def test_conv_at_int_compares_canonical_forms_without_recursion():
+    # the meet of nine binary joins has 512 monomials in canonical form
+    atoms = "".join(f"axiom x{k} : Int\naxiom y{k} : Int\n" for k in range(9))
+    meet = " /\\ ".join(f"(x{k} \\/ y{k})" for k in range(9))
+    run_ok(atoms + f"def t : {meet} = {meet} := refl\n")
+
+
+def test_access_under_interval_binders_stops_at_first_candidate(monkeypatch):
+    ctx = Ctx().extend("A", (), Univ(0)).extend("a", (), Var(0))
+    for _ in range(12):
+        ctx = ctx.extend("i", (), IntT(), True)
+    calls = []
+    real = kernel.normalize
+    monkeypatch.setattr(kernel, "normalize", lambda w: calls.append(w) or real(w))
+    assert Checker().access_cell(ctx, 12, None, "a") is None
+    assert len(calls) <= 2  # the annotation and the first candidate
 
 
 def test_cross_file_redefinition_rejected():
