@@ -8,7 +8,7 @@ structural.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional
 
 from .modality import TwoCell, Word, cell_vcomp, cell_whisker, normalize
@@ -278,6 +278,34 @@ def _children(t: Term) -> list[tuple[str, Term, int]]:
             return [("scrut", scrut, 0), ("body", body, 1)]
         case _:
             return []
+
+
+# The fields of each term former that hold no subterm: words, names, levels, cells.
+_DATA_FIELDS = {
+    cls: tuple(f.name for f in fields(cls) if f.type != "Term")
+    for cls in Term.__subclasses__()
+}
+
+
+def syn_eq(a: Term, b: Term) -> bool:
+    """Syntactic equality of two terms.
+
+    Iterative, with an explicit stack, so that the depth of a term (a long
+    ``Suc`` chain, a long lattice join) costs no Python recursion; shared
+    subterms are skipped by identity.
+    """
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        if type(a) is not type(b):
+            return False
+        for name in _DATA_FIELDS[type(a)]:
+            if getattr(a, name) != getattr(b, name):
+                return False
+        todo.extend((x, y) for (_, x, _), (_, y, _) in zip(_children(a), _children(b)))
+    return True
 
 
 def _map(t: Term, fn: Callable[[Term, int], Term], depth: int = 0) -> Term:

@@ -62,6 +62,7 @@ from .core import (
     npee,
     shift,
     subst,
+    syn_eq,
 )
 from .diagnostics import Diagnostic, KernelError
 from .modality import (
@@ -260,28 +261,39 @@ class Checker:
                 return self.conv_str(t, u)
 
     def conv_str(self, t: Term, u: Term) -> bool:
-        tw, uw = self.whnf(t), self.whnf(u)
-        # eta for functions and pairs
-        if isinstance(tw, Lam) and not isinstance(uw, Lam):
-            return self.conv_str(tw.body, App(shift(uw, 1), Var(0)))
-        if isinstance(uw, Lam) and not isinstance(tw, Lam):
-            return self.conv_str(App(shift(tw, 1), Var(0)), uw.body)
-        if isinstance(tw, Pair) and not isinstance(uw, Pair):
-            return self.conv_str(tw.fst, Fst(uw)) and self.conv_str(tw.snd, Snd(uw))
-        if isinstance(uw, Pair) and not isinstance(tw, Pair):
-            return self.conv_str(Fst(tw), uw.fst) and self.conv_str(Snd(tw), uw.snd)
-        if type(tw) is not type(uw):
-            return False
-        if isinstance(tw, Var):
-            return tw.ix == uw.ix and self.cells_equal(tw.cell, uw.cell)
-        for f in dataclasses.fields(tw):
-            va, vb = getattr(tw, f.name), getattr(uw, f.name)
-            if isinstance(va, Term):
-                if not self.conv_str(va, vb):
-                    return False
-            elif va != vb:
+        # syntactic equality first, before and after unfolding
+        if syn_eq(t, u):
+            return True
+        while True:
+            tw, uw = self.whnf(t), self.whnf(u)
+            if (tw is not t or uw is not u) and syn_eq(tw, uw):
+                return True
+            # eta for functions and pairs
+            if isinstance(tw, Lam) and not isinstance(uw, Lam):
+                return self.conv_str(tw.body, App(shift(uw, 1), Var(0)))
+            if isinstance(uw, Lam) and not isinstance(tw, Lam):
+                return self.conv_str(App(shift(tw, 1), Var(0)), uw.body)
+            if isinstance(tw, Pair) and not isinstance(uw, Pair):
+                return self.conv_str(tw.fst, Fst(uw)) and self.conv_str(tw.snd, Snd(uw))
+            if isinstance(uw, Pair) and not isinstance(tw, Pair):
+                return self.conv_str(Fst(tw), uw.fst) and self.conv_str(Snd(tw), uw.snd)
+            if type(tw) is not type(uw):
                 return False
-        return True
+            if isinstance(tw, Var):
+                return tw.ix == uw.ix and self.cells_equal(tw.cell, uw.cell)
+            subterms = []
+            for f in dataclasses.fields(tw):
+                va, vb = getattr(tw, f.name), getattr(uw, f.name)
+                if isinstance(va, Term):
+                    subterms.append((va, vb))
+                elif va != vb:
+                    return False
+            if len(subterms) != 1:
+                return all(self.conv_str(va, vb) for va, vb in subterms)
+            # tw and uw differ syntactically only in their one subterm: compare
+            # it without the syntactic test, so that a `Suc` chain costs linear
+            # time and no recursion
+            ((t, u),) = subterms
 
     # -- type levels -------------------------------------------------------------
 
@@ -921,6 +933,8 @@ class Checker:
                     self.run_decl(decl)
                 except KernelError as exc:
                     return [_printed(exc)]
+                except RecursionError:
+                    return [_too_deep(module.path, "declaration", decl.span)]
                 finally:
                     self._spans.pop()
             return []
@@ -932,6 +946,8 @@ class Checker:
             module = syntax.parse_module(text, path)
         except KernelError as exc:
             return [exc.diagnostic]
+        except RecursionError:
+            return [_too_deep(path, "input", (0, 0))]
         return self.run_module(module)
 
 
@@ -942,6 +958,16 @@ def _strip_trailing_p(word) -> tuple[tuple, int]:
         w = w[:-1]
         k += 1
     return w, k
+
+
+def _too_deep(path: str, what: str, span: tuple[int, int]) -> Diagnostic:
+    """E-DEPTH: the checker ran out of Python stack on this input."""
+    return Diagnostic(
+        file=path,
+        code="E-DEPTH",
+        message=f"{what} is nested too deeply for the checker (recursion limit)",
+        span=span,
+    )
 
 
 # ---------------------------------------------------------------------------

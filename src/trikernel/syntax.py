@@ -17,6 +17,7 @@ when an arrow or star follows, so no backtracking is needed.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -62,77 +63,66 @@ def _parse_error(message: str, span: Span, file: str):
     raise KernelError(Diagnostic(file=file, code="E-PARSE", message=message, span=span))
 
 
+# One master pattern, tried at each position; the alternatives are in
+# priority order and `_PUNCT` keeps its longest-first order.  `\s`, `\w` and
+# `\d` are `str.isspace`, `isalnum`-or-underscore and `isdecimal`.  A word
+# may not start with a digit or with the alias `λ`.  What the pattern does
+# not match (`{...}`, unicode aliases, an unterminated string, a stray
+# character) takes the hand-written path below.
+_TOKEN = re.compile(
+    r"(?P<SKIP>\s+|--[^\n]*)"
+    r"|(?P<FAIL>fail-check(?!\w))"
+    r'|"(?P<STRING>[^"]*)"'
+    r"|(?P<PUNCT>" + "|".join(re.escape(lit) for lit, _ in _PUNCT) + r")"
+    r"|(?P<NUMBER>\d+)"
+    r"|(?P<WORD>[^\W\dλ][\w']*)"
+)
+_PUNCT_KIND = dict(_PUNCT)
+
+
 def tokenize(text: str, file: str = "<input>") -> list[Token]:
     tokens: list[Token] = []
     i, n = 0, len(text)
+    match = _TOKEN.match
     while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
+        m = match(text, i)
+        if m is None:
+            ch = text[i]
+            if ch in _UNICODE_ALIASES:
+                kind, canonical = _UNICODE_ALIASES[ch]
+                tokens.append(Token(kind, canonical, (i, i + 1)))
                 i += 1
-            continue
-        if ch in _UNICODE_ALIASES:
-            kind, canonical = _UNICODE_ALIASES[ch]
-            tokens.append(Token(kind, canonical, (i, i + 1)))
-            i += 1
-            continue
-        if ch == "{":
-            depth, j = 1, i + 1
-            while j < n and depth:
-                if text[j] == "{":
-                    depth += 1
-                elif text[j] == "}":
-                    depth -= 1
-                j += 1
-            if depth:
-                _parse_error("unterminated '{'", (i, n), file)
-            tokens.append(Token("BRACED", text[i + 1 : j - 1], (i, j)))
-            i = j
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 1
-            if j >= n:
+                continue
+            if ch == "{":
+                depth, j = 1, i + 1
+                while j < n and depth:
+                    if text[j] == "{":
+                        depth += 1
+                    elif text[j] == "}":
+                        depth -= 1
+                    j += 1
+                if depth:
+                    _parse_error("unterminated '{'", (i, n), file)
+                tokens.append(Token("BRACED", text[i + 1 : j - 1], (i, j)))
+                i = j
+                continue
+            if ch == '"':
                 _parse_error("unterminated string literal", (i, n), file)
-            tokens.append(Token("STRING", text[i + 1 : j], (i, j + 1)))
-            i = j + 1
-            continue
-        if text.startswith("fail-check", i) and not (
-            i + 10 < n and (text[i + 10].isalnum() or text[i + 10] == "_")
-        ):
-            tokens.append(Token("KEYWORD", "fail-check", (i, i + 10)))
-            i += 10
-            continue
-        matched = False
-        for lit, kind in _PUNCT:
-            if text.startswith(lit, i):
-                tokens.append(Token(kind, lit, (i, i + len(lit))))
-                i += len(lit)
-                matched = True
-                break
-        if matched:
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("NUMBER", text[i:j], (i, j)))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            word = text[i:j]
-            kind = "KEYWORD" if word in KEYWORDS else "IDENT"
-            tokens.append(Token(kind, word, (i, j)))
-            i = j
-            continue
-        _parse_error(f"unexpected character {ch!r}", (i, i + 1), file)
+            _parse_error(f"unexpected character {ch!r}", (i, i + 1), file)
+        kind, j = m.lastgroup, m.end()
+        lexeme = m.group(kind)
+        if kind == "WORD":
+            # `\w` also admits numeric characters that are not digits (`²`)
+            if not (lexeme[0].isalpha() or lexeme[0] == "_"):
+                _parse_error(f"unexpected character {lexeme[0]!r}", (i, i + 1), file)
+            kind = "KEYWORD" if lexeme in KEYWORDS else "IDENT"
+        elif kind == "PUNCT":
+            kind = _PUNCT_KIND[lexeme]
+        elif kind == "FAIL":
+            kind = "KEYWORD"
+        if kind != "SKIP":
+            tokens.append(Token(kind, lexeme, (i, j)))
+        i = j
     tokens.append(Token("EOF", "", (n, n)))
     return tokens
 

@@ -116,6 +116,23 @@ def test_check_negative_file_json(capsys):
     assert obj["line"] == 3
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "def t : Nat := " + "(" * 3000 + "zero" + ")" * 3000 + "\n",
+        "def d : Nat -> Nat := fun n => natrec(fun k => Nat, zero, fun k r => succ (succ r), n)\n"
+        "def t : d 1000 = 2000 := refl\n",
+    ],
+    ids=["deep-parentheses", "deep-natrec"],
+)
+def test_check_too_deep_input_json(capsys, tmp_path, text):
+    path = tmp_path / "deep.ttt"
+    path.write_text(text, encoding="utf-8")
+    code, out, _ = run_cli(["check", str(path), "--json"], capsys)
+    assert code == 1
+    assert [obj["code"] for obj in json_diagnostics(out)] == ["E-DEPTH"]
+
+
 def test_check_missing_file(capsys):
     code, _, err = run_cli(["check", "definitely-missing.ttt"], capsys)
     assert code == 2

@@ -2,6 +2,7 @@
 the dead-entry lint, the mutation-sensitivity guard, and golden printing."""
 
 import os
+import random
 import re
 
 import pytest
@@ -13,7 +14,8 @@ from trikernel.corpus import (
     load_manifest,
     run_corpus,
 )
-from trikernel.core import Ctx
+from trikernel import kernel
+from trikernel.core import Const, Ctx
 from trikernel.kernel import Checker, print_core
 from trikernel.prelude import load_prelude, parse_metadata, read_prelude
 from trikernel.syntax import parse_module, parse_term, print_decl
@@ -143,16 +145,40 @@ def test_hom_file_golden_print():
         assert parse_module(print_decl(decl)).decls[0] == decl
 
 
-def test_global_types_print_and_elaborate_back():
-    """Every global type of the prelude and the passing corpus prints as
-    surface syntax that parses and elaborates back to the same core term."""
+def library_checker():
+    """A checker holding the prelude and the 11 passing corpus files."""
     checker = Checker()
     assert load_prelude(checker) == []
     for entry in load_manifest().entries:
         if entry.expect_code is None:  # manifest order loads dependencies first
             assert checker.check_source(read_corpus_file(entry.file), entry.file) == []
     assert len(checker.global_order) == 218
+    return checker
+
+
+def test_global_types_print_and_elaborate_back():
+    """Every global type of the prelude and the passing corpus prints as
+    surface syntax that parses and elaborates back to the same core term."""
+    checker = library_checker()
     for name in checker.global_order:
         ty = checker.globals[name].ty
         printed = print_core(ty)
         assert checker.elab_type(Ctx(), parse_term(printed))[0] == ty, (name, printed)
+
+
+def test_syntactic_shortcut_agrees_with_slow_conversion(monkeypatch):
+    """A fast path may never change a verdict: `conv_str` with and without
+    the syntactic-equality shortcut, over every global type against itself,
+    every definition against its body and seeded random pairs of types."""
+    checker = library_checker()
+    defs = checker.globals
+    names = checker.global_order
+    rng = random.Random(7)
+    pairs = [(defs[n].ty, defs[n].ty) for n in names]
+    pairs += [(Const(n), defs[n].body) for n in names if defs[n].body is not None]
+    pairs += [(defs[rng.choice(names)].ty, defs[rng.choice(names)].ty) for _ in range(300)]
+    fast = [checker.conv_str(a, b) for a, b in pairs]
+    monkeypatch.setattr(kernel, "syn_eq", lambda a, b: False)
+    slow = [checker.conv_str(a, b) for a, b in pairs]
+    assert fast == slow
+    assert 0 < fast.count(False) < len(pairs)

@@ -1,9 +1,12 @@
 """Kernel behavior: typing, conversion, modal discipline, 2-cell action."""
 
+import time
+
 import pytest
 
 from trikernel.core import (
     App,
+    Const,
     Ctx,
     I0,
     IntT,
@@ -20,6 +23,7 @@ from trikernel.core import (
     nat_literal,
     shift,
     subst,
+    syn_eq,
 )
 from trikernel import kernel
 from trikernel.diagnostics import KernelError
@@ -363,3 +367,50 @@ def test_cross_file_redefinition_rejected():
     diags = checker.check_source("def T : U 0 := Int", "two.ttt")
     assert len(diags) == 1 and diags[0].code == "E-PARSE"
     assert "redefinition" in diags[0].message
+
+
+def test_syn_eq_compares_structure_and_data_without_recursion():
+    assert syn_eq(nat_literal(5000), nat_literal(5000))
+    assert not syn_eq(nat_literal(5000), nat_literal(5001))
+    assert syn_eq(Pi((), IntT(), Var(0)), Pi((), IntT(), Var(0)))
+    assert not syn_eq(Pi(("g",), IntT(), Var(0)), Pi((), IntT(), Var(0)))
+    assert not syn_eq(Const("a"), Const("b"))
+    assert not syn_eq(Var(0), Var(1))
+    cell = generator_cell("eps0", (), ())
+    assert syn_eq(Var(0, cell), Var(0, cell))
+    assert not syn_eq(Var(0, cell), Var(0))
+    assert not syn_eq(Univ(0), Univ(1))
+
+
+def test_large_nat_literal_converts_with_its_definition():
+    run_ok("def n : Nat := 3000\ndef t : n = 3000 := refl\n")
+
+
+def test_nat_literal_600_stays_accepted():
+    # guards against comparing terms with the recursive dataclass `==`
+    run_ok("def n : Nat := 600\ndef t : n = 600 := refl\n")
+
+
+def test_unequal_large_nat_literals_are_a_conversion_error():
+    diag = run_fail("def n : Nat := 3000\ndef t : n = 3001 := refl\n", "E-CONV")
+    assert diag.span == (40, 44)
+
+
+def test_permuted_meet_of_joins_under_a_function_is_fast():
+    n = 8
+    atoms = "".join(f"axiom x{k} : Int\naxiom y{k} : Int\n" for k in range(n))
+    meet = " /\\ ".join(f"(x{k} \\/ y{k})" for k in range(n))
+    permuted = " /\\ ".join(f"(y{k} \\/ x{k})" for k in reversed(range(n)))
+    start = time.perf_counter()
+    run_ok(atoms + f"axiom f : Int -> Nat\ndef t : f ({meet}) = f ({permuted}) := refl\n")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_too_deep_input_is_a_depth_diagnostic():
+    diag = run_fail("def t : Nat := " + "(" * 3000 + "zero" + ")" * 3000, "E-DEPTH")
+    assert diag.span == (0, 0)
+    # the equation holds, but `whnf` shifts the 999-deep literal recursively
+    double = "fun n => natrec(fun k => Nat, zero, fun k r => succ (succ r), n)"
+    text = f"def d : Nat -> Nat := {double}\ndef t : d 1000 = 2000 := refl\n"
+    diag = run_fail(text, "E-DEPTH")
+    assert text[diag.span[0] : diag.span[1]] == "def t : d 1000 = 2000 := refl"

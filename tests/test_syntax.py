@@ -1,11 +1,14 @@
 """Parser/printer tests: examples, roundtrip property, totality."""
 
+import glob
+import os
 import random
 import string
 
 import pytest
 
 from trikernel.diagnostics import KernelError
+from trikernel import syntax
 from trikernel.syntax import (
     Decl,
     SAnnot,
@@ -247,3 +250,100 @@ def test_decl_print_roundtrip():
     text = "def c : (A : U 0 @ g) -> <g| A> -> A := fun A x => let mod{g}(y) = x in y"
     mod = parse_module(text)
     assert parse_module(print_decl(mod.decls[0])).decls[0] == mod.decls[0]
+
+
+def _reference_tokenize(text):
+    """A character-at-a-time lexer, the reference for `syntax.tokenize`.
+
+    Numbers are decimal digits (what `int` reads); a letter or `_` starts a
+    word; anything else that is not punctuation is an unexpected character.
+    """
+    out, i, n = [], 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif text.startswith("--", i):
+            while i < n and text[i] != "\n":
+                i += 1
+        elif ch in syntax._UNICODE_ALIASES:
+            kind, canonical = syntax._UNICODE_ALIASES[ch]
+            out.append((kind, canonical, (i, i + 1)))
+            i += 1
+        elif ch == "{":
+            depth, j = 1, i + 1
+            while j < n and depth:
+                depth += {"{": 1, "}": -1}.get(text[j], 0)
+                j += 1
+            if depth:
+                return ("E-PARSE", (i, n))
+            out.append(("BRACED", text[i + 1 : j - 1], (i, j)))
+            i = j
+        elif ch == '"':
+            j = text.find('"', i + 1)
+            if j < 0:
+                return ("E-PARSE", (i, n))
+            out.append(("STRING", text[i + 1 : j], (i, j + 1)))
+            i = j + 1
+        elif text.startswith("fail-check", i) and not (
+            i + 10 < n and (text[i + 10].isalnum() or text[i + 10] == "_")
+        ):
+            out.append(("KEYWORD", "fail-check", (i, i + 10)))
+            i += 10
+        else:
+            lit = next((lit for lit, _ in syntax._PUNCT if text.startswith(lit, i)), None)
+            j = i
+            if lit is not None:
+                out.append((dict(syntax._PUNCT)[lit], lit, (i, i + len(lit))))
+                i += len(lit)
+            elif ch.isdecimal():
+                while j < n and text[j].isdecimal():
+                    j += 1
+                out.append(("NUMBER", text[i:j], (i, j)))
+                i = j
+            elif ch.isalpha() or ch == "_":
+                while j < n and (text[j].isalnum() or text[j] in "_'"):
+                    j += 1
+                kind = "KEYWORD" if text[i:j] in syntax.KEYWORDS else "IDENT"
+                out.append((kind, text[i:j], (i, j)))
+                i = j
+            else:
+                return ("E-PARSE", (i, i + 1))
+    out.append(("EOF", "", (n, n)))
+    return out
+
+
+def _tokens(text):
+    try:
+        return [(t.kind, t.text, t.span) for t in syntax.tokenize(text)]
+    except KernelError as err:
+        return (err.diagnostic.code, err.diagnostic.span)
+
+
+def test_tokenizer_matches_reference_on_shipped_files():
+    package = os.path.dirname(syntax.__file__)
+    paths = glob.glob(os.path.join(package, "**", "*.ttt"), recursive=True)
+    assert len(paths) == 18
+    for path in paths:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+        assert _tokens(text) == _reference_tokenize(text), path
+
+
+def test_tokenizer_matches_reference_on_random_text():
+    pieces = list("ab_'09 \n\t-=<>:()[]{}\",.*^|@/\\λ∘⟨⟩∧∨→²½٣é") + [
+        "fail-check", "fail-checkx", "--", ":=", "=>", "->", "/\\", "\\/", "zero",
+    ]
+    rng = random.Random(4)
+    for _ in range(3000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 12)))
+        assert _tokens(text) == _reference_tokenize(text), text
+
+
+def test_non_decimal_numeric_character_is_a_parse_error():
+    # `²` passes `str.isdigit` but not `int`; it used to end in a ValueError
+    with pytest.raises(KernelError) as err:
+        parse_module("def a : Nat := ²")
+    assert (err.value.diagnostic.code, err.value.diagnostic.span) == ("E-PARSE", (15, 16))
+    assert parse_term("٣") == SNum(3)
+    assert parse_term("x²") == SVar("x²")
