@@ -9,7 +9,7 @@ structural.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .modality import TwoCell, Word, cell_vcomp, cell_whisker, normalize
 
@@ -240,42 +240,51 @@ def mk_mkmod(word: Word, body: Term) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# Generic traversal: each child with the number of extra binders it is under
+# The binding table: each subterm with its binders and locks
 # ---------------------------------------------------------------------------
 
 
-def _children(t: Term) -> list[tuple[str, Term, int]]:
+def _children(t: Term) -> list[tuple[str, Term, int, Word]]:
+    """Each subterm of `t` as (field, child, binders, locks).
+
+    `binders` counts the variables the child binds beyond `t`'s scope; `locks`
+    is the word the 2-cell action whiskers by on entering the child: a modal
+    binder's word, the frame of a ``LetMod`` scrutinee, and ``p`` for the
+    codomain of a Pi whose domain is literally ``Int``.
+    """
     match t:
-        case Pi(_, dom, cod):
-            return [("dom", dom, 0), ("cod", cod, 1)]
+        case Pi(word, dom, cod):
+            return [("dom", dom, 0, word), ("cod", cod, 1, ("p",) if dom == IntT() else ())]
         case Lam(body):
-            return [("body", body, 1)]
+            return [("body", body, 1, ())]
         case App(fn, arg):
-            return [("fn", fn, 0), ("arg", arg, 0)]
+            return [("fn", fn, 0, ()), ("arg", arg, 0, ())]
         case Sigma(dom, cod):
-            return [("dom", dom, 0), ("cod", cod, 1)]
+            return [("dom", dom, 0, ()), ("cod", cod, 1, ())]
         case Pair(a, b):
-            return [("fst", a, 0), ("snd", b, 0)]
+            return [("fst", a, 0, ()), ("snd", b, 0, ())]
         case Fst(arg) | Snd(arg) | Suc(arg) | Up(arg) | Down(arg):
-            return [("arg", arg, 0)]
+            return [("arg", arg, 0, ())]
         case LiftT(ty):
-            return [("ty", ty, 0)]
+            return [("ty", ty, 0, ())]
         case IdT(ty, lhs, rhs):
-            return [("ty", ty, 0), ("lhs", lhs, 0), ("rhs", rhs, 0)]
+            return [("ty", ty, 0, ()), ("lhs", lhs, 0, ()), ("rhs", rhs, 0, ())]
         case J(motive, base, eq):
-            return [("motive", motive, 2), ("base", base, 0), ("eq", eq, 0)]
+            return [("motive", motive, 2, ()), ("base", base, 0, ()), ("eq", eq, 0, ())]
         case NatRec(motive, z, s, n):
-            return [("motive", motive, 1), ("zcase", z, 0), ("scase", s, 2), ("scrut", n, 0)]
+            return [("motive", motive, 1, ()), ("zcase", z, 0, ()), ("scase", s, 2, ()),
+                    ("scrut", n, 0, ())]
         case BoolRec(motive, tc, fc, b):
-            return [("motive", motive, 1), ("tcase", tc, 0), ("fcase", fc, 0), ("scrut", b, 0)]
+            return [("motive", motive, 1, ()), ("tcase", tc, 0, ()), ("fcase", fc, 0, ()),
+                    ("scrut", b, 0, ())]
         case MeetT(lhs, rhs) | JoinT(lhs, rhs):
-            return [("lhs", lhs, 0), ("rhs", rhs, 0)]
+            return [("lhs", lhs, 0, ()), ("rhs", rhs, 0, ())]
         case Modify(word, ty):
-            return [("ty", ty, npee(word))]
+            return [("ty", ty, npee(word), word)]
         case MkMod(word, body):
-            return [("body", body, npee(word))]
-        case LetMod(_, _, scrut, body):
-            return [("scrut", scrut, 0), ("body", body, 1)]
+            return [("body", body, npee(word), word)]
+        case LetMod(frame, _, scrut, body):
+            return [("scrut", scrut, 0, frame), ("body", body, 1, ())]
         case _:
             return []
 
@@ -285,6 +294,11 @@ _DATA_FIELDS = {
     cls: tuple(f.name for f in fields(cls) if f.type != "Term")
     for cls in Term.__subclasses__()
 }
+
+
+def same_data(a: Term, b: Term) -> bool:
+    """Whether two terms of the same former agree on every non-term field."""
+    return all(getattr(a, name) == getattr(b, name) for name in _DATA_FIELDS[type(a)])
 
 
 def syn_eq(a: Term, b: Term) -> bool:
@@ -299,43 +313,44 @@ def syn_eq(a: Term, b: Term) -> bool:
         a, b = todo.pop()
         if a is b:
             continue
-        if type(a) is not type(b):
+        if type(a) is not type(b) or not same_data(a, b):
             return False
-        for name in _DATA_FIELDS[type(a)]:
-            if getattr(a, name) != getattr(b, name):
-                return False
-        todo.extend((x, y) for (_, x, _), (_, y, _) in zip(_children(a), _children(b)))
+        todo.extend((x[1], y[1]) for x, y in zip(_children(a), _children(b)))
     return True
 
 
-def _map(t: Term, fn: Callable[[Term, int], Term], depth: int = 0) -> Term:
-    kids = _children(t)
-    if not kids:
-        return fn(t, depth) if isinstance(t, Var) else t
+def subterms(t: Term) -> Iterator[tuple[Term, int]]:
+    """Every subterm of `t`, `t` first, with the binders above it; iterative."""
+    todo = [(t, 0)]
+    while todo:
+        u, depth = todo.pop()
+        yield u, depth
+        todo.extend((child, depth + binders) for _, child, binders, _ in _children(u))
+
+
+def _map(t: Term, fn: Callable[[Var, int, Word], Term], depth: int = 0,
+         locks: Word = ()) -> Term:
+    """Rebuild `t` with `fn(var, depth, locks)` in place of every variable."""
+    if isinstance(t, Var):
+        return fn(t, depth, locks)
     changes = {}
-    for name, child, binders in kids:
-        new = _rec_map(child, fn, depth + binders)
+    for name, child, binders, word in _children(t):
+        new = _map(child, fn, depth + binders, locks + word if word else locks)
         if new is not child:
             changes[name] = new
     return replace(t, **changes) if changes else t
-
-
-def _rec_map(t: Term, fn: Callable[[Term, int], Term], depth: int) -> Term:
-    if isinstance(t, Var):
-        return fn(t, depth)
-    return _map(t, fn, depth)
 
 
 def shift(t: Term, by: int, cutoff: int = 0) -> Term:
     if by == 0:
         return t
 
-    def bump(v: Var, depth: int) -> Term:
+    def bump(v: Var, depth: int, locks: Word) -> Term:
         if v.ix >= cutoff + depth:
             return Var(v.ix + by, v.cell)
         return v
 
-    return _rec_map(t, bump, 0)
+    return _map(t, bump)
 
 
 def subst(t: Term, arg: Term, target: int = 0) -> Term:
@@ -345,7 +360,7 @@ def subst(t: Term, arg: Term, target: int = 0) -> Term:
     substituted term through the 2-cell action.
     """
 
-    def hit(v: Var, depth: int) -> Term:
+    def hit(v: Var, depth: int, locks: Word) -> Term:
         if v.ix == target + depth:
             replacement = shift(arg, depth)
             if v.cell is not None and not v.cell.is_identity():
@@ -355,20 +370,11 @@ def subst(t: Term, arg: Term, target: int = 0) -> Term:
             return Var(v.ix - 1, v.cell)
         return v
 
-    return _rec_map(t, hit, 0)
+    return _map(t, hit)
 
 
 def free_in(t: Term, target: int = 0) -> bool:
-    found = False
-
-    def look(v: Var, depth: int) -> Term:
-        nonlocal found
-        if v.ix == target + depth:
-            found = True
-        return v
-
-    _rec_map(t, look, 0)
-    return found
+    return any(isinstance(u, Var) and u.ix == target + depth for u, depth in subterms(t))
 
 
 # ---------------------------------------------------------------------------
@@ -379,71 +385,34 @@ def free_in(t: Term, target: int = 0) -> bool:
 def apply_cell(t: Term, cell: TwoCell) -> Term:
     """Push a 2-cell through a term, depositing annotations at variables.
 
-    The action commutes with every term former; entering a modal binder
-    whiskers the cell on the right by that modality, and entering an interval
-    binder whiskers by p.  Annotations accumulate at variables (and only
-    there); no further computation rules are assumed.
+    The action commutes with every term former; entering a child whiskers the
+    cell on the right by the child's locks in `_children` (a modal binder's
+    word, p for an interval binder).  Annotations accumulate at variables (and
+    only there); no further computation rules are assumed.
     """
     if cell.is_identity():
         return t
-    return _push_cell(t, cell, 0, ())
 
+    def push(v: Var, depth: int, locks: Word) -> Term:
+        if v.ix < depth:
+            return v
+        shifted = cell_whisker(locks, cell, side="right") if locks else cell
+        existing = v.cell
+        if existing is None or existing.is_identity():
+            return Var(v.ix, shifted)
+        # the variable's accumulated cell ends at some composite of locks; the
+        # incoming cell acts across an inner boundary, so left-whisker it by
+        # the outer prefix that realigns it
+        if normalize(existing.dst) != normalize(shifted.src):
+            target = normalize(existing.dst)
+            for k in range(len(target) + 1):
+                candidate = cell_whisker(target[:k], shifted, side="left")
+                if candidate.src == target:
+                    shifted = candidate
+                    break
+        return Var(v.ix, cell_vcomp(existing, shifted))
 
-def _push_cell(t: Term, cell: TwoCell, depth: int, rw: Word) -> Term:
-    match t:
-        case Var(ix, existing):
-            if ix < depth:
-                return t
-            shifted = cell_whisker(rw, cell, side="right") if rw else cell
-            if existing is None or existing.is_identity():
-                combined = shifted
-            else:
-                # the variable's accumulated cell ends at some composite of
-                # locks; the incoming cell acts across an inner boundary, so
-                # left-whisker it by the outer prefix that realigns it
-                if normalize(existing.dst) != normalize(shifted.src):
-                    target = normalize(existing.dst)
-                    for k in range(len(target) + 1):
-                        candidate = cell_whisker(target[:k], shifted, side="left")
-                        if candidate.src == target:
-                            shifted = candidate
-                            break
-                combined = cell_vcomp(existing, shifted)
-            return Var(ix, combined)
-        case Const(_):
-            return t
-        case Pi(word, dom, cod):
-            new_dom = _push_cell(dom, cell, depth, rw + word)
-            binder_rw = rw + (("p",) if dom == IntT() else ())
-            new_cod = _push_cell(cod, cell, depth + 1, binder_rw)
-            return Pi(word, new_dom, new_cod)
-        case Lam(body):
-            return Lam(_push_cell(body, cell, depth + 1, rw))
-        case Sigma(dom, cod):
-            return Sigma(
-                _push_cell(dom, cell, depth, rw), _push_cell(cod, cell, depth + 1, rw)
-            )
-        case Modify(word, ty):
-            return Modify(word, _push_cell(ty, cell, depth + npee(word), rw + word))
-        case MkMod(word, body):
-            return MkMod(word, _push_cell(body, cell, depth + npee(word), rw + word))
-        case LetMod(frame, word, scrut, body):
-            return LetMod(
-                frame,
-                word,
-                _push_cell(scrut, cell, depth, rw + frame),
-                _push_cell(body, cell, depth + 1, rw),
-            )
-        case _:
-            kids = _children(t)
-            if not kids:
-                return t
-            changes = {}
-            for name, child, binders in kids:
-                new = _push_cell(child, cell, depth + binders, rw)
-                if new is not child:
-                    changes[name] = new
-            return replace(t, **changes) if changes else t
+    return _map(t, push)
 
 
 # ---------------------------------------------------------------------------
@@ -482,12 +451,6 @@ class Ctx:
             else:
                 entries = entries + (CLock(gen),)
         return Ctx(entries)
-
-    def decls(self) -> list[CDecl]:
-        return [e for e in self.entries if isinstance(e, CDecl)]
-
-    def n_vars(self) -> int:
-        return sum(1 for e in self.entries if isinstance(e, CDecl))
 
     def find(self, name: str) -> Optional[int]:
         """de Bruijn index of the innermost declaration named `name`."""

@@ -12,7 +12,6 @@ normalization, so the lattice equations hold definitionally.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -60,8 +59,10 @@ from .core import (
     mk_modify,
     nat_literal,
     npee,
+    same_data,
     shift,
     subst,
+    subterms,
     syn_eq,
 )
 from .diagnostics import Diagnostic, KernelError
@@ -106,6 +107,7 @@ class Checker:
         self.globals: dict[str, GlobalDef] = {}
         self.global_order: list[str] = []
         self.atoms = lattice.AtomTable()
+        self._atoms_by_former: dict[type, list[int]] = {}
         self.depth = depth
         self.file = "<input>"
         self._spans: list[tuple[int, int]] = []
@@ -202,8 +204,28 @@ class Checker:
             case JoinT(lhs, rhs):
                 return lattice.poly_join(self._collect_poly(lhs), self._collect_poly(rhs))
         if whnffed:
-            return lattice.poly_atom(self.atoms.intern(t))
+            return lattice.poly_atom(self._atom(t))
         return self._collect_poly(self.whnf(t), True)
+
+    def _atom(self, t: Term) -> int:
+        """Id of a whnf'd interval atom, shared by the atoms convertible with it.
+
+        On a miss of the exact key, `t` is matched by `conv_str` against the
+        atoms of its own former (the only ones it can convert with), so that
+        `f (i /\\ j)` and `f (j /\\ i)` get one id.  A `Const` atom is an
+        axiom, equal only to itself.
+        """
+        ident = self.atoms.get(t)
+        if ident is not None:
+            return ident
+        same = [] if isinstance(t, Const) else self._atoms_by_former.setdefault(type(t), [])
+        for other in same:
+            if self.conv_str(self.atoms.key(other), t):
+                self.atoms.alias(t, other)
+                return other
+        ident = self.atoms.intern(t)
+        same.append(ident)
+        return ident
 
     def _poly_term(self, poly: lattice.Poly) -> Term:
         if poly == lattice.ZERO:
@@ -281,19 +303,15 @@ class Checker:
                 return False
             if isinstance(tw, Var):
                 return tw.ix == uw.ix and self.cells_equal(tw.cell, uw.cell)
-            subterms = []
-            for f in dataclasses.fields(tw):
-                va, vb = getattr(tw, f.name), getattr(uw, f.name)
-                if isinstance(va, Term):
-                    subterms.append((va, vb))
-                elif va != vb:
-                    return False
-            if len(subterms) != 1:
-                return all(self.conv_str(va, vb) for va, vb in subterms)
+            if not same_data(tw, uw):
+                return False
+            kids = [(x[1], y[1]) for x, y in zip(_children(tw), _children(uw))]
+            if len(kids) != 1:
+                return all(self.conv_str(va, vb) for va, vb in kids)
             # tw and uw differ syntactically only in their one subterm: compare
             # it without the syntactic test, so that a `Suc` chain costs linear
             # time and no recursion
-            ((t, u),) = subterms
+            ((t, u),) = kids
 
     # -- type levels -------------------------------------------------------------
 
@@ -991,13 +1009,7 @@ def print_core(t: Term, names: Optional[list[str]] = None) -> str:
 
 
 def _constants(t: Term) -> set[str]:
-    out, todo = set(), [t]
-    while todo:
-        u = todo.pop()
-        if isinstance(u, Const):
-            out.add(u.name)
-        todo.extend(child for _, child, _ in _children(u))
-    return out
+    return {u.name for u, _ in subterms(t) if isinstance(u, Const)}
 
 
 def readback(t: Term, names: list[str]) -> syntax.STerm:

@@ -51,6 +51,13 @@ class AtomTable:
             self._keys.append(key)
         return ident
 
+    def get(self, key: Hashable) -> Optional[int]:
+        return self._ids.get(key)
+
+    def alias(self, key: Hashable, ident: int) -> None:
+        """Make `key` one more key of the atom `ident`."""
+        self._ids[key] = ident
+
     def key(self, ident: int) -> Hashable:
         return self._keys[ident]
 

@@ -407,8 +407,9 @@ class Parser:
 
     # -- token helpers ------------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        # in range: `tokenize` ends with EOF, and `next` never moves past it
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]

@@ -1,6 +1,7 @@
 """Kernel behavior: typing, conversion, modal discipline, 2-cell action."""
 
 import time
+from dataclasses import fields
 
 import pytest
 
@@ -12,11 +13,17 @@ from trikernel.core import (
     IntT,
     JoinT,
     Lam,
+    LetMod,
     MeetT,
     MkMod,
+    Modify,
+    NatT,
     Pi,
+    Sigma,
+    Term,
     Univ,
     Var,
+    _children,
     apply_cell,
     mk_mkmod,
     mk_modify,
@@ -300,6 +307,43 @@ def test_apply_cell_whiskers_under_mod():
     assert out == MkMod(("o",), Var(0, expected_cell))
 
 
+def test_children_lists_every_term_field_in_order():
+    # a former missing from `_children` would be a leaf to shift, subst,
+    # apply_cell and syntactic equality
+    data = {"int": 0, "str": "c", "Word": ("o",), "Optional[TwoCell]": None}
+    for cls in Term.__subclasses__():
+        term = cls(**{f.name: Var(n) if f.type == "Term" else data[f.type]
+                      for n, f in enumerate(fields(cls))})
+        expected = [(f.name, getattr(term, f.name)) for f in fields(cls) if f.type == "Term"]
+        assert [(name, child) for name, child, *_ in _children(term)] == expected, cls
+
+
+def test_apply_cell_whiskers_exactly_at_locks():
+    eta = generator_cell("eta_pa")
+
+    def by(*word):
+        return cell_whisker(word, eta, side="right")
+
+    cases = [
+        # a Pi's domain sits under its word
+        (Pi(("o",), Var(0), NatT()), Pi(("o",), Var(0, by("o")), NatT())),
+        # an interval binder is a path lock; a Nat binder is not
+        (Pi((), IntT(), Var(1)), Pi((), IntT(), Var(1, by("p")))),
+        (Pi((), NatT(), Var(1)), Pi((), NatT(), Var(1, eta))),
+        (Lam(Var(1)), Lam(Var(1, eta))),
+        (Sigma(Var(0), Var(1)), Sigma(Var(0, eta), Var(1, eta))),
+        (Modify(("o",), Var(0)), Modify(("o",), Var(0, by("o")))),
+        (MkMod(("g",), Var(0)), MkMod(("g",), Var(0, by("g")))),
+        (LetMod(("o",), ("g",), Var(0), Var(1)),
+         LetMod(("o",), ("g",), Var(0, by("o")), Var(1, eta))),
+        # bound variables are left untouched
+        (Lam(Var(0)), Lam(Var(0))),
+        (Pi((), IntT(), Var(0)), Pi((), IntT(), Var(0))),
+    ]
+    for term, expected in cases:
+        assert apply_cell(term, eta) == expected, term
+
+
 def test_conv_examples_from_idfun():
     checker = Checker()
     ty = Pi((), Univ(0), Pi((), Var(0), Var(1)))
@@ -414,3 +458,28 @@ def test_too_deep_input_is_a_depth_diagnostic():
     text = f"def d : Nat -> Nat := {double}\ndef t : d 1000 = 2000 := refl\n"
     diag = run_fail(text, "E-DEPTH")
     assert text[diag.span[0] : diag.span[1]] == "def t : d 1000 = 2000 := refl"
+
+
+CONGRUENCE_HEADER = "axiom f : Int -> Int\ndef id : Int -> Int := fun x => x\n"
+
+
+@pytest.mark.parametrize(
+    "equation",
+    [
+        "f (i /\\ j) = f (j /\\ i)",
+        "f (i \\/ j) = f (j \\/ i)",
+        "f (i /\\ (i \\/ j)) = f i",
+        "f (id i) = f i",
+        "f (i /\\ j) /\\ k = k /\\ f (j /\\ i)",
+        "k /\\ f (j /\\ i) = f (i /\\ j) /\\ k",
+    ],
+)
+def test_interval_atoms_are_interned_up_to_conversion(equation):
+    run_ok(CONGRUENCE_HEADER + f"def t : (i j k : Int) -> {equation} := fun i j k => refl\n")
+
+
+def test_distinct_interval_atoms_stay_distinct():
+    run_fail(
+        CONGRUENCE_HEADER + "def t : (i j : Int) -> f (i /\\ j) = f (i \\/ j) := fun i j => refl\n",
+        "E-CONV",
+    )

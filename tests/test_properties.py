@@ -123,6 +123,60 @@ def test_apply_cell_identity_on_generated_terms():
             assert apply_cell(term, cell) == term
 
 
+def test_interval_conversion_agrees_at_int_and_nat():
+    """`g a = g b` at g : Int -> Int holds exactly when `h a = h b` at h : Int -> Nat.
+
+    At `Int` the two sides are interval atoms, interned by the lattice
+    canonicaliser; at `Nat` they are compared by structural conversion.  The
+    terms nest `f : Int -> Int`, so atoms sit inside atoms.
+    """
+    rng = random.Random(31)
+    meet, join = "/\\", "\\/"
+
+    def random_interval(depth):
+        roll = rng.randrange(4) if depth else 3
+        if roll == 3:
+            return rng.choice("ijk")
+        if roll == 0:
+            return ("f", random_interval(depth - 1))
+        return (rng.choice((meet, join)), random_interval(depth - 1), random_interval(depth - 1))
+
+    def rewrite(term):
+        """An equal term: operands commuted at random, absorption laws added."""
+        if isinstance(term, str):
+            if rng.random() < 0.3:
+                outer, inner = rng.choice(((meet, join), (join, meet)))
+                return (outer, term, (inner, term, random_interval(1)))
+            return term
+        if term[0] == "f":
+            return ("f", rewrite(term[1]))
+        op, lhs, rhs = term[0], rewrite(term[1]), rewrite(term[2])
+        return (op, rhs, lhs) if rng.random() < 0.5 else (op, lhs, rhs)
+
+    def show(term):
+        if isinstance(term, str):
+            return term
+        if term[0] == "f":
+            return f"f ({show(term[1])})"
+        return f"({show(term[1])} {term[0]} {show(term[2])})"
+
+    def holds(head, lhs, rhs):
+        text = (
+            "axiom f : Int -> Int\naxiom g : Int -> Int\naxiom h : Int -> Nat\n"
+            f"def t : (i j k : Int) -> {head} ({show(lhs)}) = {head} ({show(rhs)})\n"
+            "  := fun i j k => refl\n"
+        )
+        return Checker().check_source(text, "agree.ttt") == []
+
+    for _ in range(300):
+        lhs = random_interval(3)
+        rewritten = rng.random() < 0.7
+        rhs = rewrite(lhs) if rewritten else random_interval(3)
+        at_nat = holds("h", lhs, rhs)
+        assert holds("g", lhs, rhs) == at_nat, (show(lhs), show(rhs))
+        assert at_nat or not rewritten, (show(lhs), show(rhs))
+
+
 def test_cell_search_results_normalize_and_validate():
     words = [(), ("g",), ("s",), ("o",), ("p",), ("a",), ("g", "s"), ("a", "p"), ("p", "a")]
     for src in words:
