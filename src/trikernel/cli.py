@@ -14,7 +14,7 @@ from typing import Optional
 
 from . import corpus as corpus_mod
 from . import lattice
-from .diagnostics import Diagnostic, LineMap
+from .diagnostics import Diagnostic
 from .kernel import Checker
 from .modality import ModeError, cell_search, format_word, normalize, parse_word
 from .prelude import ENV_VAR, load_prelude, verify_prelude
@@ -50,9 +50,6 @@ def cmd_check(args) -> int:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
         diags = checker.check_source(text, path)
-        linemap = LineMap(text)
-        for d in diags:
-            d.located(linemap)
         if diags:
             exit_code = EXIT_DIAGNOSTICS
         collected.extend(diags)

@@ -353,24 +353,38 @@ def shift(t: Term, by: int, cutoff: int = 0) -> Term:
     return _map(t, bump)
 
 
-def subst(t: Term, arg: Term, target: int = 0) -> Term:
-    """Substitute `arg` for Var(target), lowering the indices above it.
+def _substitute(t: Term, args: tuple[Term, ...], target: int) -> Term:
+    """Put `args[k]` for Var(target + k), lowering the indices above them.
 
-    A variable carrying a 2-cell annotation transfers the annotation onto the
-    substituted term through the 2-cell action.
+    One pass over `t`; a substituted term is shifted under the binders it
+    lands beneath, and not walked otherwise.  A variable carrying a 2-cell
+    annotation transfers the annotation onto the substituted term through the
+    2-cell action.
     """
+    n = len(args)
 
     def hit(v: Var, depth: int, locks: Word) -> Term:
-        if v.ix == target + depth:
-            replacement = shift(arg, depth)
-            if v.cell is not None and not v.cell.is_identity():
-                replacement = apply_cell(replacement, v.cell)
-            return replacement
-        if v.ix > target + depth:
-            return Var(v.ix - 1, v.cell)
-        return v
+        k = v.ix - target - depth
+        if k < 0:
+            return v
+        if k >= n:
+            return Var(v.ix - n, v.cell)
+        replacement = shift(args[k], depth)
+        if v.cell is not None and not v.cell.is_identity():
+            replacement = apply_cell(replacement, v.cell)
+        return replacement
 
     return _map(t, hit)
+
+
+def subst(t: Term, arg: Term, target: int = 0) -> Term:
+    """Substitute `arg` for Var(target), lowering the indices above it."""
+    return _substitute(t, (arg,), target)
+
+
+def subst2(t: Term, outer: Term, inner: Term) -> Term:
+    """Substitute into a term binding two variables (outer = Var 1)."""
+    return _substitute(t, (inner, outer), 0)
 
 
 def free_in(t: Term, target: int = 0) -> bool:

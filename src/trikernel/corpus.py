@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional
 
-from .diagnostics import Diagnostic, LineMap
+from .diagnostics import Diagnostic
 from .kernel import Checker
 from .prelude import load_prelude
 
@@ -177,9 +177,6 @@ def check_file(
     with open(os.path.join(base, name), "r", encoding="utf-8") as handle:
         text = handle.read()
     diags = checker.check_source(text, name)
-    linemap = LineMap(text)
-    for d in diags:
-        d.located(linemap)
 
     expected = entry.expect_code or "pass"
     if entry.expect_line is not None:

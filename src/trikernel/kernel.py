@@ -62,10 +62,11 @@ from .core import (
     same_data,
     shift,
     subst,
+    subst2,
     subterms,
     syn_eq,
 )
-from .diagnostics import Diagnostic, KernelError
+from .diagnostics import Diagnostic, KernelError, LineMap
 from .modality import (
     ModeError,
     TwoCell,
@@ -88,11 +89,6 @@ class GlobalDef:
     kind: str  # "axiom" | "def"
     ty: Term
     body: Optional[Term]
-
-
-def subst2(body: Term, outer: Term, inner: Term) -> Term:
-    """Substitute into a term binding two variables (outer = Var 1)."""
-    return subst(subst(body, shift(inner, 1), 0), outer, 0)
 
 
 def unshift_unused(t: Term) -> Term:
@@ -267,20 +263,9 @@ class Checker:
         return n1.steps == n2.steps
 
     def conv(self, t: Term, u: Term, ty: Term) -> bool:
-        tyw = self.whnf(ty)
-        match tyw:
-            case Pi(_, _, cod):
-                return self.conv(
-                    App(shift(t, 1), Var(0)), App(shift(u, 1), Var(0)), cod
-                )
-            case Sigma(dom, cod):
-                if not self.conv(Fst(t), Fst(u), dom):
-                    return False
-                return self.conv(Snd(t), Snd(u), subst(cod, Fst(t)))
-            case IntT():
-                return self._collect_poly(t) == self._collect_poly(u)
-            case _:
-                return self.conv_str(t, u)
+        if isinstance(self.whnf(ty), IntT):
+            return self._collect_poly(t) == self._collect_poly(u)
+        return self.conv_str(t, u)
 
     def conv_str(self, t: Term, u: Term) -> bool:
         # syntactic equality first, before and after unfolding
@@ -313,48 +298,16 @@ class Checker:
             # time and no recursion
             ((t, u),) = kids
 
-    # -- type levels -------------------------------------------------------------
+    # -- type synthesis ----------------------------------------------------------
 
-    def universe_of(self, ctx: Ctx, ty: Term) -> int:
-        """Level l such that the (well-formed) type inhabits U l."""
-        tyw = self.whnf(ty)
-        match tyw:
-            case Univ(level):
-                return level + 1
-            case Pi(word, dom, cod):
-                l1 = self.universe_of(ctx.lock(word), dom)
-                ctx2 = ctx.extend("_", word, dom, self.is_interval_type(dom, word))
-                return max(l1, self.universe_of(ctx2, cod))
-            case Sigma(dom, cod):
-                l1 = self.universe_of(ctx, dom)
-                ctx2 = ctx.extend("_", (), dom, self.is_interval_type(dom, ()))
-                return max(l1, self.universe_of(ctx2, cod))
-            case IdT(inner, _, _):
-                return self.universe_of(ctx, inner)
-            case IntT() | NatT() | BoolT():
-                return 0
-            case Modify(word, inner):
-                return self.universe_of(ctx.lock(word), inner)
-            case LiftT(inner):
-                return self.universe_of(ctx, inner) + 1
-            case _:
-                nty = self.whnf(self.neutral_type(ctx, tyw))
-                if isinstance(nty, Univ):
-                    return nty.level
-                self.err(
-                    "E-CONV",
-                    "expected a type",
-                    actual=tyw,
-                    ctx=ctx,
-                )
-                raise AssertionError
+    def type_of(self, ctx: Ctx, t: Term) -> Term:
+        """Type of the well-typed core term `t`, read off its weak-head normal form.
 
-    def is_interval_type(self, ty: Term, word) -> bool:
-        return word == () and isinstance(self.whnf(ty), IntT)
-
-    def neutral_type(self, ctx: Ctx, t: Term) -> Term:
-        """Type of a neutral term (spine-directed synthesis)."""
-        match t:
+        A type's type is its universe.  Introduction forms (functions, pairs,
+        `refl`, `mod`, `up`) carry no annotation in the core, so they have no
+        synthesized type.
+        """
+        match self.whnf(t):
             case Var(ix, cell):
                 base = ctx.type_of(ix)
                 if cell is not None and not cell.is_identity():
@@ -366,31 +319,33 @@ class Checker:
                     self.err("E-UNBOUND", f"unknown constant {name!r}")
                 return entry.ty
             case App(fn, arg):
-                fty = self.whnf(self.neutral_type(ctx, fn))
+                fty = self.whnf(self.type_of(ctx, fn))
                 if not isinstance(fty, Pi):
                     self.err("E-CONV", "application head is not a function")
                 return subst(fty.cod, arg)
             case Fst(p):
-                pty = self.whnf(self.neutral_type(ctx, p))
+                pty = self.whnf(self.type_of(ctx, p))
                 if not isinstance(pty, Sigma):
                     self.err("E-CONV", "projection from a non-pair")
                 return pty.dom
             case Snd(p):
-                pty = self.whnf(self.neutral_type(ctx, p))
+                pty = self.whnf(self.type_of(ctx, p))
                 if not isinstance(pty, Sigma):
                     self.err("E-CONV", "projection from a non-pair")
                 return subst(pty.cod, Fst(p))
             case J(motive, _, eq):
-                ety = self.whnf(self.neutral_type(ctx, eq))
+                ety = self.whnf(self.type_of(ctx, eq))
                 if not isinstance(ety, IdT):
                     self.err("E-CONV", "path eliminator on a non-path")
                 return subst2(motive, ety.rhs, eq)
-            case NatRec(motive, _, _, scrut):
+            case NatRec(motive, _, _, scrut) | BoolRec(motive, _, _, scrut):
                 return subst(motive, scrut)
-            case BoolRec(motive, _, _, scrut):
-                return subst(motive, scrut)
+            case LetMod(frame, word, scrut, body):
+                sty = self.type_of(ctx.lock(frame), scrut)
+                bty = self.type_of(self._letmod_ctx(ctx, "_", frame, word, sty), body)
+                return self._letmod_type(bty)
             case Down(x):
-                xty = self.whnf(self.neutral_type(ctx, x))
+                xty = self.whnf(self.type_of(ctx, x))
                 if not isinstance(xty, LiftT):
                     self.err("E-CONV", "down on a non-lifted term")
                 return xty.ty
@@ -400,9 +355,36 @@ class Checker:
                 return NatT()
             case TrueC() | FalseC():
                 return BoolT()
-            case _:
-                self.err("E-CONV", "cannot synthesize a type for this term")
-                raise AssertionError
+            case Univ(level):
+                return Univ(level + 1)
+            case Pi(word, dom, cod):
+                ctx2 = ctx.extend("_", word, dom, self.is_interval_type(dom, word))
+                return Univ(max(self.universe_of(ctx.lock(word), dom),
+                                self.universe_of(ctx2, cod)))
+            case Sigma(dom, cod):
+                ctx2 = ctx.extend("_", (), dom, self.is_interval_type(dom, ()))
+                return Univ(max(self.universe_of(ctx, dom), self.universe_of(ctx2, cod)))
+            case IdT(inner, _, _):
+                return Univ(self.universe_of(ctx, inner))
+            case IntT() | NatT() | BoolT():
+                return Univ(0)
+            case Modify(word, inner):
+                return Univ(self.universe_of(ctx.lock(word), inner))
+            case LiftT(inner):
+                return Univ(self.universe_of(ctx, inner) + 1)
+        self.err("E-CONV", "cannot synthesize a type for this term")
+        raise AssertionError
+
+    def universe_of(self, ctx: Ctx, ty: Term) -> int:
+        """Level l such that the (well-formed) type inhabits U l."""
+        tyty = self.whnf(self.type_of(ctx, ty))
+        if isinstance(tyty, Univ):
+            return tyty.level
+        self.err("E-CONV", "expected a type", actual=self.whnf(ty), ctx=ctx)
+        raise AssertionError
+
+    def is_interval_type(self, ty: Term, word) -> bool:
+        return word == () and isinstance(self.whnf(ty), IntT)
 
     # -- modal variable access ----------------------------------------------------
 
@@ -834,6 +816,20 @@ class Checker:
                 "use interval binders directly",
             )
         sc, sty = self.infer(ctx.lock(frame), s.scrut)
+        ctx2 = self._letmod_ctx(ctx, s.name, frame, word, sty)
+        if expected is not None:
+            bc = self.check(ctx2, s.body, shift(expected, 1))
+            return LetMod(frame, word, sc, bc)
+        bc, bty = self.infer(ctx2, s.body)
+        return LetMod(frame, word, sc, bc), self._letmod_type(bty)
+
+    def _letmod_ctx(self, ctx: Ctx, name: str, frame, word, sty: Term) -> Ctx:
+        """`ctx` extended by the variable that `let mod{word}` binds.
+
+        The scrutinee, checked under the lock `frame`, has type `sty`, which
+        must be `<word| A>`; the variable has type A with annotation
+        frame.word (Gratzer, Kavvos, Nuyts and Birkedal, LICS 2020).
+        """
         styw = self.whnf(sty)
         if word == ():
             inner_ty = styw
@@ -848,18 +844,16 @@ class Checker:
                 ctx=ctx,
             )
             raise AssertionError
-        ctx2 = ctx.extend(s.name, compose(frame, word), inner_ty,
-                          self.is_interval_type(inner_ty, compose(frame, word)))
-        if expected is not None:
-            bc = self.check(ctx2, s.body, shift(expected, 1))
-            return LetMod(frame, word, sc, bc)
-        bc, bty = self.infer(ctx2, s.body)
+        annotation = compose(frame, word)
+        return ctx.extend(name, annotation, inner_ty,
+                          self.is_interval_type(inner_ty, annotation))
+
+    def _letmod_type(self, bty: Term) -> Term:
+        """Type of a let-mod whose body has type `bty`, which may not mention
+        the bound variable."""
         if free_in(bty, 0):
-            self.err(
-                "E-CONV",
-                "cannot infer a dependent let-mod; check it against a type",
-            )
-        return LetMod(frame, word, sc, bc), unshift_unused(bty)
+            self.err("E-CONV", "cannot infer a dependent let-mod; check it against a type")
+        return unshift_unused(bty)
 
     def _elab_coe(self, ctx: Ctx, s: syntax.SCoe) -> tuple[Term, Term]:
         cell = self.elab_cell(s.cell)
@@ -960,13 +954,20 @@ class Checker:
             self.file = old_file
 
     def check_source(self, text: str, path: str = "<input>") -> list[Diagnostic]:
+        """Check one source text; its diagnostics carry line and column."""
         try:
             module = syntax.parse_module(text, path)
         except KernelError as exc:
-            return [exc.diagnostic]
+            diags = [exc.diagnostic]
         except RecursionError:
-            return [_too_deep(path, "input", (0, 0))]
-        return self.run_module(module)
+            diags = [_too_deep(path, "input", (0, 0))]
+        else:
+            diags = self.run_module(module)
+        if diags:
+            linemap = LineMap(text)
+            for d in diags:
+                d.located(linemap)
+        return diags
 
 
 def _strip_trailing_p(word) -> tuple[tuple, int]:

@@ -15,6 +15,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
+from . import syntax
+from .diagnostics import KernelError
+
 # A canonical polynomial: sorted tuple of sorted atom-id tuples.
 # () inside = the monomial 1; the empty outer tuple = 0.
 Poly = tuple[tuple[int, ...], ...]
@@ -128,105 +131,55 @@ def eval_expr(expr: Expr, assignment: dict[Hashable, bool]) -> bool:
     raise TypeError(f"not a lattice expression: {expr!r}")
 
 
-def parse_expr(text: str) -> Expr:
-    """Parse ``x /\\ (y \\/ z)`` style expressions; atoms are identifiers."""
-    tokens = _tokenize(text)
-    expr, pos = _parse_join(tokens, 0)
-    if pos != len(tokens):
-        raise LatticeParseError(f"trailing input at token {tokens[pos][1]!r}")
-    return expr
-
-
 class LatticeParseError(ValueError):
     pass
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    out: list[tuple[str, str]] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif text.startswith("/\\", i) or ch == "∧":
-            out.append(("meet", "/\\"))
-            i += 2 if ch == "/" else 1
-        elif text.startswith("\\/", i) or ch == "∨":
-            out.append(("join", "\\/"))
-            i += 2 if ch == "\\" else 1
-        elif ch in "()":
-            out.append(("paren", ch))
-            i += 1
-        elif ch == "0":
-            out.append(("bot", ch))
-            i += 1
-        elif ch == "1":
-            out.append(("top", ch))
-            i += 1
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            out.append(("atom", text[i:j]))
-            i = j
-        else:
-            raise LatticeParseError(f"unexpected character {ch!r}")
-    return out
+def parse_expr(text: str) -> Expr:
+    """Parse ``x /\\ (y \\/ z)`` with the term grammar of `syntax`.
+
+    Atoms are the grammar's identifiers, so keywords are not atoms; ``0`` and
+    ``1`` are the bounds.
+    """
+    try:
+        term = syntax.parse_term(text)
+    except KernelError as exc:
+        raise LatticeParseError(exc.diagnostic.message) from None
+    return _from_sterm(term)
 
 
-def _parse_join(tokens: list[tuple[str, str]], pos: int) -> tuple[Expr, int]:
-    lhs, pos = _parse_meet(tokens, pos)
-    while pos < len(tokens) and tokens[pos][0] == "join":
-        rhs, pos = _parse_meet(tokens, pos + 1)
-        lhs = Join(lhs, rhs)
-    return lhs, pos
+def _from_sterm(t: syntax.STerm) -> Expr:
+    match t:
+        case syntax.SVar(name):
+            return Atom(name)
+        case syntax.SNum(0):
+            return Bot()
+        case syntax.SNum(1):
+            return Top()
+        case syntax.SMeet(l, r):
+            return Meet(_from_sterm(l), _from_sterm(r))
+        case syntax.SJoin(l, r):
+            return Join(_from_sterm(l), _from_sterm(r))
+    raise LatticeParseError(f"not a lattice expression: {syntax.print_term(t)}")
 
 
-def _parse_meet(tokens: list[tuple[str, str]], pos: int) -> tuple[Expr, int]:
-    lhs, pos = _parse_atom(tokens, pos)
-    while pos < len(tokens) and tokens[pos][0] == "meet":
-        rhs, pos = _parse_atom(tokens, pos + 1)
-        lhs = Meet(lhs, rhs)
-    return lhs, pos
-
-
-def _parse_atom(tokens: list[tuple[str, str]], pos: int) -> tuple[Expr, int]:
-    if pos >= len(tokens):
-        raise LatticeParseError("unexpected end of expression")
-    kind, text = tokens[pos]
-    if kind == "atom":
-        return Atom(text), pos + 1
-    if kind == "bot":
-        return Bot(), pos + 1
-    if kind == "top":
-        return Top(), pos + 1
-    if kind == "paren" and text == "(":
-        expr, pos = _parse_join(tokens, pos + 1)
-        if pos >= len(tokens) or tokens[pos] != ("paren", ")"):
-            raise LatticeParseError("missing closing parenthesis")
-        return expr, pos + 1
-    raise LatticeParseError(f"unexpected token {text!r}")
-
-
-def format_expr(expr: Expr) -> str:
+def _to_sterm(expr: Expr) -> syntax.STerm:
     match expr:
         case Atom(name):
-            return str(name)
+            return syntax.SVar(str(name))
         case Bot():
-            return "0"
+            return syntax.SNum(0)
         case Top():
-            return "1"
+            return syntax.SNum(1)
         case Meet(l, r):
-            return f"{_wrap(l, True)} /\\ {_wrap(r, True)}"
+            return syntax.SMeet(_to_sterm(l), _to_sterm(r))
         case Join(l, r):
-            return f"{_wrap(l, False)} \\/ {_wrap(r, False)}"
+            return syntax.SJoin(_to_sterm(l), _to_sterm(r))
     raise TypeError(f"not a lattice expression: {expr!r}")
 
 
-def _wrap(expr: Expr, in_meet: bool) -> str:
-    if in_meet and isinstance(expr, Join):
-        return f"({format_expr(expr)})"
-    return format_expr(expr)
+def format_expr(expr: Expr) -> str:
+    return syntax.print_term(_to_sterm(expr))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional
 
-from .diagnostics import Diagnostic, LineMap
+from .diagnostics import Diagnostic
 from .kernel import Checker
 
 AXIOM_TAGS = (
@@ -119,11 +119,7 @@ def parse_metadata(text: str) -> list[PreludeEntry]:
 def load_prelude(checker: Checker, path: Optional[str] = None) -> list[Diagnostic]:
     """Check the prelude into the given checker; returns its diagnostics."""
     text, actual = read_prelude(path)
-    diags = checker.check_source(text, actual)
-    linemap = LineMap(text)
-    for d in diags:
-        d.located(linemap)
-    return diags
+    return checker.check_source(text, actual)
 
 
 def verify_prelude(path: Optional[str] = None, depth: int = 8) -> PreludeReport:

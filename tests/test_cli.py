@@ -120,10 +120,10 @@ def test_check_negative_file_json(capsys):
     "text",
     [
         "def t : Nat := " + "(" * 3000 + "zero" + ")" * 3000 + "\n",
-        "def d : Nat -> Nat := fun n => natrec(fun k => Nat, zero, fun k r => succ (succ r), n)\n"
-        "def t : d 1000 = 2000 := refl\n",
+        "def k : Nat -> Nat -> Nat := fun a b => a\n"
+        "def t : k 3000 zero = 3000 := refl\n",
     ],
-    ids=["deep-parentheses", "deep-natrec"],
+    ids=["deep-parentheses", "deep-literal-under-binder"],
 )
 def test_check_too_deep_input_json(capsys, tmp_path, text):
     path = tmp_path / "deep.ttt"

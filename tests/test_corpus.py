@@ -4,6 +4,7 @@ the dead-entry lint, the mutation-sensitivity guard, and golden printing."""
 import os
 import random
 import re
+import shutil
 
 import pytest
 
@@ -95,6 +96,18 @@ def test_mutation_sanity_triangle_orientation():
     assert flipped_any >= 2
 
 
+def test_failing_dependency_diagnostics_are_located(tmp_path):
+    stdlib = tmp_path / "stdlib"
+    shutil.copytree(STDLIB, stdlib)
+    lines = read_corpus_file("simplices.ttt").splitlines(keepends=True)
+    lines.insert(2, "def b : Nat := true\n")
+    (stdlib / "simplices.ttt").write_text("".join(lines), encoding="utf-8")
+    result = check_file(load_manifest(str(stdlib)), "segal.ttt", str(stdlib))
+    assert result.actual == "dependency simplices.ttt failed"
+    (diag,) = result.diagnostics
+    assert (diag.file, diag.code, diag.line, diag.column) == ("simplices.ttt", "E-CONV", 3, 16)
+
+
 def test_dead_entry_lint():
     """Every prelude entry is consumed downstream unless statement-only."""
     text, _ = read_prelude()
@@ -158,12 +171,15 @@ def library_checker():
 
 def test_global_types_print_and_elaborate_back():
     """Every global type of the prelude and the passing corpus prints as
-    surface syntax that parses and elaborates back to the same core term."""
+    surface syntax that parses and elaborates back to the same core term, at
+    the universe level that the core synthesiser reads off that term."""
     checker = library_checker()
     for name in checker.global_order:
         ty = checker.globals[name].ty
         printed = print_core(ty)
-        assert checker.elab_type(Ctx(), parse_term(printed))[0] == ty, (name, printed)
+        term, level = checker.elab_type(Ctx(), parse_term(printed))
+        assert term == ty, (name, printed)
+        assert checker.universe_of(Ctx(), ty) == level, (name, printed)
 
 
 def test_syntactic_shortcut_agrees_with_slow_conversion(monkeypatch):

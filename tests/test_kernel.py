@@ -177,6 +177,13 @@ def test_letmod_beta():
     )
 
 
+def test_identity_type_over_a_letmod_type():
+    # x's type is a let-mod elimination, whose own type is read off its body
+    header = "axiom b : <g| U 1>\naxiom x : let mod{g}(B) = b in B\n"
+    run_ok(header + "check (x = x) : U 1\n")
+    run_fail(header + "check (x = x) : U 0\n", "E-UNIVERSE")
+
+
 def test_composite_modality_roundtrip():
     run_ok(
         "def split_gs : (A : U 0 @ g.s) -> <g.s| A> -> <g| <s| A>> := "
@@ -453,11 +460,43 @@ def test_permuted_meet_of_joins_under_a_function_is_fast():
 def test_too_deep_input_is_a_depth_diagnostic():
     diag = run_fail("def t : Nat := " + "(" * 3000 + "zero" + ")" * 3000, "E-DEPTH")
     assert diag.span == (0, 0)
-    # the equation holds, but `whnf` shifts the 999-deep literal recursively
-    double = "fun n => natrec(fun k => Nat, zero, fun k r => succ (succ r), n)"
-    text = f"def d : Nat -> Nat := {double}\ndef t : d 1000 = 2000 := refl\n"
+    # the equation holds, but beta reduction shifts the 3000-deep literal
+    # under the inner binder recursively
+    text = "def k : Nat -> Nat -> Nat := fun a b => a\ndef t : k 3000 zero = 3000 := refl\n"
     diag = run_fail(text, "E-DEPTH")
-    assert text[diag.span[0] : diag.span[1]] == "def t : d 1000 = 2000 := refl"
+    assert text[diag.span[0] : diag.span[1]] == "def t : k 3000 zero = 3000 := refl"
+
+
+def test_natrec_on_a_large_literal_reduces_without_deep_recursion():
+    # the step case is substituted in one pass, so the recursive value built
+    # on the 2999-deep predecessor is not walked again
+    double = "fun n => natrec(fun k => Nat, zero, fun k r => succ (succ r), n)"
+    run_ok(f"def d : Nat -> Nat := {double}\ndef t : d 3000 = 6000 := refl\n")
+
+
+@pytest.mark.parametrize(
+    "decl",
+    [
+        # lambdas at Int -> Int whose bodies are equal only in the lattice
+        "def t : (j : Int) -> (fun i => i /\\ j : Int -> Int) = (fun i => j /\\ i : Int -> Int)"
+        " := fun j => refl",
+        # eta for a neutral function
+        "axiom h : Int -> Int\ndef t : h = (fun i => h i : Int -> Int) := refl",
+        # pairs at Int * Int with permuted meets and joins
+        "def t : (i j : Int) -> ((i /\\ j, j \\/ i) : Int * Int) = ((j /\\ i, i \\/ j) : Int * Int)"
+        " := fun i j => refl",
+    ],
+)
+def test_conversion_at_function_and_pair_types(decl):
+    run_ok(decl + "\n")
+
+
+def test_conversion_at_function_types_tells_meet_from_join():
+    run_fail(
+        "def t : (j : Int) -> (fun i => i /\\ j : Int -> Int) = (fun i => i \\/ j : Int -> Int)"
+        " := fun j => refl\n",
+        "E-CONV",
+    )
 
 
 CONGRUENCE_HEADER = "axiom f : Int -> Int\ndef id : Int -> Int := fun x => x\n"

@@ -235,6 +235,8 @@ def test_parse_and_format_roundtrip():
     assert e == Meet(X, Join(Y, Z))
     assert parse_expr(format_expr(e)) == e
     assert parse_expr("0 \\/ 1 /\\ x") == Join(Bot(), Meet(Top(), X))
+    right_nested = Meet(X, Meet(Y, Z))
+    assert parse_expr(format_expr(right_nested)) == right_nested
 
 
 def test_format_poly():
