@@ -110,6 +110,9 @@ def cmd_lattice(args) -> int:
     except lattice.LatticeSizeError as exc:
         print(f"error: E-LATTICE-SIZE: {exc.message}", file=sys.stderr)
         return EXIT_DIAGNOSTICS
+    except RecursionError:
+        print("error: E-DEPTH: expression is nested too deeply (recursion limit)", file=sys.stderr)
+        return EXIT_DIAGNOSTICS
     raise AssertionError
 
 

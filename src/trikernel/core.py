@@ -8,108 +8,91 @@ structural.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
 from typing import Callable, Iterator, Optional
 
 from .modality import TwoCell, Word, cell_vcomp, cell_whisker, normalize
+from .record import fields, record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Term:
     pass
 
 
-@dataclass(frozen=True)
 class Var(Term):
     ix: int
     cell: Optional[TwoCell] = None
 
 
-@dataclass(frozen=True)
 class Const(Term):
     name: str
 
 
-@dataclass(frozen=True)
 class Univ(Term):
     level: int
 
 
-@dataclass(frozen=True)
 class Pi(Term):
     word: Word
     dom: Term
     cod: Term  # binds 1
 
 
-@dataclass(frozen=True)
 class Lam(Term):
     body: Term  # binds 1
 
 
-@dataclass(frozen=True)
 class App(Term):
     fn: Term
     arg: Term
 
 
-@dataclass(frozen=True)
 class Sigma(Term):
     dom: Term
     cod: Term  # binds 1
 
 
-@dataclass(frozen=True)
 class Pair(Term):
     fst: Term
     snd: Term
 
 
-@dataclass(frozen=True)
 class Fst(Term):
     arg: Term
 
 
-@dataclass(frozen=True)
 class Snd(Term):
     arg: Term
 
 
-@dataclass(frozen=True)
 class IdT(Term):
     ty: Term
     lhs: Term
     rhs: Term
 
 
-@dataclass(frozen=True)
 class Refl(Term):
     pass
 
 
-@dataclass(frozen=True)
 class J(Term):
     motive: Term  # binds 2: endpoint, equation
     base: Term
     eq: Term
 
 
-@dataclass(frozen=True)
 class NatT(Term):
     pass
 
 
-@dataclass(frozen=True)
 class Zero(Term):
     pass
 
 
-@dataclass(frozen=True)
 class Suc(Term):
     arg: Term
 
 
-@dataclass(frozen=True)
 class NatRec(Term):
     motive: Term  # binds 1
     zcase: Term
@@ -117,22 +100,18 @@ class NatRec(Term):
     scrut: Term
 
 
-@dataclass(frozen=True)
 class BoolT(Term):
     pass
 
 
-@dataclass(frozen=True)
 class TrueC(Term):
     pass
 
 
-@dataclass(frozen=True)
 class FalseC(Term):
     pass
 
 
-@dataclass(frozen=True)
 class BoolRec(Term):
     motive: Term  # binds 1
     tcase: Term
@@ -140,46 +119,38 @@ class BoolRec(Term):
     scrut: Term
 
 
-@dataclass(frozen=True)
 class IntT(Term):
     pass
 
 
-@dataclass(frozen=True)
 class I0(Term):
     pass
 
 
-@dataclass(frozen=True)
 class I1(Term):
     pass
 
 
-@dataclass(frozen=True)
 class MeetT(Term):
     lhs: Term
     rhs: Term
 
 
-@dataclass(frozen=True)
 class JoinT(Term):
     lhs: Term
     rhs: Term
 
 
-@dataclass(frozen=True)
 class Modify(Term):
     word: Word
     ty: Term  # binds one interval variable per p in word
 
 
-@dataclass(frozen=True)
 class MkMod(Term):
     word: Word
     body: Term  # binds one interval variable per p in word
 
 
-@dataclass(frozen=True)
 class LetMod(Term):
     frame: Word  # outer annotation nu under which the scrutinee lives
     word: Word  # the eliminated modality mu (p-free)
@@ -187,17 +158,14 @@ class LetMod(Term):
     body: Term  # binds 1
 
 
-@dataclass(frozen=True)
 class LiftT(Term):
     ty: Term
 
 
-@dataclass(frozen=True)
 class Up(Term):
     arg: Term
 
 
-@dataclass(frozen=True)
 class Down(Term):
     arg: Term
 
@@ -289,10 +257,12 @@ def _children(t: Term) -> list[tuple[str, Term, int, Word]]:
             return []
 
 
-# The fields of each term former that hold no subterm: words, names, levels, cells.
+# The fields of each term former in order, and those that hold no subterm:
+# words, names, levels, cells.
+_FIELDS = {cls: fields(cls) for cls in Term.__subclasses__()}
 _DATA_FIELDS = {
-    cls: tuple(f.name for f in fields(cls) if f.type != "Term")
-    for cls in Term.__subclasses__()
+    cls: tuple(name for name, ann in table.items() if ann != "Term")
+    for cls, table in _FIELDS.items()
 }
 
 
@@ -338,7 +308,10 @@ def _map(t: Term, fn: Callable[[Var, int, Word], Term], depth: int = 0,
         new = _map(child, fn, depth + binders, locks + word if word else locks)
         if new is not child:
             changes[name] = new
-    return replace(t, **changes) if changes else t
+    if not changes:
+        return t
+    return type(t)(*[changes[name] if name in changes else getattr(t, name)
+                     for name in _FIELDS[type(t)]])
 
 
 def shift(t: Term, by: int, cutoff: int = 0) -> Term:
@@ -434,7 +407,7 @@ def apply_cell(t: Term, cell: TwoCell) -> Term:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CDecl:
     name: str
     word: Word  # annotation modality
@@ -442,7 +415,7 @@ class CDecl:
     is_interval: bool = False
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CLock:
     gen: str  # a single non-p generator
 

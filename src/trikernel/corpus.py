@@ -9,13 +9,13 @@ the harness confirms the union covers the whole in-scope list.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional
 
 from .diagnostics import Diagnostic
 from .kernel import Checker
 from .prelude import load_prelude
+from .record import record
 
 # Every definitional anchor the corpus must cover.
 REQUIRED_ANCHORS = frozenset(
@@ -36,7 +36,7 @@ REQUIRED_ANCHORS = frozenset(
 )
 
 
-@dataclass
+@record
 class ManifestEntry:
     file: str
     expect_code: Optional[str]  # None means the file must pass
@@ -46,10 +46,10 @@ class ManifestEntry:
     anchors: list[str]
 
 
-@dataclass
+@record
 class Manifest:
     entries: list[ManifestEntry]
-    substitution: list[str] = field(default_factory=list)
+    substitution: list[str] = []
 
     def entry(self, name: str) -> ManifestEntry:
         for e in self.entries:
@@ -64,19 +64,19 @@ class Manifest:
         return out
 
 
-@dataclass
+@record
 class FileResult:
     file: str
     expected: str
     actual: str
     ok: bool
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    diagnostics: list[Diagnostic] = []
 
 
-@dataclass
+@record
 class CorpusReport:
     results: list[FileResult]
-    problems: list[str] = field(default_factory=list)
+    problems: list[str] = []
 
     @property
     def ok(self) -> bool:

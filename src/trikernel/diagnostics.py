@@ -6,8 +6,9 @@ The codes and the JSON format are specified by docs/diagnostic.schema.json.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Optional, Sequence
+
+from .record import record
 
 
 class LineMap:
@@ -30,7 +31,7 @@ class LineMap:
         return lo + 1, offset - self.starts[lo] + 1
 
 
-@dataclass
+@record
 class Diagnostic:
     file: str
     code: str

@@ -13,7 +13,6 @@ normalization, so the lattice equations hold definitionally.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional
 
 from . import lattice, syntax
@@ -79,11 +78,12 @@ from .modality import (
     identity_cell,
     normalize,
 )
+from .record import record
 
 DEFAULT_SEARCH_DEPTH = 8
 
 
-@dataclass
+@record
 class GlobalDef:
     name: str
     kind: str  # "axiom" | "def"

@@ -12,11 +12,11 @@ open kernel terms of interval type can serve as atoms.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
 from . import syntax
 from .diagnostics import KernelError
+from .record import record
 
 # A canonical polynomial: sorted tuple of sorted atom-id tuples.
 # () inside = the monomial 1; the empty outer tuple = 0.
@@ -73,33 +73,28 @@ class AtomTable:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Expr:
     """Lattice expression tree over named atoms."""
 
 
-@dataclass(frozen=True)
 class Atom(Expr):
     name: Hashable
 
 
-@dataclass(frozen=True)
 class Bot(Expr):
     pass
 
 
-@dataclass(frozen=True)
 class Top(Expr):
     pass
 
 
-@dataclass(frozen=True)
 class Meet(Expr):
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True)
 class Join(Expr):
     lhs: Expr
     rhs: Expr
@@ -375,12 +370,12 @@ def count_monotone_functions(n: int) -> int:
     return total
 
 
-@dataclass
+@record
 class Presentation:
     """A finitely presented interval algebra: generators plus relations."""
 
     generators: Sequence[str]
-    relations: Sequence[tuple[Expr, Expr]] = field(default_factory=tuple)
+    relations: Sequence[tuple[Expr, Expr]] = ()
 
 
 def fp_algebra_homs(presentation: Presentation) -> list[tuple[int, ...]]:

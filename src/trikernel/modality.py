@@ -17,8 +17,9 @@ of pasting diagrams built from the adjunction units/counits.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterator, Optional
+
+from .record import record
 
 GENERATORS = ("g", "s", "o", "p", "a")
 
@@ -119,7 +120,7 @@ GENERATOR_CELLS: dict[str, tuple[Word, Word]] = {
 }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Step:
     """One whiskered generator cell: left . cell . right."""
 
@@ -135,7 +136,7 @@ class Step:
         )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TwoCell:
     """A pasting of whiskered generator cells from src to dst."""
 

@@ -8,12 +8,12 @@ confirms the ten named principles are each covered exactly once.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional
 
 from .diagnostics import Diagnostic
 from .kernel import Checker
+from .record import record
 
 AXIOM_TAGS = (
     "interval-lattice",
@@ -31,7 +31,7 @@ AXIOM_TAGS = (
 ENV_VAR = "TTT_PRELUDE"
 
 
-@dataclass
+@record
 class PreludeEntry:
     name: str
     kind: str  # "def" | "axiom"
@@ -41,13 +41,13 @@ class PreludeEntry:
     line: int = 0
 
 
-@dataclass
+@record
 class PreludeReport:
     entries: list[PreludeEntry]
     diagnostics: list[Diagnostic]
-    coverage: dict[str, Optional[str]] = field(default_factory=dict)
-    tier_counts: dict[str, int] = field(default_factory=dict)
-    problems: list[str] = field(default_factory=list)
+    coverage: dict[str, Optional[str]] = {}
+    tier_counts: dict[str, int] = {}
+    problems: list[str] = []
 
     @property
     def ok(self) -> bool:

@@ -18,11 +18,11 @@ when an arrow or star follows, so no backtracking is needed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .diagnostics import Diagnostic, KernelError
 from .modality import GENERATOR_CELLS, Word, parse_word
+from .record import field, record
 
 KEYWORDS = {
     "def", "axiom", "check", "fun", "let", "mod", "in", "coe",
@@ -33,7 +33,7 @@ KEYWORDS = {
 Span = tuple[int, int]
 
 
-@dataclass
+@record
 class Token:
     kind: str
     text: str
@@ -132,22 +132,19 @@ def tokenize(text: str, file: str = "<input>") -> list[Token]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class STerm:
-    span: Span = field(default=(0, 0), compare=False, kw_only=True)
+    span: Span = field((0, 0), compare=False, kw_only=True)
 
 
-@dataclass
 class SVar(STerm):
     name: str
 
 
-@dataclass
 class SUniv(STerm):
     level: int
 
 
-@dataclass
 class SPi(STerm):
     name: str
     word: Word
@@ -155,87 +152,72 @@ class SPi(STerm):
     cod: STerm
 
 
-@dataclass
 class SSigma(STerm):
     name: str
     dom: STerm
     cod: STerm
 
 
-@dataclass
 class SLam(STerm):
     name: str
     body: STerm
 
 
-@dataclass
 class SApp(STerm):
     fn: STerm
     arg: STerm
 
 
-@dataclass
 class SPair(STerm):
     fst: STerm
     snd: STerm
 
 
-@dataclass
 class SFst(STerm):
     arg: STerm
 
 
-@dataclass
 class SSnd(STerm):
     arg: STerm
 
 
-@dataclass
 class SEq(STerm):
     lhs: STerm
     rhs: STerm
 
 
-@dataclass
 class SRefl(STerm):
     pass
 
 
-@dataclass
 class SJ(STerm):
     motive: STerm
     base: STerm
     eq: STerm
 
 
-@dataclass
 class SNum(STerm):
     value: int
 
 
-@dataclass
 class SSucc(STerm):
     arg: STerm
 
 
-@dataclass
 class SMeet(STerm):
     lhs: STerm
     rhs: STerm
 
 
-@dataclass
 class SJoin(STerm):
     lhs: STerm
     rhs: STerm
 
 
-@dataclass
 class SConstT(STerm):
     name: str  # "Int" | "Nat" | "Bool" | "zero" | "true" | "false"
 
 
-@dataclass
 class SNatRec(STerm):
     motive: STerm
     zcase: STerm
@@ -243,7 +225,6 @@ class SNatRec(STerm):
     scrut: STerm
 
 
-@dataclass
 class SBoolRec(STerm):
     motive: STerm
     tcase: STerm
@@ -251,19 +232,16 @@ class SBoolRec(STerm):
     scrut: STerm
 
 
-@dataclass
 class SModify(STerm):
     word: Word
     body: STerm
 
 
-@dataclass
 class SMkMod(STerm):
     word: Word
     body: STerm
 
 
-@dataclass
 class SLetMod(STerm):
     word: Word
     name: str
@@ -272,7 +250,7 @@ class SLetMod(STerm):
     body: STerm
 
 
-@dataclass
+@record
 class SCellFactor:
     left: Word
     gen: str  # generator cell name, or "id"
@@ -280,66 +258,59 @@ class SCellFactor:
     id_word: Word = ()
 
 
-@dataclass
+@record
 class SCell:
     factors: tuple[SCellFactor, ...]
 
 
-@dataclass
 class SCellApp(STerm):
     arg: STerm
     cell: SCell
 
 
-@dataclass
 class SInst(STerm):
     arg: STerm
     index: STerm
 
 
-@dataclass
 class SCoe(STerm):
     cell: SCell
     arg: STerm
 
 
-@dataclass
 class SAnnot(STerm):
     term: STerm
     ty: STerm
     word: Word = ()
 
 
-@dataclass
 class SLift(STerm):
     arg: STerm
 
 
-@dataclass
 class SUp(STerm):
     arg: STerm
 
 
-@dataclass
 class SDown(STerm):
     arg: STerm
 
 
-@dataclass
+@record
 class Decl:
     kind: str  # "def" | "axiom" | "check" | "fail-check"
     name: str
     ty: STerm
     body: Optional[STerm]
     expect_code: Optional[str] = None
-    span: Span = field(default=(0, 0), compare=False)
+    span: Span = field((0, 0), compare=False)
 
 
-@dataclass
+@record
 class SurfaceModule:
     path: str
     decls: list[Decl]
-    source: str = field(default="", compare=False)
+    source: str = field("", compare=False)
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,18 @@ def test_lattice_parse_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "expr",
+    ["(" * 3000 + "x" + ")" * 3000, " /\\ ".join(["x"] * 3000)],
+    ids=["deep-parentheses", "long-meet-chain"],
+)
+def test_lattice_too_deep_input_is_a_depth_error(capsys, expr):
+    code, out, err = run_cli(["lattice", "nf", expr], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: E-DEPTH: ") and err.count("\n") == 1
+
+
 def test_check_positive_file(capsys):
     code, out, _ = run_cli(["check", os.path.join(STDLIB, "hom.ttt")], capsys)
     assert code == 0
@@ -202,6 +214,23 @@ def test_console_script_entry():
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "s"
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # importing is the largest part of a cold `trikernel check`; `dataclasses`
+    # and the `inspect` it pulls in cost tens of milliseconds
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))
+
+    def modules_after(statement):
+        probe = f"{statement}; import sys; print(*sys.modules)"
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                                text=True, env=env, check=True)
+        return set(result.stdout.split())
+
+    added = modules_after("import trikernel.cli") - modules_after("pass")
+    assert "trikernel.cli" in added
+    assert not added & {"dataclasses", "inspect"}
 
 
 def test_readme_library_block_executes():

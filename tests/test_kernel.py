@@ -1,7 +1,6 @@
 """Kernel behavior: typing, conversion, modal discipline, 2-cell action."""
 
 import time
-from dataclasses import fields
 
 import pytest
 
@@ -36,6 +35,7 @@ from trikernel import kernel
 from trikernel.diagnostics import KernelError
 from trikernel.kernel import Checker, print_core
 from trikernel.modality import cell_whisker, generator_cell, identity_cell
+from trikernel.record import fields
 from trikernel.syntax import parse_module, parse_term
 
 
@@ -319,9 +319,9 @@ def test_children_lists_every_term_field_in_order():
     # apply_cell and syntactic equality
     data = {"int": 0, "str": "c", "Word": ("o",), "Optional[TwoCell]": None}
     for cls in Term.__subclasses__():
-        term = cls(**{f.name: Var(n) if f.type == "Term" else data[f.type]
-                      for n, f in enumerate(fields(cls))})
-        expected = [(f.name, getattr(term, f.name)) for f in fields(cls) if f.type == "Term"]
+        term = cls(**{name: Var(n) if ann == "Term" else data[ann]
+                      for n, (name, ann) in enumerate(fields(cls).items())})
+        expected = [(name, getattr(term, name)) for name, ann in fields(cls).items() if ann == "Term"]
         assert [(name, child) for name, child, *_ in _children(term)] == expected, cls
 
 
