@@ -186,25 +186,27 @@ def nat_literal(n: int) -> Term:
 # ---------------------------------------------------------------------------
 
 
+def strip_trailing_p(word: Word) -> tuple[Word, int]:
+    """`word` without its trailing p factors, and how many there were."""
+    k = len(word)
+    while k and word[k - 1] == "p":
+        k -= 1
+    return tuple(word[:k]), len(word) - k
+
+
 def mk_modify(word: Word, ty: Term) -> Term:
     """<w| A> with trailing p factors peeled into interval products."""
-    w = normalize(word)
-    while w and w[-1] == "p":
-        w = w[:-1]
+    w, k = strip_trailing_p(normalize(word))
+    for _ in range(k):
         ty = Pi((), IntT(), ty)
-    if not w:
-        return ty
-    return Modify(w, ty)
+    return Modify(w, ty) if w else ty
 
 
 def mk_mkmod(word: Word, body: Term) -> Term:
-    w = normalize(word)
-    while w and w[-1] == "p":
-        w = w[:-1]
+    w, k = strip_trailing_p(normalize(word))
+    for _ in range(k):
         body = Lam(body)
-    if not w:
-        return body
-    return MkMod(w, body)
+    return MkMod(w, body) if w else body
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +366,11 @@ def free_in(t: Term, target: int = 0) -> bool:
     return any(isinstance(u, Var) and u.ix == target + depth for u, depth in subterms(t))
 
 
+def constants(t: Term) -> set[str]:
+    """The names of the constants that `t` mentions."""
+    return {u.name for u, _ in subterms(t) if isinstance(u, Const)}
+
+
 # ---------------------------------------------------------------------------
 # 2-cell action on terms
 # ---------------------------------------------------------------------------
@@ -449,14 +456,19 @@ class Ctx:
                 ix += 1
         return None
 
-    def decl_at(self, ix: int) -> CDecl:
-        count = 0
+    def _position(self, ix: int) -> int:
+        """Position in `entries` of Var(ix)'s declaration."""
+        pos, count = len(self.entries), 0
         for entry in reversed(self.entries):
+            pos -= 1
             if isinstance(entry, CDecl):
                 if count == ix:
-                    return entry
+                    return pos
                 count += 1
         raise IndexError(ix)
+
+    def decl_at(self, ix: int) -> CDecl:
+        return self.entries[self._position(ix)]
 
     def type_of(self, ix: int) -> Term:
         """Type of Var(ix), shifted into the current context."""
@@ -469,18 +481,8 @@ class Ctx:
         locks but may also be crossed by ordinary weakening, so they are
         droppable when matching 2-cell boundaries.
         """
-        count = 0
-        pos = None
-        for i in range(len(self.entries) - 1, -1, -1):
-            if isinstance(self.entries[i], CDecl):
-                if count == ix:
-                    pos = i
-                    break
-                count += 1
-        if pos is None:
-            raise IndexError(ix)
         out: list[tuple[str, bool]] = []
-        for entry in self.entries[pos + 1 :]:
+        for entry in self.entries[self._position(ix) + 1 :]:
             if isinstance(entry, CLock):
                 out.append((entry.gen, False))
             elif entry.is_interval:

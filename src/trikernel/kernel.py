@@ -53,6 +53,7 @@ from .core import (
     Zero,
     _children,
     apply_cell,
+    constants,
     free_in,
     mk_mkmod,
     mk_modify,
@@ -60,15 +61,16 @@ from .core import (
     npee,
     same_data,
     shift,
+    strip_trailing_p,
     subst,
     subst2,
-    subterms,
     syn_eq,
 )
 from .diagnostics import Diagnostic, KernelError, LineMap
 from .modality import (
     ModeError,
     TwoCell,
+    cell_eq,
     cell_normalize,
     cell_search,
     cell_vcomp,
@@ -189,19 +191,16 @@ class Checker:
 
     # -- interval canonical forms ---------------------------------------------
 
-    def _collect_poly(self, t: Term, whnffed: bool = False) -> lattice.Poly:
-        match t:
-            case I0():
-                return lattice.ZERO
-            case I1():
-                return lattice.ONE
-            case MeetT(lhs, rhs):
-                return lattice.poly_meet(self._collect_poly(lhs), self._collect_poly(rhs))
-            case JoinT(lhs, rhs):
-                return lattice.poly_join(self._collect_poly(lhs), self._collect_poly(rhs))
-        if whnffed:
-            return lattice.poly_atom(self._atom(t))
-        return self._collect_poly(self.whnf(t), True)
+    def _collect_poly(self, t: Term) -> lattice.Poly:
+        return lattice.canon(t, atom=self._leaf_poly)
+
+    def _leaf_poly(self, t: Term) -> lattice.Poly:
+        """Form of a leaf of the fold: its whnf folded again if that is a
+        bound, meet or join, and otherwise an interned atom."""
+        w = self.whnf(t)
+        if isinstance(w, (I0, I1, MeetT, JoinT)):
+            return self._collect_poly(w)
+        return lattice.poly_atom(self._atom(w))
 
     def _atom(self, t: Term) -> int:
         """Id of a whnf'd interval atom, shared by the atoms convertible with it.
@@ -251,16 +250,17 @@ class Checker:
     # -- conversion -------------------------------------------------------------
 
     def cells_equal(self, c1: Optional[TwoCell], c2: Optional[TwoCell]) -> bool:
-        if c1 is None and c2 is None:
-            return True
+        """Whether two variable annotations are one 2-cell; None is an identity."""
         if c1 is None:
-            return cell_normalize(c2).is_identity()
-        if c2 is None:
-            return cell_normalize(c1).is_identity()
-        n1, n2 = cell_normalize(c1), cell_normalize(c2)
-        if (n1.src, n1.dst) != (n2.src, n2.dst):
+            if c2 is None:
+                return True
+            c1 = identity_cell(c2.src)
+        elif c2 is None:
+            c2 = identity_cell(c1.src)
+        try:
+            return cell_eq(c1, c2)
+        except ModeError:  # cells between different words
             return False
-        return n1.steps == n2.steps
 
     def conv(self, t: Term, u: Term, ty: Term) -> bool:
         if isinstance(self.whnf(ty), IntT):
@@ -755,7 +755,7 @@ class Checker:
                 return self._check_via_infer(ctx, s, tyw)
             case syntax.SMkMod(word, body):
                 word = normalize(word)
-                inner, k = _strip_trailing_p(word)
+                inner, k = strip_trailing_p(word)
                 cur = tyw
                 if inner:
                     if not (isinstance(cur, Modify) and cur.word == inner):
@@ -970,15 +970,6 @@ class Checker:
         return diags
 
 
-def _strip_trailing_p(word) -> tuple[tuple, int]:
-    k = 0
-    w = tuple(word)
-    while w and w[-1] == "p":
-        w = w[:-1]
-        k += 1
-    return w, k
-
-
 def _too_deep(path: str, what: str, span: tuple[int, int]) -> Diagnostic:
     """E-DEPTH: the checker ran out of Python stack on this input."""
     return Diagnostic(
@@ -1009,10 +1000,6 @@ def print_core(t: Term, names: Optional[list[str]] = None) -> str:
     return syntax.print_term(readback(t, names or []))
 
 
-def _constants(t: Term) -> set[str]:
-    return {u.name for u, _ in subterms(t) if isinstance(u, Const)}
-
-
 def readback(t: Term, names: list[str]) -> syntax.STerm:
     """A surface term that elaborates back to `t` in a context named `names`.
 
@@ -1021,7 +1008,7 @@ def readback(t: Term, names: list[str]) -> syntax.STerm:
     anonymous.  Nat literals below 2 read back as `zero` and `succ zero`, so
     they do not parse as interval endpoints.
     """
-    taken = _constants(t)
+    taken = constants(t)
 
     def fresh(base: str, scope: list[str]) -> str:
         name, k = base, 0

@@ -5,16 +5,21 @@ monomials, each monomial a set of atoms joined by meet.  Two expressions are
 equal in the free bounded distributive lattice exactly when their canonical
 forms coincide, which the Boolean two-element oracle cross-checks.
 
-Atoms are arbitrary hashable keys interned into an append-only table so that
-open kernel terms of interval type can serve as atoms.
+Expressions are the kernel's interval terms under their lattice names:
+`Atom`, `Bot`, `Top`, `Meet` and `Join` are `core.Const`, `I0`, `I1`, `MeetT`
+and `JoinT`.  Atoms are arbitrary hashable keys interned into an append-only
+table so that open kernel terms of interval type can serve as atoms.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Hashable, Iterable, Iterator, Optional, Sequence
+from functools import partial
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from . import syntax
+from .core import Const as Atom, I0 as Bot, I1 as Top, JoinT as Join, MeetT as Meet
+from .core import Term as Expr, constants
 from .diagnostics import KernelError
 from .record import record
 
@@ -69,45 +74,8 @@ class AtomTable:
 
 
 # ---------------------------------------------------------------------------
-# Expressions
+# Expressions: the kernel's interval terms
 # ---------------------------------------------------------------------------
-
-
-@record(frozen=True)
-class Expr:
-    """Lattice expression tree over named atoms."""
-
-
-class Atom(Expr):
-    name: Hashable
-
-
-class Bot(Expr):
-    pass
-
-
-class Top(Expr):
-    pass
-
-
-class Meet(Expr):
-    lhs: Expr
-    rhs: Expr
-
-
-class Join(Expr):
-    lhs: Expr
-    rhs: Expr
-
-
-def expr_atoms(expr: Expr) -> set[Hashable]:
-    match expr:
-        case Atom(name):
-            return {name}
-        case Meet(l, r) | Join(l, r):
-            return expr_atoms(l) | expr_atoms(r)
-        case _:
-            return set()
 
 
 def eval_expr(expr: Expr, assignment: dict[Hashable, bool]) -> bool:
@@ -158,23 +126,10 @@ def _from_sterm(t: syntax.STerm) -> Expr:
     raise LatticeParseError(f"not a lattice expression: {syntax.print_term(t)}")
 
 
-def _to_sterm(expr: Expr) -> syntax.STerm:
-    match expr:
-        case Atom(name):
-            return syntax.SVar(str(name))
-        case Bot():
-            return syntax.SNum(0)
-        case Top():
-            return syntax.SNum(1)
-        case Meet(l, r):
-            return syntax.SMeet(_to_sterm(l), _to_sterm(r))
-        case Join(l, r):
-            return syntax.SJoin(_to_sterm(l), _to_sterm(r))
-    raise TypeError(f"not a lattice expression: {expr!r}")
-
-
 def format_expr(expr: Expr) -> str:
-    return syntax.print_term(_to_sterm(expr))
+    from .kernel import print_core  # the kernel imports this module
+
+    return print_core(expr)
 
 
 # ---------------------------------------------------------------------------
@@ -201,25 +156,32 @@ def poly_join(p: Poly, q: Poly) -> Poly:
     return _reduce(itertools.chain(p, q))
 
 
-def canon(expr: Expr, table: Optional[AtomTable] = None) -> Poly:
-    """Canonical antichain form; interns atoms into `table` (or a fresh one)."""
-    tbl = table if table is not None else AtomTable()
+def canon(expr: Expr, table: Optional[AtomTable] = None,
+          atom: Optional[Callable[[Expr], Poly]] = None) -> Poly:
+    """Canonical antichain form of `expr`.
 
-    def go(e: Expr) -> Poly:
-        match e:
-            case Atom(name):
-                return poly_atom(tbl.intern(name))
-            case Bot():
-                return ZERO
-            case Top():
-                return ONE
-            case Meet(l, r):
-                return poly_meet(go(l), go(r))
-            case Join(l, r):
-                return poly_join(go(l), go(r))
-        raise TypeError(f"not a lattice expression: {e!r}")
+    Bounds, meets and joins fold here; every other subterm is a leaf whose
+    form `atom` gives.  By default a leaf must be a constant, and its name is
+    interned into `table` (or a fresh table).
+    """
+    if atom is None:
+        atom = partial(_named_atom, table if table is not None else AtomTable())
+    match expr:
+        case Bot():
+            return ZERO
+        case Top():
+            return ONE
+        case Meet(l, r):
+            return poly_meet(canon(l, table, atom), canon(r, table, atom))
+        case Join(l, r):
+            return poly_join(canon(l, table, atom), canon(r, table, atom))
+    return atom(expr)
 
-    return go(expr)
+
+def _named_atom(table: AtomTable, expr: Expr) -> Poly:
+    if isinstance(expr, Atom):
+        return poly_atom(table.intern(expr.name))
+    raise TypeError(f"not a lattice expression: {expr!r}")
 
 
 def eq(p: Poly, q: Poly) -> bool:
@@ -249,26 +211,18 @@ def oracle_eq(a: Expr | Poly, b: Expr | Poly) -> bool:
     LatticeSizeError beyond the atom budget.
     """
     if isinstance(a, Expr) and isinstance(b, Expr):
-        names = sorted(expr_atoms(a) | expr_atoms(b), key=repr)
-        if len(names) > ORACLE_ATOM_BUDGET:
-            raise LatticeSizeError(
-                f"oracle over {len(names)} atoms exceeds budget {ORACLE_ATOM_BUDGET}"
-            )
-        for bits in itertools.product((False, True), repeat=len(names)):
-            env = dict(zip(names, bits))
-            if eval_expr(a, env) != eval_expr(b, env):
-                return False
-        return True
-    if isinstance(a, Expr) or isinstance(b, Expr):
+        names, evaluate = constants(a) | constants(b), eval_expr
+    elif isinstance(a, Expr) or isinstance(b, Expr):
         raise TypeError("oracle_eq arguments must both be Expr or both Poly")
-    idents = sorted(poly_atoms(a) | poly_atoms(b))
-    if len(idents) > ORACLE_ATOM_BUDGET:
+    else:
+        names, evaluate = poly_atoms(a) | poly_atoms(b), eval_poly
+    if len(names) > ORACLE_ATOM_BUDGET:
         raise LatticeSizeError(
-            f"oracle over {len(idents)} atoms exceeds budget {ORACLE_ATOM_BUDGET}"
+            f"oracle over {len(names)} atoms exceeds budget {ORACLE_ATOM_BUDGET}"
         )
-    for bits in itertools.product((False, True), repeat=len(idents)):
-        env = dict(zip(idents, bits))
-        if eval_poly(a, env) != eval_poly(b, env):
+    for bits in itertools.product((False, True), repeat=len(names)):
+        env = dict(zip(names, bits))
+        if evaluate(a, env) != evaluate(b, env):
             return False
     return True
 
@@ -390,7 +344,7 @@ def fp_algebra_homs(presentation: Presentation) -> list[tuple[int, ...]]:
             f"{len(gens)} generators exceed budget {HOM_GENERATOR_BUDGET}"
         )
     for lhs, rhs in presentation.relations:
-        extra = (expr_atoms(lhs) | expr_atoms(rhs)) - set(gens)
+        extra = (constants(lhs) | constants(rhs)) - set(gens)
         if extra:
             raise LatticeParseError(f"relation mentions unknown generators {sorted(map(str, extra))!r}")
     out: list[tuple[int, ...]] = []

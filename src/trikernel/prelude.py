@@ -127,7 +127,7 @@ def verify_prelude(path: Optional[str] = None, depth: int = 8) -> PreludeReport:
     text, actual = read_prelude(path)
     entries = parse_metadata(text)
     checker = Checker(depth=depth)
-    diagnostics = load_prelude(checker, actual)
+    diagnostics = checker.check_source(text, actual)
     report = PreludeReport(entries=entries, diagnostics=diagnostics)
 
     coverage: dict[str, Optional[str]] = {tag: None for tag in AXIOM_TAGS}

@@ -198,3 +198,23 @@ def test_syntactic_shortcut_agrees_with_slow_conversion(monkeypatch):
     slow = [checker.conv_str(a, b) for a, b in pairs]
     assert fast == slow
     assert 0 < fast.count(False) < len(pairs)
+
+
+def test_alias_of_int_changes_no_verdict():
+    """With `Iv := Int` written for `Int` throughout, the prelude and every
+    passing file without dependencies still check: an interval domain may be
+    a constant that unfolds to `Int` as well as `Int` itself."""
+
+    def alias(text):
+        return re.sub(r"\bInt\b", "Iv", text)
+
+    prelude, _ = read_prelude()
+    prelude = "def Iv : U 0 := Int\n" + alias(prelude)
+    files = [e.file for e in load_manifest().entries if e.expect_code is None and not e.deps]
+    assert files == ["interval.ttt", "simplices.ttt", "hom.ttt", "simp.ttt", "covariant.ttt"]
+    for name in files:
+        checker = Checker()
+        assert checker.check_source(prelude, "prelude.ttt") == []
+        text = alias(read_corpus_file(name))
+        assert text != read_corpus_file(name), name
+        assert checker.check_source(text, name) == [], name

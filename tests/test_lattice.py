@@ -5,12 +5,14 @@ import random
 
 import pytest
 
+from trikernel import core
 from trikernel.lattice import (
     ONE,
     ZERO,
     Atom,
     AtomTable,
     Bot,
+    Expr,
     Join,
     LatticeSizeError,
     Meet,
@@ -230,6 +232,10 @@ def test_fp_algebra_budget():
 
 
 def test_parse_and_format_roundtrip():
+    # the expressions are the kernel's interval terms, printed by its readback
+    for name, term in [(Atom, core.Const), (Bot, core.I0), (Top, core.I1),
+                       (Meet, core.MeetT), (Join, core.JoinT), (Expr, core.Term)]:
+        assert name is term
     text = "x /\\ (y \\/ z)"
     e = parse_expr(text)
     assert e == Meet(X, Join(Y, Z))
@@ -237,6 +243,10 @@ def test_parse_and_format_roundtrip():
     assert parse_expr("0 \\/ 1 /\\ x") == Join(Bot(), Meet(Top(), X))
     right_nested = Meet(X, Meet(Y, Z))
     assert parse_expr(format_expr(right_nested)) == right_nested
+    rng = random.Random(20261018)
+    for e in [Bot(), Top(), Join(X, Join(Y, Top()))] + [
+            random_expr(rng, ["x", "y", "z"], 5) for _ in range(500)]:
+        assert parse_expr(format_expr(e)) == e, e
 
 
 def test_format_poly():
