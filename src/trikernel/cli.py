@@ -16,7 +16,7 @@ from . import corpus as corpus_mod
 from . import lattice
 from .diagnostics import Diagnostic
 from .kernel import Checker
-from .modality import ModeError, cell_search, format_word, normalize, parse_word
+from .modality import SEARCH_DEPTH, ModeError, cell_search, format_word, normalize, parse_word
 from .prelude import ENV_VAR, load_prelude, verify_prelude
 
 EXIT_OK = 0
@@ -145,8 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("files", nargs="+")
     p_check.add_argument("--prelude", default=os.environ.get(ENV_VAR))
     p_check.add_argument("--json", action="store_true")
-    p_check.add_argument("--depth", type=int, default=8,
-                         help="2-cell search depth (default 8)")
+    p_check.add_argument("--depth", type=int, default=SEARCH_DEPTH,
+                         help="2-cell search depth (default %(default)s)")
     p_check.set_defaults(func=cmd_check)
 
     p_mode = sub.add_parser("mode", help="mode theory queries")
@@ -157,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cell = mode_sub.add_parser("cell", help="search for a 2-cell between words")
     p_cell.add_argument("src")
     p_cell.add_argument("dst")
-    p_cell.add_argument("--depth", type=int, default=8)
+    p_cell.add_argument("--depth", type=int, default=SEARCH_DEPTH)
     p_cell.set_defaults(func=cmd_mode)
 
     p_lat = sub.add_parser("lattice", help="interval lattice queries")
@@ -186,12 +186,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = corpus_sub.add_parser("run", help="check every corpus file against the manifest")
     p_run.add_argument("--stdlib", default=None)
     p_run.add_argument("--prelude", default=os.environ.get(ENV_VAR))
-    p_run.add_argument("--depth", type=int, default=8)
+    p_run.add_argument("--depth", type=int, default=SEARCH_DEPTH)
     p_run.add_argument("--json", action="store_true")
     p_run.set_defaults(func=cmd_corpus)
     p_pre = corpus_sub.add_parser("prelude", help="verify the prelude and its coverage")
     p_pre.add_argument("--prelude", default=os.environ.get(ENV_VAR))
-    p_pre.add_argument("--depth", type=int, default=8)
+    p_pre.add_argument("--depth", type=int, default=SEARCH_DEPTH)
     p_pre.set_defaults(func=cmd_corpus)
 
     return parser

@@ -14,6 +14,7 @@ from typing import Optional
 
 from .diagnostics import Diagnostic
 from .kernel import Checker
+from .modality import SEARCH_DEPTH
 from .prelude import load_prelude
 from .record import record
 
@@ -160,7 +161,7 @@ def check_file(
     name: str,
     stdlib_dir: Optional[str] = None,
     prelude_path: Optional[str] = None,
-    depth: int = 8,
+    depth: int = SEARCH_DEPTH,
 ) -> FileResult:
     base = stdlib_dir or default_stdlib_dir()
     entry = manifest.entry(name)
@@ -198,7 +199,7 @@ def check_file(
 def run_corpus(
     stdlib_dir: Optional[str] = None,
     prelude_path: Optional[str] = None,
-    depth: int = 8,
+    depth: int = SEARCH_DEPTH,
 ) -> CorpusReport:
     manifest = load_manifest(stdlib_dir)
     results = [

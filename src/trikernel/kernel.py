@@ -12,6 +12,7 @@ normalization, so the lattice equations hold definitionally.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Optional
 
@@ -68,6 +69,7 @@ from .core import (
 )
 from .diagnostics import Diagnostic, KernelError, LineMap
 from .modality import (
+    SEARCH_DEPTH,
     ModeError,
     TwoCell,
     cell_eq,
@@ -76,13 +78,10 @@ from .modality import (
     cell_vcomp,
     compose,
     format_word,
-    generator_cell,
     identity_cell,
     normalize,
 )
 from .record import record
-
-DEFAULT_SEARCH_DEPTH = 8
 
 
 @record
@@ -101,7 +100,7 @@ def unshift_unused(t: Term) -> Term:
 class Checker:
     """One checking instance: globals, interval atoms, search depth."""
 
-    def __init__(self, depth: int = DEFAULT_SEARCH_DEPTH):
+    def __init__(self, depth: int = SEARCH_DEPTH):
         self.globals: dict[str, GlobalDef] = {}
         self.global_order: list[str] = []
         self.atoms = lattice.AtomTable()
@@ -423,11 +422,7 @@ class Checker:
                 return None  # identity access
             candidates.append(word)
         if explicit is not None:
-            try:
-                explicit.validate()
-            except ModeError as exc:
-                self.err("E-2CELL-BOUNDARY", exc.message)
-            src, dst = normalize(explicit.src), normalize(explicit.dst)
+            src, dst = explicit.src, explicit.dst
             if src != annotation:
                 self.err(
                     "E-2CELL-BOUNDARY",
@@ -455,22 +450,12 @@ class Checker:
 
     # -- surface cell elaboration ----------------------------------------------
 
-    def elab_cell(self, cell: syntax.SCell) -> TwoCell:
-        out: Optional[TwoCell] = None
-        for factor in cell.factors:
-            if factor.gen == "id":
-                piece = identity_cell(factor.id_word)
-            else:
-                piece = generator_cell(factor.gen, factor.left, factor.right)
-            if out is None:
-                out = piece
-            else:
-                try:
-                    out = cell_vcomp(out, piece)
-                except ModeError as exc:
-                    self.err("E-2CELL-BOUNDARY", exc.message)
-        assert out is not None
-        return out
+    def elab_cell(self, factors: tuple[TwoCell, ...]) -> TwoCell:
+        try:
+            return functools.reduce(cell_vcomp, factors)
+        except ModeError as exc:
+            self.err("E-2CELL-BOUNDARY", exc.message)
+            raise
 
     # -- bidirectional elaboration -----------------------------------------------
 
@@ -857,11 +842,7 @@ class Checker:
 
     def _elab_coe(self, ctx: Ctx, s: syntax.SCoe) -> tuple[Term, Term]:
         cell = self.elab_cell(s.cell)
-        try:
-            cell.validate()
-        except ModeError as exc:
-            self.err("E-2CELL-BOUNDARY", exc.message)
-        src, dst = normalize(cell.src), normalize(cell.dst)
+        src, dst = cell.src, cell.dst
         if "p" in src:
             self.err(
                 "E-MODALITY",
@@ -1025,9 +1006,7 @@ def readback(t: Term, names: list[str]) -> syntax.STerm:
                 var = syntax.SVar(scope[-1 - ix] if ix < len(scope) else f"@{ix}")
                 if cell is None or cell.is_identity():
                     return var
-                factors = tuple(syntax.SCellFactor(st.left, st.gen, st.right)
-                                for st in cell.steps)
-                return syntax.SCellApp(var, syntax.SCell(factors))
+                return syntax.SCellApp(var, (cell,))
             case Const(name):
                 return syntax.SVar(name)
             case Univ(level):

@@ -69,9 +69,6 @@ class AtomTable:
     def key(self, ident: int) -> Hashable:
         return self._keys[ident]
 
-    def __len__(self) -> int:
-        return len(self._keys)
-
 
 # ---------------------------------------------------------------------------
 # Expressions: the kernel's interval terms
@@ -355,22 +352,18 @@ def fp_algebra_homs(presentation: Presentation) -> list[tuple[int, ...]]:
     return out
 
 
-def format_poly(p: Poly, table: Optional[AtomTable] = None, fmt=str) -> str:
-    """Render a canonical form; atom ids resolve through `table` if given."""
+def format_poly(p: Poly, table: AtomTable) -> str:
+    """Render a canonical form; atom ids resolve through `table`."""
     if p == ZERO:
         return "0"
     if p == ONE:
         return "1"
-
-    def atom_name(i: int) -> str:
-        return fmt(table.key(i)) if table is not None else f"a{i}"
-
     parts = []
     for m in p:
         if not m:
             parts.append("1")
         else:
-            parts.append(" /\\ ".join(atom_name(a) for a in m))
+            parts.append(" /\\ ".join(str(table.key(a)) for a in m))
     if len(parts) == 1:
         return parts[0]
     return " \\/ ".join(f"({q})" if " /\\ " in q else q for q in parts)

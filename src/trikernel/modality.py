@@ -12,6 +12,9 @@ Words are stored outermost-first: the composite ``n . m`` (n after m) is the
 tuple ``(n, m)``.  Equality of words is decided by a confluent string rewriting
 system; equality of 2-cells by a terminating (sound, not complete) rewriting
 of pasting diagrams built from the adjunction units/counits.
+
+This module alone reads and writes the notation of words (``g.a``) and of
+2-cells (``g*eta_gs*s ; eps0``, ``id(w)``).
 """
 
 from __future__ import annotations
@@ -191,14 +194,33 @@ def generator_cell(name: str, left: Word = (), right: Word = ()) -> TwoCell:
     return TwoCell(lo, hi, (step,))
 
 
-def cell_from_steps(src: Word, steps: list[Step]) -> TwoCell:
-    cur = normalize(src)
-    for step in steps:
-        lo, hi = step.boundaries()
-        if lo != cur:
-            raise ModeError("E-2CELL-BOUNDARY", "steps do not compose")
-        cur = hi
-    return TwoCell(normalize(src), cur, tuple(steps))
+def parse_cell(text: str) -> tuple[TwoCell, ...]:
+    """Parse ``eps_gs``, ``g*eta_gs*s``, ``id(w)`` and ``c1 ; c2`` into factors.
+
+    The factors are not composed here: a cell whose factors do not meet is a
+    boundary error of the term it acts in, not a parse error.
+    """
+    factors = []
+    for chunk in text.split(";"):
+        chunk = chunk.strip()
+        if not chunk:
+            raise ModeError("E-PARSE", "empty 2-cell factor")
+        if chunk.startswith("id(") and chunk.endswith(")"):
+            factors.append(identity_cell(parse_word(chunk[3:-1])))
+            continue
+        parts = [p.strip() for p in chunk.split("*")]
+        gen_at = [i for i, p in enumerate(parts) if p in GENERATOR_CELLS]
+        if len(gen_at) != 1:
+            raise ModeError("E-PARSE", f"malformed 2-cell {chunk!r}")
+        k = gen_at[0]
+        left = parse_word(".".join(parts[:k])) if k else ()
+        right = parse_word(".".join(parts[k + 1 :])) if k + 1 < len(parts) else ()
+        factors.append(generator_cell(parts[k], left, right))
+    return tuple(factors)
+
+
+def format_cell(factors: tuple[TwoCell, ...]) -> str:
+    return " ; ".join(c.describe() for c in factors)
 
 
 def cell_vcomp(c1: TwoCell, c2: TwoCell) -> TwoCell:
@@ -299,11 +321,12 @@ def _expansions(word: Word) -> Iterator[tuple[Step, Word]]:
                 yield step, normalize(word[:i] + dst + word[i + k :])
 
 
+SEARCH_DEPTH = 8  # default bound on the steps of a searched 2-cell
 _SEARCH_SLACK = 4
 _search_cache: dict[tuple[Word, Word, int], Optional[TwoCell]] = {}
 
 
-def cell_search(src: Word, dst: Word, depth: int = 8) -> Optional[TwoCell]:
+def cell_search(src: Word, dst: Word, depth: int = SEARCH_DEPTH) -> Optional[TwoCell]:
     """Breadth-first search for a pasting src => dst.
 
     Returns a witness cell, or None if none exists within `depth` whiskered

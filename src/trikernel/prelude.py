@@ -13,6 +13,7 @@ from typing import Optional
 
 from .diagnostics import Diagnostic
 from .kernel import Checker
+from .modality import SEARCH_DEPTH
 from .record import record
 
 AXIOM_TAGS = (
@@ -122,7 +123,7 @@ def load_prelude(checker: Checker, path: Optional[str] = None) -> list[Diagnosti
     return checker.check_source(text, actual)
 
 
-def verify_prelude(path: Optional[str] = None, depth: int = 8) -> PreludeReport:
+def verify_prelude(path: Optional[str] = None, depth: int = SEARCH_DEPTH) -> PreludeReport:
     """Full integrity report: entries check, coverage table, tier counts."""
     text, actual = read_prelude(path)
     entries = parse_metadata(text)

@@ -18,10 +18,10 @@ when an arrow or star follows, so no backtracking is needed.
 from __future__ import annotations
 
 import re
-from typing import Optional
+from typing import Callable, Optional, TypeVar
 
 from .diagnostics import Diagnostic, KernelError
-from .modality import GENERATOR_CELLS, Word, parse_word
+from .modality import ModeError, TwoCell, Word, format_cell, format_word, parse_cell, parse_word
 from .record import field, record
 
 KEYWORDS = {
@@ -31,6 +31,7 @@ KEYWORDS = {
 }
 
 Span = tuple[int, int]
+_T = TypeVar("_T")
 
 
 @record
@@ -250,22 +251,9 @@ class SLetMod(STerm):
     body: STerm
 
 
-@record
-class SCellFactor:
-    left: Word
-    gen: str  # generator cell name, or "id"
-    right: Word
-    id_word: Word = ()
-
-
-@record
-class SCell:
-    factors: tuple[SCellFactor, ...]
-
-
 class SCellApp(STerm):
     arg: STerm
-    cell: SCell
+    cell: tuple[TwoCell, ...]  # factors, composed when elaborated
 
 
 class SInst(STerm):
@@ -274,7 +262,7 @@ class SInst(STerm):
 
 
 class SCoe(STerm):
-    cell: SCell
+    cell: tuple[TwoCell, ...]
     arg: STerm
 
 
@@ -311,52 +299,6 @@ class SurfaceModule:
     path: str
     decls: list[Decl]
     source: str = field("", compare=False)
-
-
-# ---------------------------------------------------------------------------
-# Cell sub-grammar: "eps_gs", "g*eta_gs*s", "c1 ; c2", "id(w)"
-# ---------------------------------------------------------------------------
-
-
-def parse_cell_text(text: str, span: Span, file: str) -> SCell:
-    factors = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            _parse_error("empty 2-cell factor", span, file)
-        if chunk.startswith("id(") and chunk.endswith(")"):
-            try:
-                factors.append(SCellFactor((), "id", (), parse_word(chunk[3:-1])))
-            except ValueError as exc:
-                _parse_error(str(exc), span, file)
-            continue
-        parts = [p.strip() for p in chunk.split("*")]
-        gen_at = [i for i, p in enumerate(parts) if p in GENERATOR_CELLS]
-        if len(gen_at) != 1:
-            _parse_error(f"malformed 2-cell {chunk!r}", span, file)
-        k = gen_at[0]
-        try:
-            left = parse_word(".".join(parts[:k])) if k else ()
-            right = parse_word(".".join(parts[k + 1 :])) if k + 1 < len(parts) else ()
-        except ValueError as exc:
-            _parse_error(str(exc), span, file)
-        factors.append(SCellFactor(left, parts[k], right))
-    return SCell(tuple(factors))
-
-
-def format_cell(cell: SCell) -> str:
-    bits = []
-    for f in cell.factors:
-        if f.gen == "id":
-            bits.append(f"id({'.'.join(f.id_word) or '1'})")
-            continue
-        core = f.gen
-        if f.left:
-            core = f"{'.'.join(f.left)}*{core}"
-        if f.right:
-            core = f"{core}*{'.'.join(f.right)}"
-        bits.append(core)
-    return " ; ".join(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -413,15 +355,16 @@ class Parser:
             parts.append(self.next().text)
         try:
             return parse_word("".join(parts) or "?")
-        except ValueError as exc:
-            _parse_error(str(exc), span, self.file)
+        except ModeError as exc:
+            _parse_error(exc.message, span, self.file)
             raise
 
-    def braced_word(self, tok: Token) -> Word:
+    def braced(self, tok: Token, parse: Callable[[str], _T]) -> _T:
+        """A braced word or 2-cell; its `ModeError` is an E-PARSE at `tok`."""
         try:
-            return parse_word(tok.text)
-        except ValueError as exc:
-            _parse_error(str(exc), tok.span, self.file)
+            return parse(tok.text)
+        except ModeError as exc:
+            _parse_error(exc.message, tok.span, self.file)
             raise
 
     # -- declarations -------------------------------------------------------
@@ -501,7 +444,7 @@ class Parser:
     def parse_letmod(self) -> STerm:
         start = self.expect_kw("let").span
         self.expect_kw("mod")
-        word = self.braced_word(self.expect("BRACED", "a modality word"))
+        word = self.braced(self.expect("BRACED", "a modality word"), parse_word)
         self.expect("LPAREN")
         name = self.expect("IDENT", "a variable name")
         self.expect("RPAREN")
@@ -608,7 +551,7 @@ class Parser:
             if tok.kind == "HAT":
                 self.next()
                 braced = self.expect("BRACED", "a 2-cell in braces")
-                cell = parse_cell_text(braced.text, braced.span, self.file)
+                cell = self.braced(braced, parse_cell)
                 term = SCellApp(term, cell, span=(term.span[0], braced.span[1]))
             elif tok.kind == "DOT":
                 self.next()
@@ -686,14 +629,14 @@ class Parser:
             return SBoolRec(*args, span=(tok.span[0], end))
         if kw == "mod":
             braced = self.expect("BRACED", "a modality word")
-            word = self.braced_word(braced)
+            word = self.braced(braced, parse_word)
             self.expect("LPAREN")
             body = self.parse_term()
             end = self.expect("RPAREN")
             return SMkMod(word, body, span=(tok.span[0], end.span[1]))
         if kw == "coe":
             braced = self.expect("BRACED", "a 2-cell")
-            cell = parse_cell_text(braced.text, braced.span, self.file)
+            cell = self.braced(braced, parse_cell)
             self.expect("LPAREN")
             body = self.parse_term()
             end = self.expect("RPAREN")
@@ -748,7 +691,7 @@ def print_term(t: STerm, prec: int = 0) -> str:
             if name == "_" and not word:
                 body = f"{print_term(dom, _PREC_SIGMA)} -> {print_term(cod, _PREC_ARROW)}"
             else:
-                ann = f" @ {'.'.join(word)}" if word else ""
+                ann = f" @ {format_word(word)}" if word else ""
                 body = f"({name} : {print_term(dom)}{ann}) -> {print_term(cod, _PREC_ARROW)}"
             return par(body, _PREC_ARROW)
         case SSigma(name, dom, cod):
@@ -807,13 +750,13 @@ def print_term(t: STerm, prec: int = 0) -> str:
                 f"{print_term(fc)}, {print_term(b)})"
             )
         case SModify(word, body):
-            return f"<{'.'.join(word) or '1'}| {print_term(body)}>"
+            return f"<{format_word(word)}| {print_term(body)}>"
         case SMkMod(word, body):
-            return f"mod{{{'.'.join(word) or '1'}}}({print_term(body)})"
+            return f"mod{{{format_word(word)}}}({print_term(body)})"
         case SLetMod(word, name, frame, scrut, body):
-            fr = f"[{'.'.join(frame)}]" if frame else ""
+            fr = f"[{format_word(frame)}]" if frame else ""
             return par(
-                f"let mod{{{'.'.join(word) or '1'}}}({name}) ={fr} "
+                f"let mod{{{format_word(word)}}}({name}) ={fr} "
                 f"{print_term(scrut)} in {print_term(body)}",
                 _PREC_ARROW,
             )
@@ -824,7 +767,7 @@ def print_term(t: STerm, prec: int = 0) -> str:
         case SCoe(cell, arg):
             return f"coe{{{format_cell(cell)}}}({print_term(arg)})"
         case SAnnot(term, ty, word):
-            ann = f" @ {'.'.join(word)}" if word else ""
+            ann = f" @ {format_word(word)}" if word else ""
             return f"({print_term(term)} : {print_term(ty)}{ann})"
         case SLift(arg):
             return par(f"Lift {print_term(arg, _PREC_ATOM)}", _PREC_APP)

@@ -35,6 +35,7 @@ from trikernel import kernel
 from trikernel.diagnostics import KernelError
 from trikernel.kernel import Checker, print_core
 from trikernel.modality import cell_whisker, generator_cell, identity_cell
+from trikernel.prelude import load_prelude
 from trikernel.record import fields
 from trikernel.syntax import parse_module, parse_term
 
@@ -522,3 +523,64 @@ def test_distinct_interval_atoms_stay_distinct():
         CONGRUENCE_HEADER + "def t : (i j : Int) -> f (i /\\ j) = f (i \\/ j) := fun i j => refl\n",
         "E-CONV",
     )
+
+
+def run_with_prelude(text):
+    checker = Checker()
+    assert load_prelude(checker) == []
+    return checker.check_source(text, "test.ttt")
+
+
+CELL_TYPE = "(A : U 0) -> (x : A) -> <a| (i : Int) -> A>"
+CELL_DEF = "def c : " + CELL_TYPE + " := fun A x => mod{a}(fun i => x^{%s})"
+COE_DEF = "def c : (A : U 0) -> A -> <s| A> := fun A y => coe{%s}(y)"
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        # a composite cell under two path locks
+        ("def c : (A : U 0) -> (x : A) -> <a| (i : Int) -> <a| (j : Int) -> A>>"
+         " := fun A x => mod{a}(fun i => mod{a}(fun j => x^{eta_pa ; eta_pa*a.p}))", None),
+        (CELL_DEF % "eta_pa ; eta_gs",
+         ("E-2CELL-BOUNDARY", 1, 83, "cannot compose a.p with 1")),
+        # composition is checked when elaborating, so fail-check catches it
+        ('fail-check "E-2CELL-BOUNDARY" (fun A x => mod{a}(fun i => x^{eta_pa ; eta_gs}))'
+         " : " + CELL_TYPE, None),
+        (CELL_DEF % "id(1) ; eta_pa", None),
+        # a missing cell against an identity cell
+        ("def c : (A : U 0) -> (x : A) -> x^{id(1)} = x := fun A x => refl", None),
+        ("def c : (A : U 0) -> (x : A) -> A := fun A x => x^{eta_pa}",
+         ("E-2CELL-BOUNDARY", 1, 49, "cell on 'x' ends at a.p but the locks compose to 1")),
+        (COE_DEF % "eta_gs ; id(s)", None),
+        (COE_DEF % "eta_gs ; eta_pa", ("E-2CELL-BOUNDARY", 1, 48, "cannot compose s with 1")),
+    ],
+)
+def test_composite_and_identity_cells(source, expected):
+    diags = run_with_prelude(source + "\n")
+    if expected is None:
+        assert diags == [], [d.render() for d in diags]
+    else:
+        assert [(d.code, d.line, d.column, d.message) for d in diags] == [expected]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "axiom P : U 1 * U 1\naxiom y : snd P\n"
+        'check (y = y) : U 1\nfail-check "E-UNIVERSE" (y = y) : U 0\n',
+        "axiom P : U 1 * U 1\naxiom y : fst P\n"
+        'check (y = y) : U 1\nfail-check "E-UNIVERSE" (y = y) : U 0\n',
+        "axiom L : Lift (U 0)\naxiom y : down L\ncheck (y = y) : U 0\n",
+        "axiom T : U 0\naxiom a : T\naxiom b : T\naxiom e : a = b\n"
+        "axiom y : J(fun z q => U 0, Int, e)\ncheck (y = y) : U 0\n",
+        "axiom n : Nat\naxiom y : natrec(fun k => U 0, Int, fun k r => r, n)\n"
+        "check (y = y) : U 0\n",
+        "axiom c : Bool\naxiom y : boolrec(fun k => U 0, Int, Nat, c)\ncheck (y = y) : U 0\n",
+        'axiom y : Lift (U 0)\ncheck (y = y) : U 2\nfail-check "E-UNIVERSE" (y = y) : U 1\n',
+    ],
+)
+def test_universe_of_a_type_headed_by_an_eliminator(source):
+    # `lhs = rhs` takes its universe from the synthesised type of `lhs`
+    diags = run_with_prelude(source)
+    assert diags == [], [d.render() for d in diags]

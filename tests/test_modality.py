@@ -10,8 +10,8 @@ from trikernel.modality import (
     RULES,
     ModeError,
     Step,
+    TwoCell,
     cell_eq,
-    cell_from_steps,
     cell_normalize,
     cell_search,
     cell_vcomp,
@@ -253,4 +253,4 @@ def test_search_soundness_random_pairs():
 
 def test_cell_from_steps_boundary_mismatch():
     with pytest.raises(ModeError):
-        cell_from_steps(("g",), [Step((), "eta_pa", ())])
+        TwoCell(("g",), ("a", "p"), (Step((), "eta_pa", ()),)).validate()

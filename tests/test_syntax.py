@@ -9,13 +9,12 @@ import pytest
 
 from trikernel.diagnostics import KernelError
 from trikernel import syntax
+from trikernel.modality import generator_cell, identity_cell
 from trikernel.syntax import (
     Decl,
     SAnnot,
     SApp,
-    SCell,
     SCellApp,
-    SCellFactor,
     SConstT,
     SEq,
     SFst,
@@ -85,15 +84,15 @@ def test_modal_forms():
 
 def test_cell_application():
     t = parse_term("x^{eta_pa}")
-    assert t == SCellApp(SVar("x"), SCell((SCellFactor((), "eta_pa", ()),)))
+    assert t == SCellApp(SVar("x"), (generator_cell("eta_pa"),))
     t = parse_term("(A^{eta_pa}) . i")
     assert t == SInst(
-        SCellApp(SVar("A"), SCell((SCellFactor((), "eta_pa", ()),))), SVar("i")
+        SCellApp(SVar("A"), (generator_cell("eta_pa"),)), SVar("i")
     )
     t = parse_term("x^{g*eta_gs*s ; eps0}")
     assert t == SCellApp(
         SVar("x"),
-        SCell((SCellFactor(("g",), "eta_gs", ("s",)), SCellFactor((), "eps0", ()))),
+        (generator_cell("eta_gs", ("g",), ("s",)), generator_cell("eps0")),
     )
 
 
@@ -136,6 +135,13 @@ def test_print_parse_examples_roundtrip():
         assert parse_term(print_term(first)) == first, text
 
 
+def test_cell_whisker_words_print_in_normal_form():
+    # a parsed cell holds the kernel's 2-cells, whose words are normalised
+    for text, printed in [("x^{g.g*eps0}", "x^{g*eps0}"), ("coe{id(s.s)}(t)", "coe{id(s)}(t)")]:
+        assert print_term(parse_term(text)) == printed
+        assert parse_term(printed) == parse_term(text)
+
+
 def _random_name(rng):
     return rng.choice(["x", "y", "z", "f", "A", "B", "P"])
 
@@ -149,10 +155,10 @@ def _random_cell(rng):
     for _ in range(rng.randint(1, 2)):
         gen = rng.choice(["eps_gs", "eta_gs", "eps_pa", "eta_pa", "eps0", "id"])
         if gen == "id":
-            factors.append(SCellFactor((), "id", (), _random_word(rng)))
+            factors.append(identity_cell(_random_word(rng)))
         else:
-            factors.append(SCellFactor(_random_word(rng), gen, _random_word(rng)))
-    return SCell(tuple(factors))
+            factors.append(generator_cell(gen, _random_word(rng), _random_word(rng)))
+    return tuple(factors)
 
 
 def _random_ast(rng, depth):
