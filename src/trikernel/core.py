@@ -214,49 +214,47 @@ def mk_mkmod(word: Word, body: Term) -> Term:
 # ---------------------------------------------------------------------------
 
 
-def _children(t: Term) -> list[tuple[str, Term, int, Word]]:
-    """Each subterm of `t` as (field, child, binders, locks).
+# Each term former with a subterm: its (field, binders, locks) rows, in field
+# order.  `binders` counts the variables the child binds beyond the term's
+# scope; `locks` is the word the 2-cell action whiskers by on entering the
+# child: a modal binder's word, the frame of a ``LetMod`` scrutinee, and ``p``
+# for the codomain of a Pi whose domain is literally ``Int``.  The formers
+# whose binders or locks depend on the node give a function of the node.
+_ARG = (("arg", 0, ()),)
+_LHS_RHS = (("lhs", 0, ()), ("rhs", 0, ()))
+_ROWS = {
+    Pi: lambda t: (("dom", 0, t.word), ("cod", 1, ("p",) if type(t.dom) is IntT else ())),
+    Lam: (("body", 1, ()),),
+    App: (("fn", 0, ()), ("arg", 0, ())),
+    Sigma: (("dom", 0, ()), ("cod", 1, ())),
+    Pair: (("fst", 0, ()), ("snd", 0, ())),
+    Fst: _ARG,
+    Snd: _ARG,
+    Suc: _ARG,
+    Up: _ARG,
+    Down: _ARG,
+    LiftT: (("ty", 0, ()),),
+    IdT: (("ty", 0, ()), ("lhs", 0, ()), ("rhs", 0, ())),
+    J: (("motive", 2, ()), ("base", 0, ()), ("eq", 0, ())),
+    NatRec: (("motive", 1, ()), ("zcase", 0, ()), ("scase", 2, ()), ("scrut", 0, ())),
+    BoolRec: (("motive", 1, ()), ("tcase", 0, ()), ("fcase", 0, ()), ("scrut", 0, ())),
+    MeetT: _LHS_RHS,
+    JoinT: _LHS_RHS,
+    Modify: lambda t: (("ty", npee(t.word), t.word),),
+    MkMod: lambda t: (("body", npee(t.word), t.word),),
+    LetMod: lambda t: (("scrut", 0, t.frame), ("body", 1, ())),
+}
 
-    `binders` counts the variables the child binds beyond `t`'s scope; `locks`
-    is the word the 2-cell action whiskers by on entering the child: a modal
-    binder's word, the frame of a ``LetMod`` scrutinee, and ``p`` for the
-    codomain of a Pi whose domain is literally ``Int``.
-    """
-    match t:
-        case Pi(word, dom, cod):
-            return [("dom", dom, 0, word), ("cod", cod, 1, ("p",) if dom == IntT() else ())]
-        case Lam(body):
-            return [("body", body, 1, ())]
-        case App(fn, arg):
-            return [("fn", fn, 0, ()), ("arg", arg, 0, ())]
-        case Sigma(dom, cod):
-            return [("dom", dom, 0, ()), ("cod", cod, 1, ())]
-        case Pair(a, b):
-            return [("fst", a, 0, ()), ("snd", b, 0, ())]
-        case Fst(arg) | Snd(arg) | Suc(arg) | Up(arg) | Down(arg):
-            return [("arg", arg, 0, ())]
-        case LiftT(ty):
-            return [("ty", ty, 0, ())]
-        case IdT(ty, lhs, rhs):
-            return [("ty", ty, 0, ()), ("lhs", lhs, 0, ()), ("rhs", rhs, 0, ())]
-        case J(motive, base, eq):
-            return [("motive", motive, 2, ()), ("base", base, 0, ()), ("eq", eq, 0, ())]
-        case NatRec(motive, z, s, n):
-            return [("motive", motive, 1, ()), ("zcase", z, 0, ()), ("scase", s, 2, ()),
-                    ("scrut", n, 0, ())]
-        case BoolRec(motive, tc, fc, b):
-            return [("motive", motive, 1, ()), ("tcase", tc, 0, ()), ("fcase", fc, 0, ()),
-                    ("scrut", b, 0, ())]
-        case MeetT(lhs, rhs) | JoinT(lhs, rhs):
-            return [("lhs", lhs, 0, ()), ("rhs", rhs, 0, ())]
-        case Modify(word, ty):
-            return [("ty", ty, npee(word), word)]
-        case MkMod(word, body):
-            return [("body", body, npee(word), word)]
-        case LetMod(frame, _, scrut, body):
-            return [("scrut", scrut, 0, frame), ("body", body, 1, ())]
-        case _:
-            return []
+
+def _rows(t: Term) -> tuple[tuple[str, int, Word], ...]:
+    """The (field, binders, locks) rows of `t`; none for a leaf."""
+    rows = _ROWS.get(type(t), ())
+    return rows if type(rows) is tuple else rows(t)
+
+
+def _children(t: Term) -> list[tuple[str, Term, int, Word]]:
+    """Each subterm of `t` as (field, child, binders, locks)."""
+    return [(name, getattr(t, name), binders, locks) for name, binders, locks in _rows(t)]
 
 
 # The fields of each term former in order, and those that hold no subterm:
@@ -287,7 +285,7 @@ def syn_eq(a: Term, b: Term) -> bool:
             continue
         if type(a) is not type(b) or not same_data(a, b):
             return False
-        todo.extend((x[1], y[1]) for x, y in zip(_children(a), _children(b)))
+        todo.extend((getattr(a, name), getattr(b, name)) for name, _, _ in _rows(a))
     return True
 
 
@@ -297,23 +295,28 @@ def subterms(t: Term) -> Iterator[tuple[Term, int]]:
     while todo:
         u, depth = todo.pop()
         yield u, depth
-        todo.extend((child, depth + binders) for _, child, binders, _ in _children(u))
+        todo.extend((getattr(u, name), depth + binders) for name, binders, _ in _rows(u))
 
 
 def _map(t: Term, fn: Callable[[Var, int, Word], Term], depth: int = 0,
          locks: Word = ()) -> Term:
     """Rebuild `t` with `fn(var, depth, locks)` in place of every variable."""
-    if isinstance(t, Var):
+    cls = type(t)
+    if cls is Var:
         return fn(t, depth, locks)
+    rows = _rows(t)
+    if not rows:
+        return t
     changes = {}
-    for name, child, binders, word in _children(t):
+    for name, binders, word in rows:
+        child = getattr(t, name)
         new = _map(child, fn, depth + binders, locks + word if word else locks)
         if new is not child:
             changes[name] = new
     if not changes:
         return t
-    return type(t)(*[changes[name] if name in changes else getattr(t, name)
-                     for name in _FIELDS[type(t)]])
+    return cls(*[changes[name] if name in changes else getattr(t, name)
+                 for name in _FIELDS[cls]])
 
 
 def shift(t: Term, by: int, cutoff: int = 0) -> Term:
@@ -329,7 +332,8 @@ def shift(t: Term, by: int, cutoff: int = 0) -> Term:
 
 
 def _substitute(t: Term, args: tuple[Term, ...], target: int) -> Term:
-    """Put `args[k]` for Var(target + k), lowering the indices above them.
+    """Put `args` for the variables Var(target + len(args) - 1) .. Var(target),
+    the last of `args` for Var(target), lowering the indices above them.
 
     One pass over `t`; a substituted term is shifted under the binders it
     lands beneath, and not walked otherwise.  A variable carrying a 2-cell
@@ -344,7 +348,7 @@ def _substitute(t: Term, args: tuple[Term, ...], target: int) -> Term:
             return v
         if k >= n:
             return Var(v.ix - n, v.cell)
-        replacement = shift(args[k], depth)
+        replacement = shift(args[n - 1 - k], depth)
         if v.cell is not None and not v.cell.is_identity():
             replacement = apply_cell(replacement, v.cell)
         return replacement
@@ -357,9 +361,14 @@ def subst(t: Term, arg: Term, target: int = 0) -> Term:
     return _substitute(t, (arg,), target)
 
 
-def subst2(t: Term, outer: Term, inner: Term) -> Term:
-    """Substitute into a term binding two variables (outer = Var 1)."""
-    return _substitute(t, (inner, outer), 0)
+def instantiate(t: Term, args: tuple[Term, ...]) -> Term:
+    """Substitute into a term binding ``len(args)`` variables, in one pass.
+
+    `args` are in binding order, outermost first, so the last is Var 0: the
+    body of ``fun x y => b`` applied to ``a c`` is ``instantiate(b, (a, c))``,
+    the same term as substituting one argument at a time.
+    """
+    return _substitute(t, args, 0)
 
 
 def free_in(t: Term, target: int = 0) -> bool:

@@ -56,6 +56,7 @@ from .core import (
     apply_cell,
     constants,
     free_in,
+    instantiate,
     mk_mkmod,
     mk_modify,
     nat_literal,
@@ -64,7 +65,6 @@ from .core import (
     shift,
     strip_trailing_p,
     subst,
-    subst2,
     syn_eq,
 )
 from .diagnostics import Diagnostic, KernelError, LineMap
@@ -95,6 +95,11 @@ class GlobalDef:
 def unshift_unused(t: Term) -> Term:
     """Drop an unused innermost binder (Var 0 must not occur)."""
     return subst(t, Refl(), 0)
+
+
+# The formers that `Checker.whnf` can reduce; any other term is already in
+# weak-head normal form.
+_REDEX_FORMERS = frozenset({Const, App, Fst, Snd, J, NatRec, BoolRec, LetMod, Down, MeetT, JoinT})
 
 
 class Checker:
@@ -130,17 +135,30 @@ class Checker:
     # -- weak-head normalization ----------------------------------------------
 
     def whnf(self, t: Term) -> Term:
+        if type(t) not in _REDEX_FORMERS:
+            return t
         match t:
             case Const(name):
                 entry = self.globals.get(name)
                 if entry is not None and entry.body is not None:
                     return self.whnf(entry.body)
                 return t
-            case App(fn, arg):
-                fw = self.whnf(fn)
-                if isinstance(fw, Lam):
-                    return self.whnf(subst(fw.body, arg))
-                return App(fw, arg)
+            case App():
+                # the whole spine at once: the head's leading lambdas take
+                # their arguments in one substitution pass
+                args, head = [], t
+                while type(head) is App:
+                    args.append(head.arg)
+                    head = head.fn
+                args.reverse()
+                hw = self.whnf(head)
+                body, taken = hw, 0
+                while taken < len(args) and type(body) is Lam:
+                    body, taken = body.body, taken + 1
+                if taken == 0:
+                    return t if hw is head else functools.reduce(App, args, hw)
+                out = instantiate(body, tuple(args[:taken]))
+                return self.whnf(functools.reduce(App, args[taken:], out))
             case Fst(p):
                 pw = self.whnf(p)
                 if isinstance(pw, Pair):
@@ -162,7 +180,7 @@ class Checker:
                     return self.whnf(zcase)
                 if isinstance(nw, Suc):
                     rec = NatRec(motive, zcase, scase, nw.arg)
-                    return self.whnf(subst2(scase, nw.arg, rec))
+                    return self.whnf(instantiate(scase, (nw.arg, rec)))
                 return NatRec(motive, zcase, scase, nw)
             case BoolRec(motive, tcase, fcase, scrut):
                 bw = self.whnf(scrut)
@@ -336,7 +354,7 @@ class Checker:
                 ety = self.whnf(self.type_of(ctx, eq))
                 if not isinstance(ety, IdT):
                     self.err("E-CONV", "path eliminator on a non-path")
-                return subst2(motive, ety.rhs, eq)
+                return instantiate(motive, (ety.rhs, eq))
             case NatRec(motive, _, _, scrut) | BoolRec(motive, _, _, scrut):
                 return subst(motive, scrut)
             case LetMod(frame, word, scrut, body):
@@ -613,9 +631,9 @@ class Checker:
                     IdT(shift(etyw.ty, 1), shift(etyw.lhs, 1), Var(0)),
                 )
                 mbody, _ = self.elab_type(ctx_m, motive.body.body)
-                base_ty = subst2(mbody, etyw.lhs, Refl())
+                base_ty = instantiate(mbody, (etyw.lhs, Refl()))
                 bc = self.check(ctx, base, base_ty)
-                return J(mbody, bc, ec), subst2(mbody, etyw.rhs, ec)
+                return J(mbody, bc, ec), instantiate(mbody, (etyw.rhs, ec))
             case syntax.SNatRec(motive, zcase, scase, scrut):
                 nc = self.check(ctx, scrut, NatT())
                 if not isinstance(motive, syntax.SLam):
@@ -1039,9 +1057,16 @@ def readback(t: Term, names: list[str]) -> syntax.STerm:
                 return syntax.SJ(mot, go(base, scope), go(eq, scope))
             case NatRec(motive, zcase, scase, scrut):
                 n = fresh("n", scope)
-                k = fresh("k", scope)
-                r = fresh("r", scope + [k])
-                sc = syntax.SLam(k, syntax.SLam(r, go(scase, scope + [k, r])))
+                match scase:
+                    # the elaborated form of a step function s, applied to the
+                    # predecessor and the recursive value: print s itself
+                    case App(App(s, Var(1, None)), Var(0, None)) if not (
+                            free_in(s, 0) or free_in(s, 1)):
+                        sc = go(shift(s, -2), scope)
+                    case _:
+                        k = fresh("k", scope)
+                        r = fresh("r", scope + [k])
+                        sc = syntax.SLam(k, syntax.SLam(r, go(scase, scope + [k, r])))
                 return syntax.SNatRec(syntax.SLam(n, go(motive, scope + [n])),
                                       go(zcase, scope), sc, go(scrut, scope))
             case BoolRec(motive, tcase, fcase, scrut):

@@ -133,7 +133,8 @@ def test_check_negative_file_json(capsys):
     [
         "def t : Nat := " + "(" * 3000 + "zero" + ")" * 3000 + "\n",
         "def k : Nat -> Nat -> Nat := fun a b => a\n"
-        "def t : k 3000 zero = 3000 := refl\n",
+        "def f : Nat -> Nat := fun b => 3000\n"
+        "def t : k 3000 = f := refl\n",
     ],
     ids=["deep-parentheses", "deep-literal-under-binder"],
 )

@@ -16,8 +16,23 @@ from trikernel.corpus import (
     run_corpus,
 )
 from trikernel import kernel
-from trikernel.core import Const, Ctx
+from trikernel.core import (
+    App,
+    Const,
+    Ctx,
+    IntT,
+    Lam,
+    MkMod,
+    Pair,
+    Pi,
+    Suc,
+    Var,
+    Zero,
+    subst,
+    subterms,
+)
 from trikernel.kernel import Checker, print_core
+from trikernel.modality import ModeError, generator_cell
 from trikernel.prelude import load_prelude, parse_metadata, read_prelude
 from trikernel.syntax import parse_module, parse_term, print_decl
 
@@ -198,6 +213,98 @@ def test_syntactic_shortcut_agrees_with_slow_conversion(monkeypatch):
     slow = [checker.conv_str(a, b) for a, b in pairs]
     assert fast == slow
     assert 0 < fast.count(False) < len(pairs)
+
+
+class OneSubstPerArgument(Checker):
+    """Reference beta reduction: one application, and one `subst`, at a time."""
+
+    def whnf(self, t):
+        if isinstance(t, App):
+            fw = self.whnf(t.fn)
+            if isinstance(fw, Lam):
+                return self.whnf(subst(fw.body, t.arg))
+            return App(fw, t.arg)
+        return super().whnf(t)
+
+
+def reference_for(checker):
+    """A reference checker sharing `checker`'s globals and interval atoms."""
+    reference = OneSubstPerArgument()
+    vars(reference).update(vars(checker))
+    return reference
+
+
+def test_one_pass_beta_agrees_with_one_subst_per_argument_on_the_library():
+    checker = library_checker()
+    reference = reference_for(checker)
+    roots = [g.ty for g in checker.globals.values()]
+    roots += [g.body for g in checker.globals.values() if g.body is not None]
+    assert len(roots) == 218 + 180
+    apps = [u for root in roots for u, _ in subterms(root) if isinstance(u, App)]
+    assert len(apps) > 900
+    for app in apps:
+        assert checker.whnf(app) == reference.whnf(app), print_core(app)
+
+
+CELLS = (None, generator_cell("eta_gs"), generator_cell("eps_gs"), generator_cell("eta_pa"))
+
+
+def random_term(rng, scope, size):
+    """A small open term over `scope` variables; variables may carry cells."""
+    if size <= 0 or rng.random() < 0.25:
+        return rng.choice([Var(rng.randrange(scope + 2), rng.choice(CELLS)), Zero()])
+    former = rng.randrange(6)
+    if former == 0:
+        return Lam(random_term(rng, scope + 1, size - 1))
+    if former == 1:  # an interval binder is a path lock
+        return Pi((), IntT(), random_term(rng, scope + 1, size - 1))
+    if former == 2:
+        return MkMod(("g",), random_term(rng, scope, size - 1))
+    if former == 3:
+        return Suc(random_term(rng, scope, size - 1))
+    binary = App if former == 4 else Pair
+    return binary(random_term(rng, scope, size // 2), random_term(rng, scope, size // 2))
+
+
+def test_one_pass_beta_agrees_with_one_subst_per_argument_on_random_spines():
+    checker = Checker()
+    reference = reference_for(checker)
+    rng = random.Random(10)
+    reduced = 0
+    for _ in range(2000):
+        arity = rng.randint(1, 4)
+        lams = rng.randint(0, arity)
+        head = random_term(rng, lams, 6)
+        for _ in range(lams):
+            head = Lam(head)
+        term = head
+        for _ in range(arity):
+            term = App(term, random_term(rng, 0, 3))
+        try:
+            expected = reference.whnf(term)
+        except ModeError:  # an ill-typed cell composite
+            expected = ModeError
+        try:
+            got = checker.whnf(term)
+        except ModeError:
+            got = ModeError
+        assert got == expected, term
+        reduced += expected is not ModeError
+    assert reduced > 1500
+
+
+def test_printed_definition_bodies_check_against_their_types():
+    """Only `id_is_equiv` still prints a body that does not check: its J
+    motive has a bare pair on the left of an equation."""
+    checker = library_checker()
+    failing = set()
+    for name in checker.global_order:
+        entry = checker.globals[name]
+        if entry.body is not None:
+            text = f"check ({print_core(entry.body)}) : {print_core(entry.ty)}"
+            if checker.check_source(text, name):
+                failing.add(name)
+    assert failing == {"id_is_equiv"}
 
 
 def test_alias_of_int_changes_no_verdict():

@@ -6,22 +6,37 @@ import pytest
 
 from trikernel.core import (
     App,
+    BoolRec,
     Const,
     Ctx,
+    Down,
+    FalseC,
+    Fst,
     I0,
+    I1,
     IntT,
+    J,
     JoinT,
     Lam,
     LetMod,
     MeetT,
     MkMod,
     Modify,
+    NatRec,
     NatT,
+    Pair,
     Pi,
+    Refl,
     Sigma,
+    Snd,
+    Suc,
     Term,
+    TrueC,
     Univ,
+    Up,
     Var,
+    Zero,
+    _ROWS,
     _children,
     apply_cell,
     mk_mkmod,
@@ -326,6 +341,36 @@ def test_children_lists_every_term_field_in_order():
         assert [(name, child) for name, child, *_ in _children(term)] == expected, cls
 
 
+def test_binding_table_has_a_row_for_exactly_the_formers_with_subterms():
+    formers = {cls for cls in Term.__subclasses__() if "Term" in fields(cls).values()}
+    assert set(_ROWS) == formers
+
+
+def test_whnf_reduces_a_redex_of_every_redex_former():
+    # a former missing from the set would be returned unreduced
+    checker = Checker()
+    checker.globals["c"] = kernel.GlobalDef("c", "def", NatT(), Zero())
+    step = Suc(Var(0))
+    samples = [
+        (Const("c"), Zero()),
+        (App(Lam(Suc(Var(0))), Zero()), Suc(Zero())),
+        (Fst(Pair(Zero(), TrueC())), Zero()),
+        (Snd(Pair(Zero(), TrueC())), TrueC()),
+        (J(NatT(), Zero(), Refl()), Zero()),
+        (NatRec(NatT(), TrueC(), step, Zero()), TrueC()),
+        (NatRec(NatT(), Zero(), step, Suc(Zero())), Suc(NatRec(NatT(), Zero(), step, Zero()))),
+        (BoolRec(NatT(), Zero(), Suc(Zero()), TrueC()), Zero()),
+        (BoolRec(NatT(), Zero(), Suc(Zero()), FalseC()), Suc(Zero())),
+        (LetMod((), ("g",), MkMod(("g",), Zero()), Var(0)), Zero()),
+        (Down(Up(Zero())), Zero()),
+        (MeetT(Var(0), I0()), I0()),
+        (JoinT(Var(0), I1()), I1()),
+    ]
+    assert {type(redex) for redex, _ in samples} == kernel._REDEX_FORMERS
+    for redex, reduct in samples:
+        assert checker.whnf(redex) == reduct, redex
+
+
 def test_apply_cell_whiskers_exactly_at_locks():
     eta = generator_cell("eta_pa")
 
@@ -461,11 +506,19 @@ def test_permuted_meet_of_joins_under_a_function_is_fast():
 def test_too_deep_input_is_a_depth_diagnostic():
     diag = run_fail("def t : Nat := " + "(" * 3000 + "zero" + ")" * 3000, "E-DEPTH")
     assert diag.span == (0, 0)
-    # the equation holds, but beta reduction shifts the 3000-deep literal
-    # under the inner binder recursively
-    text = "def k : Nat -> Nat -> Nat := fun a b => a\ndef t : k 3000 zero = 3000 := refl\n"
+    # the equation holds, but `k 3000` substitutes the 3000-deep literal
+    # under the inner binder, which shifts it recursively
+    text = ("def k : Nat -> Nat -> Nat := fun a b => a\n"
+            "def f : Nat -> Nat := fun b => 3000\n"
+            "def t : k 3000 = f := refl\n")
     diag = run_fail(text, "E-DEPTH")
-    assert text[diag.span[0] : diag.span[1]] == "def t : k 3000 zero = 3000 := refl"
+    assert text[diag.span[0] : diag.span[1]] == "def t : k 3000 = f := refl"
+
+
+def test_beta_substitutes_every_argument_at_depth_zero():
+    # both arguments go in at once, so the literal lands under no binder and
+    # is not shifted; one substitution per argument would shift it under `b`
+    run_ok("def k : Nat -> Nat -> Nat := fun a b => a\ndef t : k 3000 zero = 3000 := refl\n")
 
 
 def test_natrec_on_a_large_literal_reduces_without_deep_recursion():
