@@ -96,7 +96,7 @@ class Suc(Term):
 class NatRec(Term):
     motive: Term  # binds 1
     zcase: Term
-    scase: Term  # binds 2: predecessor, recursive value
+    scase: Term  # the step function: predecessor, then recursive value
     scrut: Term
 
 
@@ -218,12 +218,15 @@ def mk_mkmod(word: Word, body: Term) -> Term:
 # order.  `binders` counts the variables the child binds beyond the term's
 # scope; `locks` is the word the 2-cell action whiskers by on entering the
 # child: a modal binder's word, the frame of a ``LetMod`` scrutinee, and ``p``
-# for the codomain of a Pi whose domain is literally ``Int``.  The formers
-# whose binders or locks depend on the node give a function of the node.
+# for the codomain of a Pi that binds an interval variable, which is what the
+# checker's context marks: an unannotated binder whose domain is ``Int`` (the
+# elaborator stores every interval domain as ``IntT``).  The formers whose
+# binders or locks depend on the node give a function of the node.
 _ARG = (("arg", 0, ()),)
 _LHS_RHS = (("lhs", 0, ()), ("rhs", 0, ()))
 _ROWS = {
-    Pi: lambda t: (("dom", 0, t.word), ("cod", 1, ("p",) if type(t.dom) is IntT else ())),
+    Pi: lambda t: (("dom", 0, t.word),
+                   ("cod", 1, ("p",) if not t.word and type(t.dom) is IntT else ())),
     Lam: (("body", 1, ()),),
     App: (("fn", 0, ()), ("arg", 0, ())),
     Sigma: (("dom", 0, ()), ("cod", 1, ())),
@@ -236,7 +239,7 @@ _ROWS = {
     LiftT: (("ty", 0, ()),),
     IdT: (("ty", 0, ()), ("lhs", 0, ()), ("rhs", 0, ())),
     J: (("motive", 2, ()), ("base", 0, ()), ("eq", 0, ())),
-    NatRec: (("motive", 1, ()), ("zcase", 0, ()), ("scase", 2, ()), ("scrut", 0, ())),
+    NatRec: (("motive", 1, ()), ("zcase", 0, ()), ("scase", 0, ()), ("scrut", 0, ())),
     BoolRec: (("motive", 1, ()), ("tcase", 0, ()), ("fcase", 0, ()), ("scrut", 0, ())),
     MeetT: _LHS_RHS,
     JoinT: _LHS_RHS,
@@ -250,11 +253,6 @@ def _rows(t: Term) -> tuple[tuple[str, int, Word], ...]:
     """The (field, binders, locks) rows of `t`; none for a leaf."""
     rows = _ROWS.get(type(t), ())
     return rows if type(rows) is tuple else rows(t)
-
-
-def _children(t: Term) -> list[tuple[str, Term, int, Word]]:
-    """Each subterm of `t` as (field, child, binders, locks)."""
-    return [(name, getattr(t, name), binders, locks) for name, binders, locks in _rows(t)]
 
 
 # The fields of each term former in order, and those that hold no subterm:
@@ -331,19 +329,26 @@ def shift(t: Term, by: int, cutoff: int = 0) -> Term:
     return _map(t, bump)
 
 
-def _substitute(t: Term, args: tuple[Term, ...], target: int) -> Term:
-    """Put `args` for the variables Var(target + len(args) - 1) .. Var(target),
-    the last of `args` for Var(target), lowering the indices above them.
+def subst(t: Term, arg: Term) -> Term:
+    """Substitute `arg` for Var 0, lowering the indices above it."""
+    return instantiate(t, (arg,))
 
-    One pass over `t`; a substituted term is shifted under the binders it
-    lands beneath, and not walked otherwise.  A variable carrying a 2-cell
-    annotation transfers the annotation onto the substituted term through the
-    2-cell action.
+
+def instantiate(t: Term, args: tuple[Term, ...]) -> Term:
+    """Substitute into a term binding ``len(args)`` variables, in one pass.
+
+    `args` are in binding order, outermost first, so the last is Var 0: the
+    body of ``fun x y => b`` applied to ``a c`` is ``instantiate(b, (a, c))``,
+    the same term as substituting one argument at a time.  The indices above
+    the bound variables are lowered.  A substituted term is shifted under the
+    binders it lands beneath, and not walked otherwise.  A variable carrying
+    a 2-cell annotation transfers the annotation onto the substituted term
+    through the 2-cell action.
     """
     n = len(args)
 
     def hit(v: Var, depth: int, locks: Word) -> Term:
-        k = v.ix - target - depth
+        k = v.ix - depth
         if k < 0:
             return v
         if k >= n:
@@ -356,23 +361,9 @@ def _substitute(t: Term, args: tuple[Term, ...], target: int) -> Term:
     return _map(t, hit)
 
 
-def subst(t: Term, arg: Term, target: int = 0) -> Term:
-    """Substitute `arg` for Var(target), lowering the indices above it."""
-    return _substitute(t, (arg,), target)
-
-
-def instantiate(t: Term, args: tuple[Term, ...]) -> Term:
-    """Substitute into a term binding ``len(args)`` variables, in one pass.
-
-    `args` are in binding order, outermost first, so the last is Var 0: the
-    body of ``fun x y => b`` applied to ``a c`` is ``instantiate(b, (a, c))``,
-    the same term as substituting one argument at a time.
-    """
-    return _substitute(t, args, 0)
-
-
-def free_in(t: Term, target: int = 0) -> bool:
-    return any(isinstance(u, Var) and u.ix == target + depth for u, depth in subterms(t))
+def free_in(t: Term) -> bool:
+    """Whether Var 0 occurs in `t`."""
+    return any(isinstance(u, Var) and u.ix == depth for u, depth in subterms(t))
 
 
 def constants(t: Term) -> set[str]:
@@ -389,7 +380,7 @@ def apply_cell(t: Term, cell: TwoCell) -> Term:
     """Push a 2-cell through a term, depositing annotations at variables.
 
     The action commutes with every term former; entering a child whiskers the
-    cell on the right by the child's locks in `_children` (a modal binder's
+    cell on the right by the child's locks in `_ROWS` (a modal binder's
     word, p for an interval binder).  Annotations accumulate at variables (and
     only there); no further computation rules are assumed.
     """

@@ -52,7 +52,7 @@ from .core import (
     Up,
     Var,
     Zero,
-    _children,
+    _rows,
     apply_cell,
     constants,
     free_in,
@@ -90,11 +90,6 @@ class GlobalDef:
     kind: str  # "axiom" | "def"
     ty: Term
     body: Optional[Term]
-
-
-def unshift_unused(t: Term) -> Term:
-    """Drop an unused innermost binder (Var 0 must not occur)."""
-    return subst(t, Refl(), 0)
 
 
 # The formers that `Checker.whnf` can reduce; any other term is already in
@@ -180,7 +175,7 @@ class Checker:
                     return self.whnf(zcase)
                 if isinstance(nw, Suc):
                     rec = NatRec(motive, zcase, scase, nw.arg)
-                    return self.whnf(instantiate(scase, (nw.arg, rec)))
+                    return self.whnf(App(App(scase, nw.arg), rec))
                 return NatRec(motive, zcase, scase, nw)
             case BoolRec(motive, tcase, fcase, scrut):
                 bw = self.whnf(scrut)
@@ -307,7 +302,7 @@ class Checker:
                 return tw.ix == uw.ix and self.cells_equal(tw.cell, uw.cell)
             if not same_data(tw, uw):
                 return False
-            kids = [(x[1], y[1]) for x, y in zip(_children(tw), _children(uw))]
+            kids = [(getattr(tw, n), getattr(uw, n)) for n, _, _ in _rows(tw)]
             if len(kids) != 1:
                 return all(self.conv_str(va, vb) for va, vb in kids)
             # tw and uw differ syntactically only in their one subterm: compare
@@ -573,7 +568,12 @@ class Checker:
                         "bind an interval variable instead",
                     )
                 dc, l1 = self.elab_type(ctx.lock(word), dom)
-                ctx2 = ctx.extend(name, word, dc, self.is_interval_type(dc, word))
+                # an interval domain is stored as `Int` itself, so that the
+                # binding table whiskers the codomain by p as the context does
+                is_interval = self.is_interval_type(dc, word)
+                if is_interval:
+                    dc = IntT()
+                ctx2 = ctx.extend(name, word, dc, is_interval)
                 cc, l2 = self.elab_type(ctx2, cod)
                 return Pi(word, dc, cc), Univ(max(l1, l2))
             case syntax.SSigma(name, dom, cod):
@@ -641,11 +641,10 @@ class Checker:
                 ctx_m = ctx.extend(motive.name, (), NatT())
                 mbody, _ = self.elab_type(ctx_m, motive.body)
                 zc = self.check(ctx, zcase, subst(mbody, Zero()))
-                step_cod = subst(shift(mbody, 2, cutoff=1), Suc(Var(1)), 0)
+                step_cod = subst(shift(mbody, 2, cutoff=1), Suc(Var(1)))
                 step_ty = Pi((), NatT(), Pi((), mbody, step_cod))
                 sc = self.check(ctx, scase, step_ty)
-                scase_open = App(App(shift(sc, 2), Var(1)), Var(0))
-                return NatRec(mbody, zc, scase_open, nc), subst(mbody, nc)
+                return NatRec(mbody, zc, sc, nc), subst(mbody, nc)
             case syntax.SBoolRec(motive, tcase, fcase, scrut):
                 bc = self.check(ctx, scrut, BoolT())
                 if not isinstance(motive, syntax.SLam):
@@ -854,9 +853,9 @@ class Checker:
     def _letmod_type(self, bty: Term) -> Term:
         """Type of a let-mod whose body has type `bty`, which may not mention
         the bound variable."""
-        if free_in(bty, 0):
+        if free_in(bty):
             self.err("E-CONV", "cannot infer a dependent let-mod; check it against a type")
-        return unshift_unused(bty)
+        return shift(bty, -1)
 
     def _elab_coe(self, ctx: Ctx, s: syntax.SCoe) -> tuple[Term, Term]:
         cell = self.elab_cell(s.cell)
@@ -1016,7 +1015,7 @@ def readback(t: Term, names: list[str]) -> syntax.STerm:
         return name
 
     def binder(body: Term, scope: list[str]) -> str:
-        return fresh("x", scope) if free_in(body, 0) else "_"
+        return fresh("x", scope) if free_in(body) else "_"
 
     def go(u: Term, scope: list[str]) -> syntax.STerm:
         match u:
@@ -1046,8 +1045,11 @@ def readback(t: Term, names: list[str]) -> syntax.STerm:
                 return syntax.SFst(go(arg, scope))
             case Snd(arg):
                 return syntax.SSnd(go(arg, scope))
-            case IdT(_, lhs, rhs):
-                return syntax.SEq(go(lhs, scope), go(rhs, scope))
+            case IdT(ty, lhs, rhs):
+                left = go(lhs, scope)
+                if isinstance(lhs, (Lam, Pair, Refl)):  # no type to infer
+                    left = syntax.SAnnot(left, go(ty, scope))
+                return syntax.SEq(left, go(rhs, scope))
             case Refl():
                 return syntax.SRefl()
             case J(motive, base, eq):
@@ -1057,18 +1059,8 @@ def readback(t: Term, names: list[str]) -> syntax.STerm:
                 return syntax.SJ(mot, go(base, scope), go(eq, scope))
             case NatRec(motive, zcase, scase, scrut):
                 n = fresh("n", scope)
-                match scase:
-                    # the elaborated form of a step function s, applied to the
-                    # predecessor and the recursive value: print s itself
-                    case App(App(s, Var(1, None)), Var(0, None)) if not (
-                            free_in(s, 0) or free_in(s, 1)):
-                        sc = go(shift(s, -2), scope)
-                    case _:
-                        k = fresh("k", scope)
-                        r = fresh("r", scope + [k])
-                        sc = syntax.SLam(k, syntax.SLam(r, go(scase, scope + [k, r])))
                 return syntax.SNatRec(syntax.SLam(n, go(motive, scope + [n])),
-                                      go(zcase, scope), sc, go(scrut, scope))
+                                      go(zcase, scope), go(scase, scope), go(scrut, scope))
             case BoolRec(motive, tcase, fcase, scrut):
                 b = fresh("b", scope)
                 return syntax.SBoolRec(syntax.SLam(b, go(motive, scope + [b])),

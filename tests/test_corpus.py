@@ -294,8 +294,9 @@ def test_one_pass_beta_agrees_with_one_subst_per_argument_on_random_spines():
 
 
 def test_printed_definition_bodies_check_against_their_types():
-    """Only `id_is_equiv` still prints a body that does not check: its J
-    motive has a bare pair on the left of an equation."""
+    """Every definition body prints as surface syntax that checks against its
+    printed type; an equation whose left side is a function, a pair or
+    `refl` prints that side with its type, which cannot be inferred."""
     checker = library_checker()
     failing = set()
     for name in checker.global_order:
@@ -304,7 +305,7 @@ def test_printed_definition_bodies_check_against_their_types():
             text = f"check ({print_core(entry.body)}) : {print_core(entry.ty)}"
             if checker.check_source(text, name):
                 failing.add(name)
-    assert failing == {"id_is_equiv"}
+    assert failing == set()
 
 
 def test_alias_of_int_changes_no_verdict():

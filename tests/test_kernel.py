@@ -37,7 +37,7 @@ from trikernel.core import (
     Var,
     Zero,
     _ROWS,
-    _children,
+    _rows,
     apply_cell,
     mk_mkmod,
     mk_modify,
@@ -167,6 +167,31 @@ def test_path_modal_type_is_interval_function():
         "def path_rt : (B : U 0) -> (f : <p| B>) -> "
         "f = (fun i => f i) := fun B f => refl"
     )
+
+
+@pytest.mark.parametrize("body", ["x", "fun i => x i"])
+def test_interval_domain_gives_one_verdict_whatever_its_spelling(body):
+    # the binding table and the context agree on whether a Pi binder is an
+    # interval, so a constant that unfolds to `Int` acts as `Int` does
+    def source(iv):
+        return (f"def t : (A : U 0 @ g) -> (x : ((i : {iv}) -> A) @ g) -> "
+                f"((i : {iv}) -> A) := fun A x => {body}")
+
+    literal = run_fail(source("Int"), "E-CONV")
+    alias = run_fail("def Iv : U 0 := Int\n" + source("Iv"), "E-CONV")
+    assert (alias.message, alias.expected, alias.actual) == (
+        literal.message, literal.expected, literal.actual)
+    cod = "Int -> " if body == "x" else ""
+    assert (literal.message, literal.expected, literal.actual) == (
+        "type mismatch", cod + "A^{eps0}", cod + "A^{eps0*p}")
+
+
+@pytest.mark.parametrize("body", ["x", "fun i => x i"])
+def test_modal_binder_of_type_int_is_not_a_path_lock(body):
+    # `i : Int @ g` is a g-modal hypothesis, not an interval variable, for
+    # the 2-cell action as for the context
+    run_ok("def t : (A : U 0 @ g) -> (x : ((i : Int @ g) -> A) @ g) -> "
+           f"((i : Int @ g) -> A) := fun A x => {body}")
 
 
 def test_modal_pi_application_locks_argument():
@@ -331,14 +356,14 @@ def test_apply_cell_whiskers_under_mod():
 
 
 def test_children_lists_every_term_field_in_order():
-    # a former missing from `_children` would be a leaf to shift, subst,
-    # apply_cell and syntactic equality
+    # a former missing from `_rows` would be a leaf to shift, subst,
+    # apply_cell, syntactic equality and conversion
     data = {"int": 0, "str": "c", "Word": ("o",), "Optional[TwoCell]": None}
     for cls in Term.__subclasses__():
         term = cls(**{name: Var(n) if ann == "Term" else data[ann]
                       for n, (name, ann) in enumerate(fields(cls).items())})
         expected = [(name, getattr(term, name)) for name, ann in fields(cls).items() if ann == "Term"]
-        assert [(name, child) for name, child, *_ in _children(term)] == expected, cls
+        assert [(name, getattr(term, name)) for name, *_ in _rows(term)] == expected, cls
 
 
 def test_binding_table_has_a_row_for_exactly_the_formers_with_subterms():
@@ -350,7 +375,7 @@ def test_whnf_reduces_a_redex_of_every_redex_former():
     # a former missing from the set would be returned unreduced
     checker = Checker()
     checker.globals["c"] = kernel.GlobalDef("c", "def", NatT(), Zero())
-    step = Suc(Var(0))
+    step = Lam(Lam(Suc(Var(0))))
     samples = [
         (Const("c"), Zero()),
         (App(Lam(Suc(Var(0))), Zero()), Suc(Zero())),
@@ -526,6 +551,25 @@ def test_natrec_on_a_large_literal_reduces_without_deep_recursion():
     # on the 2999-deep predecessor is not walked again
     double = "fun n => natrec(fun k => Nat, zero, fun k r => succ (succ r), n)"
     run_ok(f"def d : Nat -> Nat := {double}\ndef t : d 3000 = 6000 := refl\n")
+
+
+def test_natrec_step_that_is_not_a_literal_function():
+    # the step is applied to the predecessor and the recursive value as it
+    # is: a definition, an axiom, or an eta-expanded function
+    def rec(step, n):
+        return f"natrec(fun k => Nat, zero, {step}, {n})"
+
+    checker = run_ok(
+        "def f : Nat -> Nat -> Nat := fun k r => succ r\n"
+        "axiom g : Nat -> Nat -> Nat\n"
+        f"def t1 : {rec('f', 3)} = 3 := refl\n"
+        f"def t2 : {rec('g', 2)} = g 1 (g 0 zero) := refl\n"
+        f"def t3 : (n : Nat) -> {rec('g', 'n')} = {rec('fun k r => g k r', 'n')}"
+        " := fun n => refl\n"
+        f'fail-check "E-CONV" (fun n => refl) : (n : Nat) -> {rec("g", "n")} = '
+        f"{rec('fun k r => g r k', 'n')}\n"
+    )
+    assert print_core(checker.globals["t1"].ty) == "natrec(fun n => Nat, zero, f, 3) = 3"
 
 
 @pytest.mark.parametrize(

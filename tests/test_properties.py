@@ -198,5 +198,5 @@ def test_shift_subst_inverse_on_samples():
             term = App(Lam(term), Var(rng.randrange(2)))
         # after a shift the bottom variable cannot occur, so substituting
         # for it just undoes the shift
-        assert subst(shift(term, 1), I0(), 0) == term
+        assert subst(shift(term, 1), I0()) == term
         assert shift(term, 0) == term
