@@ -98,7 +98,8 @@ _REDEX_FORMERS = frozenset({Const, App, Fst, Snd, J, NatRec, BoolRec, LetMod, Do
 
 
 class Checker:
-    """One checking instance: globals, interval atoms, search depth."""
+    """One checking instance: globals, the interval atoms of the declaration
+    being checked, search depth."""
 
     def __init__(self, depth: int = SEARCH_DEPTH):
         self.globals: dict[str, GlobalDef] = {}
@@ -894,6 +895,9 @@ class Checker:
     # -- declarations ---------------------------------------------------------
 
     def run_decl(self, decl: syntax.Decl) -> None:
+        # Atom ids order the printed canonical forms; a table per declaration
+        # makes each diagnostic independent of what was checked before it.
+        self.atoms, self._atoms_by_former = lattice.AtomTable(), {}
         ctx = Ctx()
         if decl.kind in ("def", "axiom") and decl.name in self.globals:
             self.err("E-PARSE", f"redefinition of {decl.name!r}", span=decl.span)

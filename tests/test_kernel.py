@@ -628,6 +628,19 @@ def run_with_prelude(text):
     return checker.check_source(text, "test.ttt")
 
 
+def test_printed_interval_form_does_not_depend_on_what_was_checked_before():
+    # atom ids order the printed canonical forms; each declaration numbers
+    # its own atoms, so the prelude loaded before it changes nothing
+    text = (
+        "axiom b : Int\naxiom a : Int\n"
+        "def t : (i : Int) -> (j : Int) -> b /\\ i /\\ a \\/ j = j /\\ a := fun i j => refl\n"
+    )
+    for diags in (run(text)[1], run_with_prelude(text)):
+        assert [(d.code, d.line, d.expected, d.actual) for d in diags] == [
+            ("E-CONV", 3, "b /\\ (i /\\ a) \\/ j", "a /\\ j")
+        ]
+
+
 CELL_TYPE = "(A : U 0) -> (x : A) -> <a| (i : Int) -> A>"
 CELL_DEF = "def c : " + CELL_TYPE + " := fun A x => mod{a}(fun i => x^{%s})"
 COE_DEF = "def c : (A : U 0) -> A -> <s| A> := fun A y => coe{%s}(y)"
