@@ -17,7 +17,7 @@ from . import lattice
 from .diagnostics import Diagnostic
 from .kernel import Checker
 from .modality import SEARCH_DEPTH, ModeError, cell_search, format_word, normalize, parse_word
-from .prelude import ENV_VAR, load_prelude, verify_prelude
+from .prelude import ENV_VAR, load_prelude, prelude_slice, read_prelude, verify_prelude
 
 EXIT_OK = 0
 EXIT_DIAGNOSTICS = 1
@@ -41,14 +41,20 @@ def cmd_check(args) -> int:
             print(f"error: no such file: {path}", file=sys.stderr)
             return EXIT_USAGE
     for path in args.files:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
         checker = Checker(depth=args.depth)
-        prelude_diags = load_prelude(checker, args.prelude)
+        if args.prelude is None:
+            # the shipped prelude is checked whole by `corpus prelude`; here
+            # only the entries this file reaches are elaborated
+            prelude_text, prelude_path = read_prelude()
+            prelude_diags = checker.check_source(prelude_slice(prelude_text, text), prelude_path)
+        else:
+            prelude_diags = load_prelude(checker, args.prelude)
         if prelude_diags:
             collected.extend(prelude_diags)
             exit_code = EXIT_DIAGNOSTICS
             continue
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
         diags = checker.check_source(text, path)
         if diags:
             exit_code = EXIT_DIAGNOSTICS

@@ -15,6 +15,7 @@ from .diagnostics import Diagnostic
 from .kernel import Checker
 from .modality import SEARCH_DEPTH
 from .record import record
+from .syntax import WORD
 
 AXIOM_TAGS = (
     "interval-lattice",
@@ -84,13 +85,28 @@ def read_prelude(path: Optional[str] = None) -> tuple[str, str]:
         return handle.read(), actual
 
 
+def _scan(text: str):
+    """(offset, line number, stripped line, entry head) of each line of `text`.
+
+    The head is (kind, name) on a line that starts a `def` or `axiom` entry,
+    and None elsewhere; an entry runs to the next line that starts one.
+    """
+    offset = 0
+    for lineno, line in enumerate(text.splitlines(keepends=True), start=1):
+        stripped, head = line.strip(), None
+        if stripped.startswith(("def ", "axiom ")):
+            kind, rest = stripped.split(None, 1)
+            head = kind, rest.split(":", 1)[0].strip().split()[0]
+        yield offset, lineno, stripped, head
+        offset += len(line)
+
+
 def parse_metadata(text: str) -> list[PreludeEntry]:
     entries: list[PreludeEntry] = []
     tier: Optional[str] = None
     covers: Optional[str] = None
     statement_only = False
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
+    for _, lineno, stripped, head in _scan(text):
         if stripped.startswith("--"):
             body = stripped[2:].strip()
             if body.startswith("#tier:"):
@@ -100,9 +116,8 @@ def parse_metadata(text: str) -> list[PreludeEntry]:
             elif body.startswith("#statement-only"):
                 statement_only = True
             continue
-        if stripped.startswith(("def ", "axiom ")):
-            kind, rest = stripped.split(None, 1)
-            name = rest.split(":", 1)[0].strip().split()[0]
+        if head is not None:
+            kind, name = head
             entries.append(
                 PreludeEntry(
                     name=name,
@@ -115,6 +130,35 @@ def parse_metadata(text: str) -> list[PreludeEntry]:
             )
             tier, covers, statement_only = None, None, False
     return entries
+
+
+def prelude_slice(text: str, uses: str) -> str:
+    """`text` with every entry that `uses` cannot reach blanked out.
+
+    An entry is reached when its name is a word of `uses` or of a reached
+    entry.  Any word counts, so a shadowing binder or a word in a comment
+    only keeps more entries.  Checking an entry reads only the globals it
+    names, so the slice gives every name of `uses` the global the whole
+    text would.  A dropped entry keeps its newlines and has every other
+    character made a space, so offsets, lines and columns stay exact.
+    """
+    heads = [(offset, head[1]) for offset, _, _, head in _scan(text) if head is not None]
+    spans: dict[str, list[tuple[int, int]]] = {}
+    for (start, name), (end, _) in zip(heads, heads[1:] + [(len(text), "")]):
+        spans.setdefault(name, []).append((start, end))
+    dropped = set().union(*spans.values())
+    todo = set(WORD.findall(uses))
+    while todo:
+        for start, end in spans.pop(todo.pop(), ()):
+            dropped.discard((start, end))
+            todo.update(WORD.findall(text, start, end))
+    out, last = [], 0
+    for start, end in sorted(dropped):
+        blank = "\n".join(" " * len(line) for line in text[start:end].split("\n"))
+        out += [text[last:start], blank]
+        last = end
+    out.append(text[last:])
+    return "".join(out)
 
 
 def load_prelude(checker: Checker, path: Optional[str] = None) -> list[Diagnostic]:

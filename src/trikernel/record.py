@@ -1,8 +1,9 @@
 """`record`: value classes with a generated constructor, equality and hash.
 
-One ``exec`` per class and no imports: the standard library's class
-generator does more bookkeeping per class and imports `inspect`, and every
-cold ``trikernel check`` would pay for both.
+One ``exec`` per class, run on the class's first construction, and no
+imports: the standard library's class generator does more bookkeeping per
+class and imports `inspect`, and every cold ``trikernel check`` would pay
+for both, and for the classes it never constructs.
 """
 
 _MISSING = object()
@@ -30,27 +31,9 @@ def _frozen(self, name, *value):
     raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
 
 
-def record(cls=None, /, *, frozen=False):
-    """Make `cls`, and every class derived from it, a record.
-
-    A record's fields are its annotations, after those of its record base.
-    The constructor takes them in order, keyword-only ones by keyword, and
-    gives each instance its own copy of a list or dict default.  ``==``
-    requires the exact class and compares the fields that set `compare`; a
-    frozen record hashes them and refuses assignment, a mutable one is
-    unhashable.
-    """
-    if cls is None:
-        return lambda c: record(c, frozen=frozen)
-    table = dict(getattr(cls, "_record_fields", {}))
-    for name, ann in cls.__dict__.get("__annotations__", {}).items():
-        opts = cls.__dict__.get(name, _MISSING)
-        if isinstance(opts, field):
-            delattr(cls, name)
-        else:
-            opts = field(opts)
-        table[name] = (ann, opts)
-    env = {"_MISSING": _MISSING, "_setattr": object.__setattr__}
+def _generate(cls, frozen) -> None:
+    """Install the generated ``__init__``, ``__eq__`` and ``__hash__`` of `cls`."""
+    table, env = cls._record_fields, {"_MISSING": _MISSING, "_setattr": object.__setattr__}
     params, kw_only, body = ["self"], [], []
     for name, (_, opts) in table.items():
         param, value = name, name
@@ -72,8 +55,37 @@ def record(cls=None, /, *, frozen=False):
          f"        return ({mine}) == ({theirs})\n"
          "    return NotImplemented\n"
          f"def __hash__(self):\n    return hash(({mine}))\n", env)
-    cls.__init__, cls.__eq__, cls.__repr__ = env["__init__"], env["__eq__"], _repr
+    cls.__init__, cls.__eq__ = env["__init__"], env["__eq__"]
     cls.__hash__ = env["__hash__"] if frozen else None
+
+
+def record(cls=None, /, *, frozen=False):
+    """Make `cls`, and every class derived from it, a record.
+
+    A record's fields are its annotations, after those of its record base.
+    The constructor takes them in order, keyword-only ones by keyword, and
+    gives each instance its own copy of a list or dict default.  ``==``
+    requires the exact class and compares the fields that set `compare`; a
+    frozen record hashes them and refuses assignment, a mutable one is
+    unhashable.  The constructor, ``==`` and ``hash`` are generated when the
+    class is first constructed.
+    """
+    if cls is None:
+        return lambda c: record(c, frozen=frozen)
+    table = dict(getattr(cls, "_record_fields", {}))
+    for name, ann in cls.__dict__.get("__annotations__", {}).items():
+        opts = cls.__dict__.get(name, _MISSING)
+        if isinstance(opts, field):
+            delattr(cls, name)
+        else:
+            opts = field(opts)
+        table[name] = (ann, opts)
+
+    def __init__(self, *args, **kwargs):
+        _generate(cls, frozen)
+        cls.__init__(self, *args, **kwargs)
+
+    cls.__init__, cls.__repr__ = __init__, _repr
     if frozen:
         cls.__setattr__ = cls.__delattr__ = _frozen
     cls._record_fields = table

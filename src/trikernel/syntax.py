@@ -64,19 +64,22 @@ def _parse_error(message: str, span: Span, file: str):
     raise KernelError(Diagnostic(file=file, code="E-PARSE", message=message, span=span))
 
 
+# A word (a name or a keyword) may not start with a digit or with the alias
+# `λ`.  `\w` and `\d` are `isalnum`-or-underscore and `isdecimal`.
+WORD = re.compile(r"[^\W\dλ][\w']*")
+
 # One master pattern, tried at each position; the alternatives are in
-# priority order and `_PUNCT` keeps its longest-first order.  `\s`, `\w` and
-# `\d` are `str.isspace`, `isalnum`-or-underscore and `isdecimal`.  A word
-# may not start with a digit or with the alias `λ`.  What the pattern does
-# not match (`{...}`, unicode aliases, an unterminated string, a stray
-# character) takes the hand-written path below.
+# priority order and `_PUNCT` keeps its longest-first order.  `\s` is
+# `str.isspace`.  What the pattern does not match (`{...}`, unicode aliases,
+# an unterminated string, a stray character) takes the hand-written path
+# below.
 _TOKEN = re.compile(
     r"(?P<SKIP>\s+|--[^\n]*)"
     r"|(?P<FAIL>fail-check(?!\w))"
     r'|"(?P<STRING>[^"]*)"'
     r"|(?P<PUNCT>" + "|".join(re.escape(lit) for lit, _ in _PUNCT) + r")"
     r"|(?P<NUMBER>\d+)"
-    r"|(?P<WORD>[^\W\dλ][\w']*)"
+    r"|(?P<WORD>" + WORD.pattern + ")"
 )
 _PUNCT_KIND = dict(_PUNCT)
 

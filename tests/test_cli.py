@@ -199,6 +199,63 @@ def test_prelude_flag_overrides(capsys, tmp_path):
     assert json_diagnostics(out)[0]["code"] == "E-UNBOUND"
 
 
+SHIPPED_PRELUDE = os.path.join(ROOT, "src", "trikernel", "prelude.ttt")
+SLICE_CASES = {
+    "interval-mismatch.ttt": "axiom b : Int\naxiom a : Int\n"
+    "def t : (i : Int) -> (j : Int) -> b /\\ i /\\ a \\/ j = j /\\ a := fun i j => refl\n",
+    "redefinition.ttt": "def transport : U 0 := Nat\n",
+    "shadowing-binder.ttt": "def f : (sym : Nat) -> Nat := fun sym => sym\n",
+}
+
+
+def library_and_slice_cases(tmp_path):
+    for name, text in SLICE_CASES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    library = sorted(
+        os.path.join(folder, name)
+        for folder, _, names in os.walk(STDLIB) for name in names if name.endswith(".ttt")
+    )
+    assert len(library) == 17
+    return library + [str(tmp_path / name) for name in SLICE_CASES]
+
+
+def test_default_prelude_slice_agrees_with_the_whole_prelude(capsys, tmp_path):
+    # without --prelude, check elaborates only the prelude entries the file
+    # reaches; its output must be that of checking the whole shipped file
+    outcomes = {}
+    for path in library_and_slice_cases(tmp_path):
+        sliced = run_cli(["check", "--json", path], capsys)
+        whole = run_cli(["check", "--json", "--prelude", SHIPPED_PRELUDE, path], capsys)
+        assert sliced == whole, path
+        outcomes[os.path.basename(path)] = sliced[0], json_diagnostics(sliced[1])
+    code, diags = outcomes["interval-mismatch.ttt"]
+    assert code == 1 and [(d["code"], d["expected"], d["actual"]) for d in diags] == [
+        ("E-CONV", "b /\\ (i /\\ a) \\/ j", "a /\\ j")
+    ]
+    code, diags = outcomes["redefinition.ttt"]
+    assert code == 1 and [(d["code"], d["message"]) for d in diags] == [
+        ("E-PARSE", "redefinition of 'transport'")
+    ]
+    assert outcomes["shadowing-binder.ttt"] == (0, [])
+
+
+def test_explicit_prelude_is_checked_whole(capsys, tmp_path, monkeypatch):
+    # an ill-typed entry that no file names is still reported when the
+    # prelude is named by --prelude or TTT_PRELUDE
+    with open(SHIPPED_PRELUDE, encoding="utf-8") as handle:
+        text = handle.read()
+    copy = tmp_path / "prelude.ttt"
+    copy.write_text(text + "\naxiom never_named : zero\n", encoding="utf-8")
+    bad_line = text.count("\n") + 2
+    hom = os.path.join(STDLIB, "hom.ttt")
+    for argv, env in ((["--prelude", str(copy)], None), ([], str(copy))):
+        if env:
+            monkeypatch.setenv("TTT_PRELUDE", env)
+        code, out, _ = run_cli(["check", "--json", *argv, hom], capsys)
+        assert code == 1
+        assert [(d["file"], d["line"]) for d in json_diagnostics(out)] == [(str(copy), bad_line)]
+
+
 def test_shipped_schema_matches_code():
     bare = json.loads(Diagnostic("f.ttt", "E-CONV", "m").to_json())
     full = json.loads(Diagnostic("f.ttt", "E-CONV", "m", expected="A", actual="B").to_json())

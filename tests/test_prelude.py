@@ -7,6 +7,7 @@ from trikernel.prelude import (
     AXIOM_TAGS,
     load_prelude,
     parse_metadata,
+    prelude_slice,
     read_prelude,
     verify_prelude,
 )
@@ -122,3 +123,39 @@ def test_tier_counts_match_documented_manifest():
     }
     assert report.tier_counts["derived"] >= 8
     assert report.tier_counts["infra"] >= 60
+
+
+def test_prelude_slice_keeps_offsets_and_lines():
+    # a dropped entry is blanked in place: the text keeps its length and its
+    # newlines, and every other character is kept or made a space
+    text, _ = read_prelude()
+    newlines = [i for i, ch in enumerate(text) if ch == "\n"]
+    for uses in ("", "def t : U 0 := sym", "transport Space hom\n-- IsEquiv0"):
+        sliced = prelude_slice(text, uses)
+        assert len(sliced) == len(text)
+        assert [i for i, ch in enumerate(sliced) if ch == "\n"] == newlines
+        assert all(kept in (ch, " ") for kept, ch in zip(sliced, text))
+    assert parse_metadata(prelude_slice(text, "")) == []
+
+
+def test_prelude_slice_for_hom_has_one_entry():
+    from trikernel.corpus import default_stdlib_dir
+
+    text, _ = read_prelude()
+    with open(f"{default_stdlib_dir()}/hom.ttt", encoding="utf-8") as handle:
+        uses = handle.read()
+    assert len(parse_metadata(prelude_slice(text, uses))) == 1
+
+
+def test_prelude_slice_closes_under_the_words_of_kept_entries():
+    text = (
+        "axiom A : U 0\n"
+        "def B : U 0\n  := A\n"
+        "def C : U 0 := B\n"
+        "axiom D : U 0\n"
+    )
+    sliced = prelude_slice(text, "def x : U 0 := C")
+    assert [e.name for e in parse_metadata(sliced)] == ["A", "B", "C"]
+    checker = Checker()
+    assert checker.check_source(sliced) == []
+    assert checker.global_order == ["A", "B", "C"]

@@ -73,3 +73,52 @@ def test_field_table_lists_inherited_fields_with_annotations():
     assert hash(Derived(1, "x")) == hash(Derived(1, "y"))
     assert Derived(1) != Base(1)
     assert isinstance(Var(0), Term)
+
+
+def test_subclass_constructed_before_its_base():
+    @record(frozen=True)
+    class Base:
+        a: int
+
+    class Derived(Base):
+        b: int = 0
+
+    derived = Derived(1, 2)
+    assert (derived.a, derived.b) == (1, 2)
+    assert Base(1) != Derived(1, 0) and Base(1) == Base(1)
+    assert Derived(1, 2) == derived and hash(Derived(1, 2)) == hash(derived)
+    assert repr(Base(3)) == "Base(a=3)"
+
+
+def test_class_never_constructed_has_its_field_table():
+    @record
+    class Never:
+        x: int
+        y: str = field("", kw_only=True)
+
+    assert fields(Never) == {"x": "int", "y": "str"}
+    assert Never.__match_args__ == ("x",)
+    assert "__eq__" not in vars(Never)
+    assert Never(1, y="a").y == "a" and "__eq__" in vars(Never)
+
+
+def test_equality_and_hash_span_the_first_and_later_instances():
+    @record(frozen=True)
+    class Frozen:
+        a: int
+        b: tuple = ()
+
+    @record
+    class Mutable:
+        a: int
+        items: list = []
+
+    first, later = Frozen(1), Frozen(1)
+    assert first == later and hash(first) == hash(later)
+    assert first != Frozen(2) and Frozen(1, (2,)) != later
+    first, later = Mutable(1), Mutable(1)
+    assert first == later and first != Mutable(2)
+    assert first.items is not later.items
+    for instance in (first, later):
+        with pytest.raises(TypeError):
+            hash(instance)
