@@ -36,13 +36,18 @@ def _emit(diags: list[Diagnostic], as_json: bool) -> None:
 def cmd_check(args) -> int:
     exit_code = EXIT_OK
     collected: list[Diagnostic] = []
+    texts = []
     for path in args.files:
-        if not os.path.exists(path):
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                texts.append((path, handle.read()))
+        except FileNotFoundError:
             print(f"error: no such file: {path}", file=sys.stderr)
             return EXIT_USAGE
-    for path in args.files:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"error: cannot read {path}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+    for path, text in texts:
         checker = Checker(depth=args.depth)
         if args.prelude is None:
             # the shipped prelude is checked whole by `corpus prelude`; here

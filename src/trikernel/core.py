@@ -428,44 +428,44 @@ class CLock:
 
 
 class Ctx:
-    """A telescope of declarations and single-generator locks."""
+    """A telescope of declarations and single-generator locks.
 
-    def __init__(self, entries: Optional[tuple] = None):
-        self.entries: tuple = entries or ()
+    `levels[k]` is the position in `entries` of the declaration of level k
+    (outermost first), and `last_lock` the position of the last `CLock`, -1
+    if there is none; both make a variable use cost constant time.
+    """
+
+    def __init__(self, entries: tuple = (), levels: tuple = (), last_lock: int = -1):
+        self.entries = entries
+        self.levels = levels
+        self.last_lock = last_lock
 
     def extend(self, name: str, word: Word, ty: Term, is_interval: bool = False) -> "Ctx":
-        return Ctx(self.entries + (CDecl(name, normalize(word), ty, is_interval),))
+        return Ctx(self.entries + (CDecl(name, normalize(word), ty, is_interval),),
+                   self.levels + (len(self.entries),), self.last_lock)
 
     def lock(self, word: Word) -> "Ctx":
         """Push a composite lock generator by generator; p becomes i : Int."""
-        entries = self.entries
+        entries, levels, last_lock = self.entries, self.levels, self.last_lock
         for gen in normalize(word):
             if gen == "p":
+                levels = levels + (len(entries),)
                 entries = entries + (CDecl("i", (), IntT(), True),)
             else:
+                last_lock = len(entries)
                 entries = entries + (CLock(gen),)
-        return Ctx(entries)
+        return Ctx(entries, levels, last_lock)
 
     def find(self, name: str) -> Optional[int]:
         """de Bruijn index of the innermost declaration named `name`."""
-        ix = 0
-        for entry in reversed(self.entries):
-            if isinstance(entry, CDecl):
-                if entry.name == name:
-                    return ix
-                ix += 1
+        for ix, pos in enumerate(reversed(self.levels)):
+            if self.entries[pos].name == name:
+                return ix
         return None
 
     def _position(self, ix: int) -> int:
         """Position in `entries` of Var(ix)'s declaration."""
-        pos, count = len(self.entries), 0
-        for entry in reversed(self.entries):
-            pos -= 1
-            if isinstance(entry, CDecl):
-                if count == ix:
-                    return pos
-                count += 1
-        raise IndexError(ix)
+        return self.levels[-1 - ix]
 
     def decl_at(self, ix: int) -> CDecl:
         return self.entries[self._position(ix)]
@@ -490,4 +490,4 @@ class Ctx:
         return out
 
     def names(self) -> list[str]:
-        return [e.name for e in self.entries if isinstance(e, CDecl)]
+        return [self.entries[pos].name for pos in self.levels]

@@ -427,11 +427,12 @@ class Checker:
         name: str,
     ) -> Optional[TwoCell]:
         """2-cell mediating the use of Var(ix) under the trailing locks."""
-        entry = ctx.decl_at(ix)
-        annotation = normalize(entry.word)
-        trailing = ctx.trailing(ix)
+        pos = ctx._position(ix)
+        annotation = ctx.entries[pos].word  # normalised by `Ctx.extend`
+        if explicit is None and not annotation and ctx.last_lock < pos:
+            return None  # only droppable p's follow: the first candidate is 1
         candidates = []
-        for word in self._lock_candidates(trailing):
+        for word in self._lock_candidates(ctx.trailing(ix)):
             if explicit is None and word == annotation:
                 return None  # identity access
             candidates.append(word)
@@ -458,7 +459,8 @@ class Checker:
             "E-MODALITY",
             f"variable {name!r} is annotated {format_word(annotation)} but sits "
             f"under locks {format_word(candidates[-1])} and no mediating 2-cell "
-            f"was found (depth {self.depth})",
+            f"was found to any word tried: {', '.join(map(format_word, candidates))} "
+            f"(depth {self.depth})",
         )
         raise AssertionError
 

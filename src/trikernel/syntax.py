@@ -68,18 +68,19 @@ def _parse_error(message: str, span: Span, file: str):
 # `λ`.  `\w` and `\d` are `isalnum`-or-underscore and `isdecimal`.
 WORD = re.compile(r"[^\W\dλ][\w']*")
 
-# One master pattern, tried at each position; the alternatives are in
-# priority order and `_PUNCT` keeps its longest-first order.  `\s` is
-# `str.isspace`.  What the pattern does not match (`{...}`, unicode aliases,
-# an unterminated string, a stray character) takes the hand-written path
-# below.
+# One master pattern, tried at each position.  The alternatives start with
+# disjoint characters, so they are in order of frequency; only `fail-check`
+# is also a word's prefix and comes before it, and `_PUNCT` keeps its
+# longest-first order.  `\s` is `str.isspace`.  What the pattern does not
+# match (`{...}`, unicode aliases, an unterminated string, a stray character)
+# takes the hand-written path below.
 _TOKEN = re.compile(
     r"(?P<SKIP>\s+|--[^\n]*)"
     r"|(?P<FAIL>fail-check(?!\w))"
-    r'|"(?P<STRING>[^"]*)"'
+    r"|(?P<WORD>" + WORD.pattern + ")"
     r"|(?P<PUNCT>" + "|".join(re.escape(lit) for lit, _ in _PUNCT) + r")"
     r"|(?P<NUMBER>\d+)"
-    r"|(?P<WORD>" + WORD.pattern + ")"
+    r'|"(?P<STRING>[^"]*)"'
 )
 _PUNCT_KIND = dict(_PUNCT)
 
@@ -114,6 +115,9 @@ def tokenize(text: str, file: str = "<input>") -> list[Token]:
                 _parse_error("unterminated string literal", (i, n), file)
             _parse_error(f"unexpected character {ch!r}", (i, i + 1), file)
         kind, j = m.lastgroup, m.end()
+        if kind == "SKIP":
+            i = j
+            continue
         lexeme = m.group(kind)
         if kind == "WORD":
             # `\w` also admits numeric characters that are not digits (`²`)
@@ -124,8 +128,7 @@ def tokenize(text: str, file: str = "<input>") -> list[Token]:
             kind = _PUNCT_KIND[lexeme]
         elif kind == "FAIL":
             kind = "KEYWORD"
-        if kind != "SKIP":
-            tokens.append(Token(kind, lexeme, (i, j)))
+        tokens.append(Token(kind, lexeme, (i, j)))
         i = j
     tokens.append(Token("EOF", "", (n, n)))
     return tokens
@@ -308,6 +311,9 @@ class SurfaceModule:
 # Parser
 # ---------------------------------------------------------------------------
 
+# The binding power of each infix operator below `->`, loosest first.
+_INFIX = {"STAR": 1, "EQUALS": 2, "JOIN": 3, "MEET": 4}
+
 _KEYWORD_ATOMS = {
     "U", "Int", "Nat", "Bool", "zero", "succ", "true", "false", "refl",
     "J", "natrec", "boolrec", "coe", "fst", "snd", "mod", "Lift", "up", "down",
@@ -477,7 +483,7 @@ class Parser:
         return names
 
     def parse_arrow(self) -> STerm:
-        lhs = self.parse_sigma()
+        lhs = self.parse_infix()
         if self.peek().kind == "ARROW":
             self.next()
             cod = self.parse_term()
@@ -495,43 +501,31 @@ class Parser:
             _parse_error("modal annotation outside a binder", lhs.span, self.file)
         return lhs
 
-    def parse_sigma(self) -> STerm:
-        lhs = self.parse_equality()
-        if self.peek().kind == "STAR":
-            self.next()
-            rhs = self.parse_sigma()
-            if isinstance(lhs, SAnnot) and not lhs.word:
-                names = self._binder_names(lhs.term)
-                if names is not None:
-                    out = rhs
-                    for name in reversed(names):
-                        out = SSigma(name, lhs.ty, out, span=(lhs.span[0], rhs.span[1]))
-                    return out
-            return SSigma("_", lhs, rhs, span=(lhs.span[0], rhs.span[1]))
-        return lhs
+    def parse_infix(self, floor: int = 1) -> STerm:
+        """The operators of `_INFIX` that bind at least as tight as `floor`.
 
-    def parse_equality(self) -> STerm:
-        lhs = self.parse_join()
-        if self.peek().kind == "EQUALS":
-            self.next()
-            rhs = self.parse_join()
-            return SEq(lhs, rhs, span=(lhs.span[0], rhs.span[1]))
-        return lhs
-
-    def parse_join(self) -> STerm:
-        lhs = self.parse_meet()
-        while self.peek().kind == "JOIN":
-            self.next()
-            rhs = self.parse_meet()
-            lhs = SJoin(lhs, rhs, span=(lhs.span[0], rhs.span[1]))
-        return lhs
-
-    def parse_meet(self) -> STerm:
+        `*` is right associative, `=` non-associative (a second `=` is left to
+        the caller), and the lattice operators are left associative.
+        """
         lhs = self.parse_app()
-        while self.peek().kind == "MEET":
+        ceiling = 4
+        while floor <= (prec := _INFIX.get(self.peek().kind, 0)) <= ceiling:
             self.next()
-            rhs = self.parse_app()
-            lhs = SMeet(lhs, rhs, span=(lhs.span[0], rhs.span[1]))
+            rhs = self.parse_infix(prec if prec == 1 else prec + 1)
+            span = (lhs.span[0], rhs.span[1])
+            if prec == 1:  # `*` took every operator after it
+                if isinstance(lhs, SAnnot) and not lhs.word:
+                    names = self._binder_names(lhs.term)
+                    if names is not None:
+                        out = rhs
+                        for name in reversed(names):
+                            out = SSigma(name, lhs.ty, out, span=span)
+                        return out
+                return SSigma("_", lhs, rhs, span=span)
+            if prec == 2:  # only `*` may follow an equation
+                lhs, ceiling = SEq(lhs, rhs, span=span), 1
+            else:
+                lhs = (SJoin if prec == 3 else SMeet)(lhs, rhs, span=span)
         return lhs
 
     def at_atom(self) -> bool:

@@ -152,6 +152,25 @@ def test_check_missing_file(capsys):
     assert "no such file" in err
 
 
+@pytest.mark.parametrize("kind", ["directory", "not-utf-8"])
+def test_check_unreadable_file_is_a_usage_error(tmp_path, kind):
+    good = os.path.join(STDLIB, "hom.ttt")
+    bad = tmp_path / "bad.ttt"
+    if kind == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b"def a : Nat := zero -- \xff\xfe\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "trikernel.cli", "check", good, str(bad)],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""  # nothing is checked before every file is read
+    assert "Traceback" not in result.stderr
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith(f"error: cannot read {bad}: ")
+
+
 def test_check_multiple_files_deterministic_order(capsys):
     bad = os.path.join(STDLIB, "neg", "universe-cycle.ttt")
     bad2 = os.path.join(STDLIB, "neg", "unbound-axiom.ttt")

@@ -1,5 +1,6 @@
 """Kernel behavior: typing, conversion, modal discipline, 2-cell action."""
 
+import random
 import time
 
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from trikernel.core import (
     App,
     BoolRec,
+    CDecl,
+    CLock,
     Const,
     Ctx,
     Down,
@@ -46,10 +49,17 @@ from trikernel.core import (
     subst,
     syn_eq,
 )
-from trikernel import kernel
+from trikernel import corpus, kernel
 from trikernel.diagnostics import KernelError
 from trikernel.kernel import Checker, print_core
-from trikernel.modality import cell_whisker, generator_cell, identity_cell
+from trikernel.modality import (
+    cell_normalize,
+    cell_search,
+    cell_whisker,
+    generator_cell,
+    identity_cell,
+    normalize,
+)
 from trikernel.prelude import load_prelude
 from trikernel.record import fields
 from trikernel.syntax import parse_module, parse_term
@@ -694,3 +704,127 @@ def test_universe_of_a_type_headed_by_an_eliminator(source):
     # `lhs = rhs` takes its universe from the synthesised type of `lhs`
     diags = run_with_prelude(source)
     assert diags == [], [d.render() for d in diags]
+
+
+def test_modality_error_lists_every_lock_word_tried():
+    diag = run_fail(
+        "def bad : (A : U 0) -> (x : A @ s) -> (i : Int) -> A := fun A x i => x",
+        "E-MODALITY",
+    )
+    assert "no mediating 2-cell" in diag.message and "(depth 8)" in diag.message
+    assert "under locks p" in diag.message
+    assert "any word tried: 1, p " in diag.message
+
+
+def _scan_position(ctx, ix):
+    """Var(ix)'s declaration, found by scanning the telescope from the right."""
+    count = 0
+    for pos in range(len(ctx.entries) - 1, -1, -1):
+        if isinstance(ctx.entries[pos], CDecl):
+            if count == ix:
+                return pos
+            count += 1
+    raise IndexError(ix)
+
+
+def _scan_access_cell(checker, ctx, ix, explicit):
+    """What `access_cell` gives by the full enumeration of lock candidates:
+    the 2-cell, ``None`` for the identity, or the diagnostic code."""
+    pos = _scan_position(ctx, ix)
+    annotation = normalize(ctx.entries[pos].word)
+    trailing = [(e.gen, False) if isinstance(e, CLock) else ("p", True)
+                for e in ctx.entries[pos + 1 :] if isinstance(e, CLock) or e.is_interval]
+    candidates = list(checker._lock_candidates(trailing))
+    if explicit is not None:
+        if explicit.src != annotation or explicit.dst not in candidates:
+            return "E-2CELL-BOUNDARY"
+        return cell_normalize(explicit)
+    if annotation in candidates:
+        return None
+    for target in candidates:
+        found = cell_search(annotation, target, checker.depth)
+        if found is not None:
+            return cell_normalize(found)
+    return "E-MODALITY"
+
+
+def _assert_ctx_matches_scan(ctx):
+    decls = [pos for pos, e in enumerate(ctx.entries) if isinstance(e, CDecl)]
+    for ix in range(len(decls)):
+        assert ctx._position(ix) == _scan_position(ctx, ix)
+    with pytest.raises(IndexError):
+        ctx._position(len(decls))
+    locks = [pos for pos, e in enumerate(ctx.entries) if isinstance(e, CLock)]
+    assert ctx.last_lock == (locks[-1] if locks else -1)
+    for name in set(ctx.names()) | {"absent"}:
+        scan = [ix for ix, pos in enumerate(reversed(decls)) if ctx.entries[pos].name == name]
+        assert ctx.find(name) == (scan[0] if scan else None)
+
+
+def _guard_access_cell(monkeypatch, outcomes):
+    """Check every `access_cell` call against `_scan_access_cell`."""
+    real = Checker.access_cell
+
+    def guarded(self, ctx, ix, explicit, name):
+        want = _scan_access_cell(self, ctx, ix, explicit)
+        try:
+            got = real(self, ctx, ix, explicit, name)
+        except KernelError as err:
+            assert err.diagnostic.code == want
+            outcomes.append(want)
+            raise
+        assert got == want
+        outcomes.append(got)
+        return got
+
+    monkeypatch.setattr(Checker, "access_cell", guarded)
+
+
+def test_constant_time_variable_use_matches_telescope_scan_on_library(monkeypatch):
+    built, outcomes = [], []
+    real_init = Ctx.__init__
+
+    def checked_init(self, *args):
+        real_init(self, *args)
+        _assert_ctx_matches_scan(self)
+        built.append(len(self.entries))
+
+    monkeypatch.setattr(Ctx, "__init__", checked_init)
+    _guard_access_cell(monkeypatch, outcomes)
+    manifest = corpus.load_manifest()
+    for entry in manifest.entries:
+        assert corpus.check_file(manifest, entry.file).ok, entry.file
+    assert len(built) > 20_000 and max(built) >= 12
+    assert outcomes.count(None) > 10_000 and len(outcomes) - outcomes.count(None) > 200
+    assert outcomes.count("E-MODALITY") == 1  # neg/escape-s.ttt
+
+
+def test_constant_time_variable_use_matches_enumeration_under_interval_binders(monkeypatch):
+    outcomes = []
+    _guard_access_cell(monkeypatch, outcomes)
+    # a failed 2-cell search at the default depth 8 takes up to seconds on
+    # these long lock words; the fast path does not depend on the depth
+    checker = Checker(depth=3)
+    rng = random.Random(11)
+    words = [(), ("g",), ("s",), ("g", "s"), ("s", "g")]
+    for k in range(2, 13):
+        for _ in range(6):
+            ctx = Ctx().extend("A", (), Univ(0))
+            steps = ["i"] * k + ["x", "y"] + [rng.choice("gs") for _ in range(rng.randint(0, 3))]
+            rng.shuffle(steps)
+            for step in steps:
+                if step == "i":
+                    ctx = (ctx.extend("i", (), IntT(), True) if rng.random() < 0.5
+                           else ctx.lock(("p",)))
+                elif step in "xy":
+                    ctx = ctx.extend(step, rng.choice(words), Var(ctx.find("A")))
+                else:
+                    ctx = ctx.lock((step,))
+            _assert_ctx_matches_scan(ctx)
+            for ix in range(len(ctx.names())):
+                try:
+                    checker.access_cell(ctx, ix, None, "v")
+                except KernelError:
+                    pass
+    cells = len(outcomes) - outcomes.count(None) - outcomes.count("E-MODALITY")
+    assert outcomes.count(None) > 200 and outcomes.count("E-MODALITY") > 100 and cells > 50

@@ -3,6 +3,7 @@
 import glob
 import os
 import random
+import re
 import string
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from trikernel.diagnostics import KernelError
 from trikernel import syntax
 from trikernel.modality import generator_cell, identity_cell
+from trikernel.record import fields
 from trikernel.syntax import (
     Decl,
     SAnnot,
@@ -353,3 +355,152 @@ def test_non_decimal_numeric_character_is_a_parse_error():
     assert (err.value.diagnostic.code, err.value.diagnostic.span) == ("E-PARSE", (15, 16))
     assert parse_term("٣") == SNum(3)
     assert parse_term("x²") == SVar("x²")
+
+
+def _shipped_texts():
+    """The prelude and the 17 library files."""
+    package = os.path.dirname(syntax.__file__)
+    paths = sorted(glob.glob(os.path.join(package, "**", "*.ttt"), recursive=True))
+    assert len(paths) == 18
+    for path in paths:
+        with open(path, "r", encoding="utf-8") as handle:
+            yield path, handle.read()
+
+
+# The master pattern with its alternatives in priority order, as it was before
+# they were put in first-character order.
+_PRIORITY_ORDER_TOKEN = re.compile(
+    r"(?P<SKIP>\s+|--[^\n]*)"
+    r"|(?P<FAIL>fail-check(?!\w))"
+    r'|"(?P<STRING>[^"]*)"'
+    r"|(?P<PUNCT>" + "|".join(re.escape(lit) for lit, _ in syntax._PUNCT) + r")"
+    r"|(?P<NUMBER>\d+)"
+    r"|(?P<WORD>" + syntax.WORD.pattern + ")"
+)
+
+
+def _token_outcome(text):
+    try:
+        return [(t.kind, t.text, t.span) for t in syntax.tokenize(text)]
+    except KernelError as err:
+        return (err.diagnostic.code, err.diagnostic.message, err.diagnostic.span)
+
+
+def test_token_alternatives_order_does_not_change_the_stream(monkeypatch):
+    texts = [text for _, text in _shipped_texts()]
+    texts += [
+        'fail-check "E-CONV" refl : zero = 1', "fail-checked fail-check_x fail-check'",
+        "fail-check", "0 12 x2 2x 007", "x² ² a²b", "٣ 3٣", "a_'b _x",
+        "def a : Nat := ²", "{g.{s}} x^{eps0 * {p}} {{}}",
+        "λ x => x ∘ y ⟨g| A⟩ i ∧ j ∨ k A → B", '"E-PARSE"', '"unterminated',
+        "{unterminated", "{a {b}", "a -- comment\nb --", "x := y => z -> w",
+        "f (x y : A @ g) * B = C \\/ D /\\ E", "#", "a ? b",
+    ]
+    new = [_token_outcome(text) for text in texts]
+    monkeypatch.setattr(syntax, "_TOKEN", _PRIORITY_ORDER_TOKEN)
+    assert [_token_outcome(text) for text in texts] == new
+    assert all(isinstance(out, list) for out in new[:18])
+    assert sum(isinstance(out, tuple) for out in new) == 8
+
+
+class _LevelParser(syntax.Parser):
+    """The parser with one method per infix level, as before `parse_infix`."""
+
+    def parse_infix(self, floor=1):
+        return self.parse_sigma()
+
+    def parse_sigma(self):
+        lhs = self.parse_equality()
+        if self.peek().kind == "STAR":
+            self.next()
+            rhs = self.parse_sigma()
+            if isinstance(lhs, SAnnot) and not lhs.word:
+                names = self._binder_names(lhs.term)
+                if names is not None:
+                    out = rhs
+                    for name in reversed(names):
+                        out = SSigma(name, lhs.ty, out, span=(lhs.span[0], rhs.span[1]))
+                    return out
+            return SSigma("_", lhs, rhs, span=(lhs.span[0], rhs.span[1]))
+        return lhs
+
+    def parse_equality(self):
+        lhs = self.parse_join()
+        if self.peek().kind == "EQUALS":
+            self.next()
+            rhs = self.parse_join()
+            return SEq(lhs, rhs, span=(lhs.span[0], rhs.span[1]))
+        return lhs
+
+    def parse_join(self):
+        lhs = self.parse_meet()
+        while self.peek().kind == "JOIN":
+            self.next()
+            rhs = self.parse_meet()
+            lhs = SJoin(lhs, rhs, span=(lhs.span[0], rhs.span[1]))
+        return lhs
+
+    def parse_meet(self):
+        lhs = self.parse_app()
+        while self.peek().kind == "MEET":
+            self.next()
+            rhs = self.parse_app()
+            lhs = SMeet(lhs, rhs, span=(lhs.span[0], rhs.span[1]))
+        return lhs
+
+
+def _with_spans(t):
+    """`t` as nested tuples that include every span, which `==` ignores."""
+    if isinstance(t, (syntax.STerm, Decl)):
+        return (type(t).__name__,) + tuple(
+            _with_spans(getattr(t, name)) for name in fields(type(t))
+        )
+    if isinstance(t, (list, tuple)):
+        return tuple(_with_spans(x) for x in t)
+    return t
+
+
+def _parse_outcome(parser_class, text, whole_module):
+    try:
+        parser = parser_class(text)
+        if whole_module:
+            return _with_spans(parser.parse_module().decls)
+        term = parser.parse_term()
+        return _with_spans(term), parser.peek().span
+    except KernelError as err:
+        return (err.diagnostic.code, err.diagnostic.message, err.diagnostic.span)
+
+
+def test_precedence_loop_matches_level_methods_on_shipped_files():
+    failing = []
+    for path, text in _shipped_texts():
+        new = _parse_outcome(syntax.Parser, text, True)
+        assert new == _parse_outcome(_LevelParser, text, True), path
+        if new[0] == "E-PARSE":
+            failing.append(os.path.basename(path))
+    assert failing == ["parse-error.ttt"]
+
+
+def _random_infix_text(rng):
+    operands = ["a", "f", "A", "0", "(a)", "f a b", "(x : A)", "(x y : A)",
+                "(x y : A @ g)", "(x : A @ g)", "refl", "U 0"]
+    operators = ["->", "*", "=", "\\/", "/\\", ""]
+    parts = [rng.choice(operands)]
+    for _ in range(rng.randint(0, 6)):
+        if rng.random() < 0.04:  # a missing or doubled operand
+            parts.append(rng.choice(operators + operands))
+            continue
+        parts.append(rng.choice(operators))
+        parts.append(rng.choice(operands))
+    return " ".join(part for part in parts if part)
+
+
+def test_precedence_loop_matches_level_methods_on_random_infix_terms():
+    rng = random.Random(13)
+    errors = 0
+    for _ in range(4000):
+        text = _random_infix_text(rng)
+        new = _parse_outcome(syntax.Parser, text, False)
+        assert new == _parse_outcome(_LevelParser, text, False), text
+        errors += new[0] == "E-PARSE"
+    assert 200 <= errors <= 1000
