@@ -129,9 +129,7 @@ def cmd_lattice(args) -> int:
 
 def cmd_corpus(args) -> int:
     if args.corpus_command == "run":
-        report = corpus_mod.run_corpus(
-            stdlib_dir=args.stdlib, prelude_path=args.prelude, depth=args.depth
-        )
+        report = corpus_mod.run_corpus(stdlib_dir=args.stdlib, prelude_path=args.prelude)
         if args.json:
             for result in report.results:
                 for d in result.diagnostics:
@@ -139,7 +137,7 @@ def cmd_corpus(args) -> int:
         print(report.render())
         return EXIT_OK if report.ok else EXIT_DIAGNOSTICS
     if args.corpus_command == "prelude":
-        report = verify_prelude(args.prelude, depth=args.depth)
+        report = verify_prelude(args.prelude)
         print(report.render())
         return EXIT_OK if report.ok else EXIT_DIAGNOSTICS
     raise AssertionError
@@ -197,12 +195,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = corpus_sub.add_parser("run", help="check every corpus file against the manifest")
     p_run.add_argument("--stdlib", default=None)
     p_run.add_argument("--prelude", default=os.environ.get(ENV_VAR))
-    p_run.add_argument("--depth", type=int, default=SEARCH_DEPTH)
     p_run.add_argument("--json", action="store_true")
     p_run.set_defaults(func=cmd_corpus)
     p_pre = corpus_sub.add_parser("prelude", help="verify the prelude and its coverage")
     p_pre.add_argument("--prelude", default=os.environ.get(ENV_VAR))
-    p_pre.add_argument("--depth", type=int, default=SEARCH_DEPTH)
     p_pre.set_defaults(func=cmd_corpus)
 
     return parser
@@ -213,15 +209,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     if not getattr(args, "func", None):
         parser.print_help()
-        return EXIT_USAGE
-    if args.func is cmd_mode and not getattr(args, "mode_command", None):
-        parser.parse_args(["mode", "--help"])
-        return EXIT_USAGE
-    if args.func is cmd_lattice and not getattr(args, "lattice_command", None):
-        parser.parse_args(["lattice", "--help"])
-        return EXIT_USAGE
-    if args.func is cmd_corpus and not getattr(args, "corpus_command", None):
-        parser.parse_args(["corpus", "--help"])
         return EXIT_USAGE
     return args.func(args)
 

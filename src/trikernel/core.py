@@ -354,7 +354,7 @@ def instantiate(t: Term, args: tuple[Term, ...]) -> Term:
         if k >= n:
             return Var(v.ix - n, v.cell)
         replacement = shift(args[n - 1 - k], depth)
-        if v.cell is not None and not v.cell.is_identity():
+        if v.cell is not None:
             replacement = apply_cell(replacement, v.cell)
         return replacement
 
@@ -392,7 +392,7 @@ def apply_cell(t: Term, cell: TwoCell) -> Term:
             return v
         shifted = cell_whisker(locks, cell, side="right") if locks else cell
         existing = v.cell
-        if existing is None or existing.is_identity():
+        if existing is None:
             return Var(v.ix, shifted)
         # the variable's accumulated cell ends at some composite of locks; the
         # incoming cell acts across an inner boundary, so left-whisker it by

@@ -14,7 +14,6 @@ from typing import Optional
 
 from .diagnostics import Diagnostic
 from .kernel import Checker
-from .modality import SEARCH_DEPTH
 from .prelude import load_prelude
 from .record import record
 
@@ -161,11 +160,10 @@ def check_file(
     name: str,
     stdlib_dir: Optional[str] = None,
     prelude_path: Optional[str] = None,
-    depth: int = SEARCH_DEPTH,
 ) -> FileResult:
     base = stdlib_dir or default_stdlib_dir()
     entry = manifest.entry(name)
-    checker = Checker(depth=depth)
+    checker = Checker()
     diags = load_prelude(checker, prelude_path)
     if diags:
         return FileResult(name, "prelude ok", "prelude failed", False, diags)
@@ -199,13 +197,9 @@ def check_file(
 def run_corpus(
     stdlib_dir: Optional[str] = None,
     prelude_path: Optional[str] = None,
-    depth: int = SEARCH_DEPTH,
 ) -> CorpusReport:
     manifest = load_manifest(stdlib_dir)
-    results = [
-        check_file(manifest, e.file, stdlib_dir, prelude_path, depth)
-        for e in manifest.entries
-    ]
+    results = [check_file(manifest, e.file, stdlib_dir, prelude_path) for e in manifest.entries]
     report = CorpusReport(results)
 
     missing = REQUIRED_ANCHORS - manifest.anchor_set()

@@ -5,7 +5,9 @@ The codes and the JSON format are specified by docs/diagnostic.schema.json.
 
 from __future__ import annotations
 
+import bisect
 import json
+import re
 from typing import Optional, Sequence
 
 from .record import record
@@ -15,20 +17,11 @@ class LineMap:
     """Byte offset to 1-based (line, column) translation."""
 
     def __init__(self, text: str):
-        self.starts = [0]
-        for i, ch in enumerate(text):
-            if ch == "\n":
-                self.starts.append(i + 1)
+        self.starts = [0] + [m.end() for m in re.finditer("\n", text)]
 
     def locate(self, offset: int) -> tuple[int, int]:
-        lo, hi = 0, len(self.starts) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.starts[mid] <= offset:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo + 1, offset - self.starts[lo] + 1
+        line = bisect.bisect_right(self.starts, offset)
+        return line, offset - self.starts[line - 1] + 1
 
 
 @record

@@ -96,6 +96,39 @@ class GlobalDef:
 # weak-head normal form.
 _REDEX_FORMERS = frozenset({Const, App, Fst, Snd, J, NatRec, BoolRec, LetMod, Down, MeetT, JoinT})
 
+# The type former that an introduction form is checked against, and that the
+# type of an eliminator's principal argument must have, with the E-CONV
+# message when it does not.  Introductions are keyed by their surface class,
+# eliminators by their core class.
+_FORMERS = {
+    syntax.SLam: (Pi, "function literal against a non-function type"),
+    syntax.SPair: (Sigma, "pair literal against a non-pair type"),
+    syntax.SRefl: (IdT, "refl against a non-equation type"),
+    App: (Pi, "application of a non-function"),
+    Fst: (Sigma, "fst of a non-pair"),
+    Snd: (Sigma, "snd of a non-pair"),
+    J: (IdT, "J eliminates a path; this is not one"),
+    Down: (LiftT, "down of an unlifted term"),
+}
+# The core eliminator of each one-argument surface eliminator.
+_UNARY_ELIMS = {syntax.SFst: Fst, syntax.SSnd: Snd, syntax.SDown: Down}
+
+
+def _elim_type(t: Term, principal: Term) -> Term:
+    """Type of the eliminator `t` whose principal argument has the weak-head
+    normal type `principal`, of the former `_FORMERS` gives."""
+    match t:
+        case App(_, arg):
+            return subst(principal.cod, arg)
+        case Fst(_):
+            return principal.dom
+        case Snd(p):
+            return subst(principal.cod, Fst(p))
+        case J(motive, _, eq):
+            return instantiate(motive, (principal.rhs, eq))
+        case Down(_):
+            return principal.ty
+
 
 class Checker:
     """One checking instance: globals, the interval atoms of the declaration
@@ -199,8 +232,6 @@ class Checker:
                 return Down(xw)
             case MeetT(_, _) | JoinT(_, _):
                 return self.int_canon(t)
-            case _:
-                return t
 
     # -- interval canonical forms ---------------------------------------------
 
@@ -316,58 +347,27 @@ class Checker:
     def type_of(self, ctx: Ctx, t: Term) -> Term:
         """Type of the well-typed core term `t`, read off its weak-head normal form.
 
-        A type's type is its universe.  Introduction forms (functions, pairs,
-        `refl`, `mod`, `up`) carry no annotation in the core, so they have no
-        synthesized type.
+        `t` is a type, whose type is its universe, or a neutral term: the
+        principal argument of a stuck eliminator.  Introduction forms carry no
+        annotation in the core, so they have no synthesized type.
         """
-        match self.whnf(t):
+        match w := self.whnf(t):
             case Var(ix, cell):
                 base = ctx.type_of(ix)
-                if cell is not None and not cell.is_identity():
-                    base = apply_cell(base, cell)
-                return base
+                return base if cell is None else apply_cell(base, cell)
             case Const(name):
                 entry = self.globals.get(name)
                 if entry is None:
                     self.err("E-UNBOUND", f"unknown constant {name!r}")
                 return entry.ty
-            case App(fn, arg):
-                fty = self.whnf(self.type_of(ctx, fn))
-                if not isinstance(fty, Pi):
-                    self.err("E-CONV", "application head is not a function")
-                return subst(fty.cod, arg)
-            case Fst(p):
-                pty = self.whnf(self.type_of(ctx, p))
-                if not isinstance(pty, Sigma):
-                    self.err("E-CONV", "projection from a non-pair")
-                return pty.dom
-            case Snd(p):
-                pty = self.whnf(self.type_of(ctx, p))
-                if not isinstance(pty, Sigma):
-                    self.err("E-CONV", "projection from a non-pair")
-                return subst(pty.cod, Fst(p))
-            case J(motive, _, eq):
-                ety = self.whnf(self.type_of(ctx, eq))
-                if not isinstance(ety, IdT):
-                    self.err("E-CONV", "path eliminator on a non-path")
-                return instantiate(motive, (ety.rhs, eq))
+            case App(head, _) | Fst(head) | Snd(head) | J(_, _, head) | Down(head):
+                return _elim_type(w, self._principal(ctx, type(w), self.type_of(ctx, head)))
             case NatRec(motive, _, _, scrut) | BoolRec(motive, _, _, scrut):
                 return subst(motive, scrut)
             case LetMod(frame, word, scrut, body):
                 sty = self.type_of(ctx.lock(frame), scrut)
                 bty = self.type_of(self._letmod_ctx(ctx, "_", frame, word, sty), body)
                 return self._letmod_type(bty)
-            case Down(x):
-                xty = self.whnf(self.type_of(ctx, x))
-                if not isinstance(xty, LiftT):
-                    self.err("E-CONV", "down on a non-lifted term")
-                return xty.ty
-            case I0() | I1() | MeetT(_, _) | JoinT(_, _):
-                return IntT()
-            case Zero() | Suc(_):
-                return NatT()
-            case TrueC() | FalseC():
-                return BoolT()
             case Univ(level):
                 return Univ(level + 1)
             case Pi(word, dom, cod):
@@ -399,6 +399,15 @@ class Checker:
     def is_interval_type(self, ty: Term, word) -> bool:
         return word == () and isinstance(self.whnf(ty), IntT)
 
+    def _principal(self, ctx: Ctx, former: type, ty: Term) -> Term:
+        """Weak-head normal form of `ty`, the type of the principal argument of
+        the eliminator `former`, which must have the former `_FORMERS` gives."""
+        tyw = self.whnf(ty)
+        needed, message = _FORMERS[former]
+        if not isinstance(tyw, needed):
+            self.err("E-CONV", message, actual=tyw, ctx=ctx)
+        return tyw
+
     # -- modal variable access ----------------------------------------------------
 
     def _lock_candidates(self, trailing: list[tuple[str, bool]]):
@@ -426,7 +435,8 @@ class Checker:
         explicit: Optional[TwoCell],
         name: str,
     ) -> Optional[TwoCell]:
-        """2-cell mediating the use of Var(ix) under the trailing locks."""
+        """2-cell mediating the use of Var(ix) under the trailing locks; None
+        when it is an identity, so an annotation is never an identity cell."""
         pos = ctx._position(ix)
         annotation = ctx.entries[pos].word  # normalised by `Ctx.extend`
         if explicit is None and not annotation and ctx.last_lock < pos:
@@ -450,19 +460,22 @@ class Checker:
                     f"cell on {name!r} ends at {format_word(dst)} but the "
                     f"locks compose to {format_word(candidates[-1])}",
                 )
-            return cell_normalize(explicit)
-        for target in candidates:
-            found = cell_search(annotation, target, self.depth)
-            if found is not None:
-                return cell_normalize(found)
-        self.err(
-            "E-MODALITY",
-            f"variable {name!r} is annotated {format_word(annotation)} but sits "
-            f"under locks {format_word(candidates[-1])} and no mediating 2-cell "
-            f"was found to any word tried: {', '.join(map(format_word, candidates))} "
-            f"(depth {self.depth})",
-        )
-        raise AssertionError
+            found = explicit
+        else:
+            for target in candidates:
+                found = cell_search(annotation, target, self.depth)
+                if found is not None:
+                    break
+            else:
+                self.err(
+                    "E-MODALITY",
+                    f"variable {name!r} is annotated {format_word(annotation)} but sits "
+                    f"under locks {format_word(candidates[-1])} and no mediating 2-cell "
+                    f"was found to any word tried: "
+                    f"{', '.join(map(format_word, candidates))} (depth {self.depth})",
+                )
+        found = cell_normalize(found)
+        return None if found.is_identity() else found
 
     # -- surface cell elaboration ----------------------------------------------
 
@@ -519,9 +532,7 @@ class Checker:
             self.err("E-UNBOUND", f"unbound name {name!r}")
         resolved = self.access_cell(ctx, ix, cell, name)
         ty = ctx.type_of(ix)
-        if resolved is not None and not resolved.is_identity():
-            ty = apply_cell(ty, resolved)
-        return Var(ix, resolved), ty
+        return Var(ix, resolved), ty if resolved is None else apply_cell(ty, resolved)
 
     def _infer(self, ctx: Ctx, s: syntax.STerm) -> tuple[Term, Term]:
         match s:
@@ -586,63 +597,29 @@ class Checker:
                 return Sigma(dc, cc), Univ(max(l1, l2))
             case syntax.SApp(fn, arg):
                 fc, fty = self.infer(ctx, fn)
-                ftyw = self.whnf(fty)
-                if not isinstance(ftyw, Pi):
-                    self.err(
-                        "E-CONV",
-                        "application of a non-function",
-                        actual=ftyw,
-                        ctx=ctx,
-                    )
-                ac = self.check(ctx.lock(ftyw.word), arg, ftyw.dom)
-                return App(fc, ac), subst(ftyw.cod, ac)
-            case syntax.SFst(arg):
+                fty = self._principal(ctx, App, fty)
+                t = App(fc, self.check(ctx.lock(fty.word), arg, fty.dom))
+                return t, _elim_type(t, fty)
+            case syntax.SFst(arg) | syntax.SSnd(arg) | syntax.SDown(arg):
+                former = _UNARY_ELIMS[type(s)]
                 ac, aty = self.infer(ctx, arg)
-                atyw = self.whnf(aty)
-                if not isinstance(atyw, Sigma):
-                    self.err("E-CONV", "fst of a non-pair",
-                             actual=atyw, ctx=ctx)
-                return Fst(ac), atyw.dom
-            case syntax.SSnd(arg):
-                ac, aty = self.infer(ctx, arg)
-                atyw = self.whnf(aty)
-                if not isinstance(atyw, Sigma):
-                    self.err("E-CONV", "snd of a non-pair",
-                             actual=atyw, ctx=ctx)
-                return Snd(ac), subst(atyw.cod, Fst(ac))
+                t = former(ac)
+                return t, _elim_type(t, self._principal(ctx, former, aty))
             case syntax.SEq(lhs, rhs):
                 lc, lty = self.infer(ctx, lhs)
                 rc = self.check(ctx, rhs, lty)
                 return IdT(lty, lc, rc), Univ(self.universe_of(ctx, lty))
             case syntax.SJ(motive, base, eq):
                 ec, ety = self.infer(ctx, eq)
-                etyw = self.whnf(ety)
-                if not isinstance(etyw, IdT):
-                    self.err("E-CONV", "J eliminates a path; this is not one",
-                             actual=etyw, ctx=ctx)
-                if not (isinstance(motive, syntax.SLam)
-                        and isinstance(motive.body, syntax.SLam)):
-                    self.err(
-                        "E-CONV",
-                        "the J motive must be a literal two-argument function",
-                    )
-                ctx_m = ctx.extend(
-                    motive.name, (), etyw.ty, self.is_interval_type(etyw.ty, ())
-                ).extend(
-                    motive.body.name,
-                    (),
-                    IdT(shift(etyw.ty, 1), shift(etyw.lhs, 1), Var(0)),
-                )
-                mbody, _ = self.elab_type(ctx_m, motive.body.body)
-                base_ty = instantiate(mbody, (etyw.lhs, Refl()))
-                bc = self.check(ctx, base, base_ty)
-                return J(mbody, bc, ec), instantiate(mbody, (etyw.rhs, ec))
+                ety = self._principal(ctx, J, ety)
+                mbody = self._motive(ctx, motive, "J", ety.ty,
+                                     IdT(shift(ety.ty, 1), shift(ety.lhs, 1), Var(0)))
+                bc = self.check(ctx, base, instantiate(mbody, (ety.lhs, Refl())))
+                t = J(mbody, bc, ec)
+                return t, _elim_type(t, ety)
             case syntax.SNatRec(motive, zcase, scase, scrut):
                 nc = self.check(ctx, scrut, NatT())
-                if not isinstance(motive, syntax.SLam):
-                    self.err("E-CONV", "the natrec motive must be a literal function")
-                ctx_m = ctx.extend(motive.name, (), NatT())
-                mbody, _ = self.elab_type(ctx_m, motive.body)
+                mbody = self._motive(ctx, motive, "natrec", NatT())
                 zc = self.check(ctx, zcase, subst(mbody, Zero()))
                 step_cod = subst(shift(mbody, 2, cutoff=1), Suc(Var(1)))
                 step_ty = Pi((), NatT(), Pi((), mbody, step_cod))
@@ -650,10 +627,7 @@ class Checker:
                 return NatRec(mbody, zc, sc, nc), subst(mbody, nc)
             case syntax.SBoolRec(motive, tcase, fcase, scrut):
                 bc = self.check(ctx, scrut, BoolT())
-                if not isinstance(motive, syntax.SLam):
-                    self.err("E-CONV", "the boolrec motive must be a literal function")
-                ctx_m = ctx.extend(motive.name, (), BoolT())
-                mbody, _ = self.elab_type(ctx_m, motive.body)
+                mbody = self._motive(ctx, motive, "boolrec", BoolT())
                 tc = self.check(ctx, tcase, subst(mbody, TrueC()))
                 fc = self.check(ctx, fcase, subst(mbody, FalseC()))
                 return BoolRec(mbody, tc, fc, bc), subst(mbody, bc)
@@ -686,13 +660,6 @@ class Checker:
             case syntax.SUp(arg):
                 ac, aty = self.infer(ctx, arg)
                 return Up(ac), LiftT(aty)
-            case syntax.SDown(arg):
-                ac, aty = self.infer(ctx, arg)
-                atyw = self.whnf(aty)
-                if not isinstance(atyw, LiftT):
-                    self.err("E-CONV", "down of an unlifted term",
-                             actual=atyw, ctx=ctx)
-                return Down(ac), atyw.ty
             case syntax.SLam(_, _):
                 self.err("E-CONV", "cannot infer the type of a bare function; "
                          "annotate it or check it against a type")
@@ -706,41 +673,36 @@ class Checker:
                 self.err("E-PARSE", f"unsupported term {s!r}")
         raise AssertionError
 
+    def _motive(self, ctx: Ctx, motive: syntax.STerm, what: str, *domains: Term) -> Term:
+        """The body of the literal motive `fun x.. => M` of the eliminator
+        `what`, elaborated as a type with its binders of types `domains`, each
+        in the context extended by the ones before it."""
+        body = motive
+        for dom in domains:
+            if not isinstance(body, syntax.SLam):
+                arity = "two-argument " if len(domains) == 2 else ""
+                self.err("E-CONV", f"the {what} motive must be a literal {arity}function")
+            ctx = ctx.extend(body.name, (), dom, self.is_interval_type(dom, ()))
+            body = body.body
+        return self.elab_type(ctx, body)[0]
+
     def _check(self, ctx: Ctx, s: syntax.STerm, ty: Term) -> Term:
         tyw = self.whnf(ty)
+        form = _FORMERS.get(type(s))
+        if form is not None and not isinstance(tyw, form[0]):
+            self.err("E-CONV", form[1], expected=tyw, ctx=ctx)
         match s:
             case syntax.SLam(name, body):
-                if not isinstance(tyw, Pi):
-                    self.err(
-                        "E-CONV",
-                        "function literal against a non-function type",
-                        expected=tyw,
-                        ctx=ctx,
-                    )
                 ctx2 = ctx.extend(
                     name, tyw.word, tyw.dom, self.is_interval_type(tyw.dom, tyw.word)
                 )
                 bc = self.check(ctx2, body, tyw.cod)
                 return Lam(bc)
             case syntax.SPair(a, b):
-                if not isinstance(tyw, Sigma):
-                    self.err(
-                        "E-CONV",
-                        "pair literal against a non-pair type",
-                        expected=tyw,
-                        ctx=ctx,
-                    )
                 ac = self.check(ctx, a, tyw.dom)
                 bc = self.check(ctx, b, subst(tyw.cod, ac))
                 return Pair(ac, bc)
             case syntax.SRefl():
-                if not isinstance(tyw, IdT):
-                    self.err(
-                        "E-CONV",
-                        "refl against a non-equation type",
-                        expected=tyw,
-                        ctx=ctx,
-                    )
                 if not self.conv(tyw.lhs, tyw.rhs, tyw.ty):
                     self.err(
                         "E-CONV",
@@ -872,10 +834,7 @@ class Checker:
         ttyw = self.whnf(tty)
         if src == ():
             inner = ttyw
-            term_body = shift(tc, npee(dst))
-            if not cell.is_identity():
-                term_body = apply_cell(term_body, cell)
-            result = mk_mkmod(dst, term_body)
+            result = mk_mkmod(dst, apply_cell(shift(tc, npee(dst)), cell))
         else:
             if not (isinstance(ttyw, Modify) and ttyw.word == src):
                 self.err(
@@ -889,10 +848,7 @@ class Checker:
             inner = ttyw.ty
             body = Var(npee(dst), cell if not cell.is_identity() else None)
             result = LetMod((), src, tc, mk_mkmod(dst, body))
-        ty_inner = shift(inner, npee(dst))
-        if not cell.is_identity():
-            ty_inner = apply_cell(ty_inner, cell)
-        return result, mk_modify(dst, ty_inner)
+        return result, mk_modify(dst, apply_cell(shift(inner, npee(dst)), cell))
 
     # -- declarations ---------------------------------------------------------
 
@@ -1027,7 +983,7 @@ def readback(t: Term, names: list[str]) -> syntax.STerm:
         match u:
             case Var(ix, cell):
                 var = syntax.SVar(scope[-1 - ix] if ix < len(scope) else f"@{ix}")
-                if cell is None or cell.is_identity():
+                if cell is None:
                     return var
                 return syntax.SCellApp(var, (cell,))
             case Const(name):

@@ -13,7 +13,6 @@ from typing import Optional
 
 from .diagnostics import Diagnostic
 from .kernel import Checker
-from .modality import SEARCH_DEPTH
 from .record import record
 from .syntax import WORD
 
@@ -167,11 +166,11 @@ def load_prelude(checker: Checker, path: Optional[str] = None) -> list[Diagnosti
     return checker.check_source(text, actual)
 
 
-def verify_prelude(path: Optional[str] = None, depth: int = SEARCH_DEPTH) -> PreludeReport:
+def verify_prelude(path: Optional[str] = None) -> PreludeReport:
     """Full integrity report: entries check, coverage table, tier counts."""
     text, actual = read_prelude(path)
     entries = parse_metadata(text)
-    checker = Checker(depth=depth)
+    checker = Checker()
     diagnostics = checker.check_source(text, actual)
     report = PreludeReport(entries=entries, diagnostics=diagnostics)
 

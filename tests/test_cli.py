@@ -63,6 +63,13 @@ def test_mode_parse_failure(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("group", ["mode", "lattice", "corpus"])
+def test_group_without_a_subcommand_prints_usage(capsys, group):
+    code, out, _ = run_cli([group], capsys)
+    assert code == 2
+    assert out.startswith("usage: trikernel")
+
+
 def test_lattice_eq(capsys):
     code, out, _ = run_cli(
         ["lattice", "eq", "x/\\(y\\/z)", "(x/\\y)\\/(x/\\z)"], capsys

@@ -326,3 +326,14 @@ def test_alias_of_int_changes_no_verdict():
         text = alias(read_corpus_file(name))
         assert text != read_corpus_file(name), name
         assert checker.check_source(text, name) == [], name
+
+
+def test_no_variable_carries_an_identity_cell():
+    """A variable's 2-cell annotation is None or a cell with at least one step,
+    on every variable of every elaborated global type and body."""
+    checker = library_checker()
+    roots = [g.ty for g in checker.globals.values()]
+    roots += [g.body for g in checker.globals.values() if g.body is not None]
+    cells = [u.cell for root in roots for u, _ in subterms(root)
+             if isinstance(u, Var) and u.cell is not None]
+    assert cells and not any(cell.is_identity() for cell in cells)

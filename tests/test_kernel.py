@@ -47,6 +47,7 @@ from trikernel.core import (
     nat_literal,
     shift,
     subst,
+    subterms,
     syn_eq,
 )
 from trikernel import corpus, kernel
@@ -828,3 +829,74 @@ def test_constant_time_variable_use_matches_enumeration_under_interval_binders(m
                     pass
     cells = len(outcomes) - outcomes.count(None) - outcomes.count("E-MODALITY")
     assert outcomes.count(None) > 200 and outcomes.count("E-MODALITY") > 100 and cells > 50
+
+
+# Every shape diagnostic of the elaborator: (source, code, line, column,
+# message, expected, actual), each checked by a fresh `Checker`.
+SHAPE_DIAGNOSTICS = [
+    ("axiom a : Nat\ndef t : Nat := a zero",
+     "E-CONV", 2, 16, "application of a non-function", None, "Nat"),
+    ("axiom a : Nat\ndef t : Nat := fst a",
+     "E-CONV", 2, 16, "fst of a non-pair", None, "Nat"),
+    ("axiom a : Nat\ndef t : Nat := snd a",
+     "E-CONV", 2, 16, "snd of a non-pair", None, "Nat"),
+    ("axiom a : Nat\ndef t : Nat := J(fun x q => Nat, zero, a)",
+     "E-CONV", 2, 16, "J eliminates a path; this is not one", None, "Nat"),
+    ("axiom a : Nat\ndef t : Nat := down a",
+     "E-CONV", 2, 16, "down of an unlifted term", None, "Nat"),
+    ("axiom a : Nat\naxiom e : a = a\ndef t : Nat := J(fun x => Nat, zero, e)",
+     "E-CONV", 3, 16, "the J motive must be a literal two-argument function", None, None),
+    ("def t : Nat := natrec(Nat, zero, fun k r => r, zero)",
+     "E-CONV", 1, 16, "the natrec motive must be a literal function", None, None),
+    ("def t : Nat := boolrec(Nat, zero, zero, true)",
+     "E-CONV", 1, 16, "the boolrec motive must be a literal function", None, None),
+    ("def t : Nat := (fun x => x) zero",
+     "E-CONV", 1, 16, "cannot infer the type of a bare function; "
+     "annotate it or check it against a type", None, None),
+    ("def t : Nat := fst (zero, zero)",
+     "E-CONV", 1, 20, "cannot infer the type of a bare pair; "
+     "annotate it or check it against a type", None, None),
+    ("def t : Nat := fst refl",
+     "E-CONV", 1, 20, "cannot infer the type of refl; check it against an equation", None, None),
+    ("def t : Nat := fun x => x",
+     "E-CONV", 1, 16, "function literal against a non-function type", "Nat", None),
+    ("def t : Nat := (zero, zero)",
+     "E-CONV", 1, 16, "pair literal against a non-pair type", "Nat", None),
+    ("def t : Nat := refl",
+     "E-CONV", 1, 16, "refl against a non-equation type", "Nat", None),
+    ("def t : Int := 2",
+     "E-CONV", 1, 16, "2 is not an interval endpoint", None, None),
+    ("def t : Nat := mod{g}(zero)",
+     "E-CONV", 1, 16, "modal introduction mod{g} against a different type", "Nat", None),
+    ("def t : Nat := mod{p}(zero)",
+     "E-CONV", 1, 16, "path-modal introduction against a non-path type", "Nat", None),
+    ("axiom a : Nat\ndef t : Nat := let mod{g}(x) = a in x",
+     "E-CONV", 2, 16, "let-mod expects a value in <g| ->", "<g| _>", "Nat"),
+    ("axiom a : <g| Nat>\ndef t : Nat := fst (let mod{g}(x) = a in (refl : x = x))",
+     "E-CONV", 2, 20, "cannot infer a dependent let-mod; check it against a type", None, None),
+    ("axiom a : Nat\ndef t : Nat := a^{id(1)}",
+     "E-2CELL-BOUNDARY", 2, 16, "2-cell action on the constant 'a'", None, None),
+    ("axiom f : Nat -> Nat\ndef t : (x : Nat) -> Nat := fun x => (f x)^{id(1)}",
+     "E-MODALITY", 2, 38, "the 2-cell action elaborates on variables only; "
+     "apply it before compounding the term", None, None),
+    ("axiom f : Nat -> Nat\ndef t : Nat := f (zero : Nat @ g)",
+     "E-MODALITY", 2, 18, "modal annotation outside a binder", None, None),
+]
+
+
+@pytest.mark.parametrize("source, code, line, column, message, expected, actual",
+                         SHAPE_DIAGNOSTICS, ids=[row[4][:40] for row in SHAPE_DIAGNOSTICS])
+def test_shape_diagnostic(source, code, line, column, message, expected, actual):
+    (d,) = Checker().check_source(source)
+    assert (d.code, d.line, d.column, d.message) == (code, line, column, message)
+    assert (d.expected, d.actual) == (expected, actual)
+
+
+def test_an_explicit_identity_cell_is_no_annotation():
+    checker = run_ok(
+        "def t : (A : U 0 @ g) -> (x : A @ g) -> <g| A> := fun A x => mod{g}(x^{id(g)})"
+    )
+    body = checker.globals["t"].body
+    (var,) = [u for u, _ in subterms(body) if isinstance(u, Var)]
+    assert var == Var(0, None)
+    assert print_core(body) == "fun x x0 => mod{g}(x0)"

@@ -8,9 +8,10 @@ import string
 
 import pytest
 
-from trikernel.diagnostics import KernelError
+from trikernel.diagnostics import KernelError, LineMap
 from trikernel import syntax
 from trikernel.modality import generator_cell, identity_cell
+from trikernel.prelude import read_prelude
 from trikernel.record import fields
 from trikernel.syntax import (
     Decl,
@@ -504,3 +505,34 @@ def test_precedence_loop_matches_level_methods_on_random_infix_terms():
         assert new == _parse_outcome(_LevelParser, text, False), text
         errors += new[0] == "E-PARSE"
     assert 200 <= errors <= 1000
+
+
+class ScanLineMap:
+    """Reference line map: a character scan and a hand-written binary search."""
+
+    def __init__(self, text):
+        self.starts = [0]
+        for i, ch in enumerate(text):
+            if ch == "\n":
+                self.starts.append(i + 1)
+
+    def locate(self, offset):
+        lo, hi = 0, len(self.starts) - 1
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if self.starts[mid] <= offset:
+                lo = mid
+            else:
+                hi = mid - 1
+        return lo + 1, offset - self.starts[lo] + 1
+
+
+def test_line_map_matches_the_reference_scan():
+    prelude_text, _ = read_prelude()
+    texts = [prelude_text, "", "\n", "\n\n", "a", "\nleading", "trailing\n",
+             "one\n\nthree\n\n\n", "crlf\r\nline\r\n\r\nend", "\r\n", "x\ry\n"]
+    for text in texts:
+        fast, slow = LineMap(text), ScanLineMap(text)
+        assert fast.starts == slow.starts
+        for offset in range(len(text) + 2):
+            assert fast.locate(offset) == slow.locate(offset), (text, offset)
