@@ -17,7 +17,7 @@ from . import lattice
 from .diagnostics import Diagnostic
 from .kernel import Checker
 from .modality import SEARCH_DEPTH, ModeError, cell_search, format_word, normalize, parse_word
-from .prelude import ENV_VAR, load_prelude, prelude_slice, read_prelude, verify_prelude
+from .prelude import ENV_VAR, load_prelude, verify_prelude
 
 EXIT_OK = 0
 EXIT_DIAGNOSTICS = 1
@@ -49,13 +49,7 @@ def cmd_check(args) -> int:
             return EXIT_USAGE
     for path, text in texts:
         checker = Checker(depth=args.depth)
-        if args.prelude is None:
-            # the shipped prelude is checked whole by `corpus prelude`; here
-            # only the entries this file reaches are elaborated
-            prelude_text, prelude_path = read_prelude()
-            prelude_diags = checker.check_source(prelude_slice(prelude_text, text), prelude_path)
-        else:
-            prelude_diags = load_prelude(checker, args.prelude)
+        prelude_diags = load_prelude(checker, args.prelude, text)
         if prelude_diags:
             collected.extend(prelude_diags)
             exit_code = EXIT_DIAGNOSTICS

@@ -1,7 +1,9 @@
 """Corpus harness: run the checked library against its manifest.
 
-Each file is checked in a fresh checker seeded with the prelude and the
-file's declared dependencies, so every file is independently re-checkable.
+Each file is checked in a fresh checker seeded with the prelude entries it
+and its declared dependencies reach, then with those dependencies whole, so
+every file is independently re-checkable.  A run also checks the whole
+prelude once, so an ill-typed entry that no file reaches still fails it.
 The manifest also records, per file, which definitional anchors it covers;
 the harness confirms the union covers the whole in-scope list.
 """
@@ -163,18 +165,21 @@ def check_file(
 ) -> FileResult:
     base = stdlib_dir or default_stdlib_dir()
     entry = manifest.entry(name)
+    sources = []
+    for file in _transitive_deps(manifest, entry) + [name]:
+        with open(os.path.join(base, file), "r", encoding="utf-8") as handle:
+            sources.append((file, handle.read()))
     checker = Checker()
-    diags = load_prelude(checker, prelude_path)
+    # joined by newlines so that no two words of adjacent files merge
+    diags = load_prelude(checker, prelude_path, "\n".join(text for _, text in sources))
     if diags:
         return FileResult(name, "prelude ok", "prelude failed", False, diags)
-    for dep in _transitive_deps(manifest, entry):
-        with open(os.path.join(base, dep), "r", encoding="utf-8") as handle:
-            dep_diags = checker.check_source(handle.read(), dep)
+    *deps, (_, text) = sources
+    for dep, dep_text in deps:
+        dep_diags = checker.check_source(dep_text, dep)
         if dep_diags:
             return FileResult(name, "dependencies ok", f"dependency {dep} failed",
                               False, dep_diags)
-    with open(os.path.join(base, name), "r", encoding="utf-8") as handle:
-        text = handle.read()
     diags = checker.check_source(text, name)
 
     expected = entry.expect_code or "pass"
@@ -201,6 +206,9 @@ def run_corpus(
     manifest = load_manifest(stdlib_dir)
     results = [check_file(manifest, e.file, stdlib_dir, prelude_path) for e in manifest.entries]
     report = CorpusReport(results)
+    # each file reaches only part of the shipped prelude; check it all once
+    for diag in load_prelude(Checker(), prelude_path):
+        report.problems.append(f"prelude: {diag.render()}")
 
     missing = REQUIRED_ANCHORS - manifest.anchor_set()
     for anchor in sorted(missing):

@@ -160,9 +160,19 @@ def prelude_slice(text: str, uses: str) -> str:
     return "".join(out)
 
 
-def load_prelude(checker: Checker, path: Optional[str] = None) -> list[Diagnostic]:
-    """Check the prelude into the given checker; returns its diagnostics."""
+def load_prelude(
+    checker: Checker, path: Optional[str] = None, uses: Optional[str] = None
+) -> list[Diagnostic]:
+    """Check the prelude into the given checker; returns its diagnostics.
+
+    Given `uses`, the shipped prelude (no `path` and no TTT_PRELUDE) is
+    checked as its slice for `uses`; a prelude named by either is always
+    checked whole, so an ill-typed entry that `uses` never reaches is still
+    reported.
+    """
     text, actual = read_prelude(path)
+    if uses is not None and path is None and not os.environ.get(ENV_VAR):
+        text = prelude_slice(text, uses)
     return checker.check_source(text, actual)
 
 

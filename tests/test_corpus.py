@@ -15,7 +15,7 @@ from trikernel.corpus import (
     load_manifest,
     run_corpus,
 )
-from trikernel import kernel
+from trikernel import kernel, prelude
 from trikernel.core import (
     App,
     Const,
@@ -111,16 +111,64 @@ def test_mutation_sanity_triangle_orientation():
     assert flipped_any >= 2
 
 
-def test_failing_dependency_diagnostics_are_located(tmp_path):
+def broken_dependency_stdlib(tmp_path):
+    """A copy of the library whose simplices.ttt fails at line 3, column 16."""
     stdlib = tmp_path / "stdlib"
     shutil.copytree(STDLIB, stdlib)
     lines = read_corpus_file("simplices.ttt").splitlines(keepends=True)
     lines.insert(2, "def b : Nat := true\n")
     (stdlib / "simplices.ttt").write_text("".join(lines), encoding="utf-8")
-    result = check_file(load_manifest(str(stdlib)), "segal.ttt", str(stdlib))
+    return str(stdlib)
+
+
+def test_failing_dependency_diagnostics_are_located(tmp_path):
+    stdlib = broken_dependency_stdlib(tmp_path)
+    result = check_file(load_manifest(stdlib), "segal.ttt", stdlib)
     assert result.actual == "dependency simplices.ttt failed"
     (diag,) = result.diagnostics
     assert (diag.file, diag.code, diag.line, diag.column) == ("simplices.ttt", "E-CONV", 3, 16)
+
+
+def test_prelude_slice_gives_check_file_the_whole_prelude_verdicts(tmp_path, monkeypatch):
+    # check_file elaborates only the shipped prelude entries that a file and
+    # its dependencies reach; naming the same prelude checks it whole
+    monkeypatch.delenv("TTT_PRELUDE", raising=False)
+    shipped = prelude.default_prelude_path()
+    decls = []
+    real_run_decl = Checker.run_decl
+
+    def counted(self, decl):
+        decls.append(decl.name)
+        return real_run_decl(self, decl)
+
+    monkeypatch.setattr(Checker, "run_decl", counted)
+    counts = {"sliced": 0, "whole": 0}
+    for stdlib in (STDLIB, broken_dependency_stdlib(tmp_path)):
+        manifest = load_manifest(stdlib)
+        for entry in manifest.entries:
+            results = {}
+            for how, path in (("sliced", None), ("whole", shipped)):
+                decls.clear()
+                results[how] = check_file(manifest, entry.file, stdlib, path)
+                counts[how] += len(decls)
+            assert results["sliced"] == results["whole"], (stdlib, entry.file)
+    assert counts["sliced"] < counts["whole"] / 2
+
+
+def test_corpus_run_checks_the_shipped_prelude_whole(tmp_path, monkeypatch):
+    # an ill-typed entry that no library file reaches passes every sliced
+    # check_file, and still fails the run
+    text, _ = read_prelude()
+    copy = tmp_path / "prelude.ttt"
+    copy.write_text(text + "\naxiom never_named : zero\n", encoding="utf-8")
+    monkeypatch.delenv("TTT_PRELUDE", raising=False)
+    monkeypatch.setattr(prelude, "default_prelude_path", lambda: str(copy))
+    report = run_corpus()
+    assert all(r.ok for r in report.results)
+    assert not report.ok
+    bad_line = text.count("\n") + 2
+    (problem,) = report.problems
+    assert problem.startswith(f"prelude: {copy}:{bad_line}:")
 
 
 def test_dead_entry_lint():

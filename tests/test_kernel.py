@@ -2,6 +2,7 @@
 
 import random
 import time
+from importlib import resources
 
 import pytest
 
@@ -793,8 +794,11 @@ def test_constant_time_variable_use_matches_telescope_scan_on_library(monkeypatc
     monkeypatch.setattr(Ctx, "__init__", checked_init)
     _guard_access_cell(monkeypatch, outcomes)
     manifest = corpus.load_manifest()
+    # the whole shipped prelude, not the slice each file reaches, so that
+    # every prelude entry drives the guards
+    shipped = str(resources.files("trikernel") / "prelude.ttt")
     for entry in manifest.entries:
-        assert corpus.check_file(manifest, entry.file).ok, entry.file
+        assert corpus.check_file(manifest, entry.file, prelude_path=shipped).ok, entry.file
     assert len(built) > 20_000 and max(built) >= 12
     assert outcomes.count(None) > 10_000 and len(outcomes) - outcomes.count(None) > 200
     assert outcomes.count("E-MODALITY") == 1  # neg/escape-s.ttt

@@ -8,7 +8,7 @@ no longer called on a checked file.
 import os
 import sys
 
-from trikernel import corpus
+from trikernel import cli, corpus
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "perfbench"))
@@ -23,3 +23,14 @@ def test_tracer_wraps_and_counts_every_hook_on_a_checked_file():
     assert result.ok, result.actual
     hooks = {name for name, *_ in FUNCTIONS} | {name for name, _ in METHODS}
     assert sorted(name for name in hooks if not tracer.calls[name]) == []
+
+
+def test_tracer_sees_the_prelude_slice_of_a_cold_check(capsys, monkeypatch):
+    # `check` loads the slice of the shipped prelude through load_prelude
+    monkeypatch.delenv("TTT_PRELUDE", raising=False)
+    hom = os.path.join(corpus.default_stdlib_dir(), "hom.ttt")
+    tracer = Tracer()
+    with tracer.installed():
+        code = cli.main(["check", "--json", hom])
+    assert code == 0, capsys.readouterr().out
+    assert tracer.calls["prelude.load"] == 1
