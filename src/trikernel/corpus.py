@@ -1,9 +1,11 @@
 """Corpus harness: run the checked library against its manifest.
 
-Each file is checked in a fresh checker seeded with the prelude entries it
-and its declared dependencies reach, then with those dependencies whole, so
-every file is independently re-checkable.  A run also checks the whole
-prelude once, so an ill-typed entry that no file reaches still fails it.
+Each file is checked in a fresh checker seeded with the entries of the
+prelude and of its declared dependencies that it reaches, so every file is
+independently re-checkable; an entry that it does not reach is not
+elaborated, and cannot fail it.  A run checks every dependency whole, as its
+own manifest entry, and the whole prelude once, so an ill-typed entry that
+no file reaches still fails it.
 The manifest also records, per file, which definitional anchors it covers;
 the harness confirms the union covers the whole in-scope list.
 """
@@ -163,19 +165,28 @@ def check_file(
     stdlib_dir: Optional[str] = None,
     prelude_path: Optional[str] = None,
 ) -> FileResult:
+    """The verdict on `name`, checked cold after the prelude and its
+    transitive dependencies.
+
+    With the shipped prelude, the prelude and each dependency are checked
+    as their slices for `name`'s text (`prelude.slice_texts`), so an entry
+    of a dependency that `name` does not reach is not elaborated; with a
+    named `prelude_path` (or TTT_PRELUDE) all of them are checked whole.
+    """
     base = stdlib_dir or default_stdlib_dir()
     entry = manifest.entry(name)
-    sources = []
-    for file in _transitive_deps(manifest, entry) + [name]:
+    deps = _transitive_deps(manifest, entry)
+    texts = []
+    for file in deps + [name]:
         with open(os.path.join(base, file), "r", encoding="utf-8") as handle:
-            sources.append((file, handle.read()))
+            texts.append(handle.read())
+    *dep_texts, text = texts
     checker = Checker()
-    # joined by newlines so that no two words of adjacent files merge
-    diags = load_prelude(checker, prelude_path, "\n".join(text for _, text in sources))
+    # slices dep_texts in place, with the prelude, when the prelude is sliced
+    diags = load_prelude(checker, prelude_path, text, dep_texts)
     if diags:
         return FileResult(name, "prelude ok", "prelude failed", False, diags)
-    *deps, (_, text) = sources
-    for dep, dep_text in deps:
+    for dep, dep_text in zip(deps, dep_texts):
         dep_diags = checker.check_source(dep_text, dep)
         if dep_diags:
             return FileResult(name, "dependencies ok", f"dependency {dep} failed",

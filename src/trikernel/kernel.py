@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Optional
+from typing import NoReturn, Optional
 
 from . import lattice, syntax
 from .core import (
@@ -147,7 +147,7 @@ class Checker:
 
     def err(self, code: str, message: str, expected: Term | str | None = None,
             actual: Term | str | None = None, span: Optional[tuple[int, int]] = None,
-            ctx: Optional[Ctx] = None):
+            ctx: Optional[Ctx] = None) -> NoReturn:
         """Raise a diagnostic; core terms stay unprinted until `run_module`."""
         raise KernelError(
             Diagnostic(
@@ -386,7 +386,6 @@ class Checker:
             case LiftT(inner):
                 return Univ(self.universe_of(ctx, inner) + 1)
         self.err("E-CONV", "cannot synthesize a type for this term")
-        raise AssertionError
 
     def universe_of(self, ctx: Ctx, ty: Term) -> int:
         """Level l such that the (well-formed) type inhabits U l."""
@@ -394,7 +393,6 @@ class Checker:
         if isinstance(tyty, Univ):
             return tyty.level
         self.err("E-CONV", "expected a type", actual=self.whnf(ty), ctx=ctx)
-        raise AssertionError
 
     def is_interval_type(self, ty: Term, word) -> bool:
         return word == () and isinstance(self.whnf(ty), IntT)
@@ -520,7 +518,6 @@ class Checker:
             span=s.span if s.span != (0, 0) else None,
             ctx=ctx,
         )
-        raise AssertionError
 
     def _lookup(self, ctx: Ctx, name: str, cell: Optional[TwoCell]) -> tuple[Term, Term]:
         ix = ctx.find(name)
@@ -671,7 +668,6 @@ class Checker:
                          "check it against an equation")
             case _:
                 self.err("E-PARSE", f"unsupported term {s!r}")
-        raise AssertionError
 
     def _motive(self, ctx: Ctx, motive: syntax.STerm, what: str, *domains: Term) -> Term:
         """The body of the literal motive `fun x.. => M` of the eliminator
@@ -771,7 +767,6 @@ class Checker:
             actual=ityw,
             ctx=ctx,
         )
-        raise AssertionError
 
     def _elab_letmod(self, ctx: Ctx, s: syntax.SLetMod, expected: Optional[Term]):
         word = normalize(s.word)
@@ -810,7 +805,6 @@ class Checker:
                 actual=styw,
                 ctx=ctx,
             )
-            raise AssertionError
         annotation = compose(frame, word)
         return ctx.extend(name, annotation, inner_ty,
                           self.is_interval_type(inner_ty, annotation))

@@ -132,27 +132,46 @@ def parse_metadata(text: str) -> list[PreludeEntry]:
 
 
 def prelude_slice(text: str, uses: str) -> str:
-    """`text` with every entry that `uses` cannot reach blanked out.
+    """`text` with every entry that `uses` cannot reach blanked out: the
+    one-text case of `slice_texts`."""
+    return slice_texts([text], uses)[0]
 
-    An entry is reached when its name is a word of `uses` or of a reached
+
+def slice_texts(texts: list[str], uses: str) -> list[str]:
+    """Each of `texts` with every entry that `uses` cannot reach blanked out.
+
+    One closure runs over the entries of all the texts, keyed by name: an
+    entry is reached when its name is a word of `uses`, of the text before
+    any text's first entry (a top-level `check`, say), or of a reached
     entry.  Any word counts, so a shadowing binder or a word in a comment
     only keeps more entries.  Checking an entry reads only the globals it
-    names, so the slice gives every name of `uses` the global the whole
-    text would.  A dropped entry keeps its newlines and has every other
-    character made a space, so offsets, lines and columns stay exact.
+    names, so the slices, checked in order, give every name of `uses` the
+    global the whole texts would.  A dropped entry keeps its newlines and
+    has every other character made a space, so offsets, lines and columns
+    stay exact.
     """
-    heads = [(offset, head[1]) for offset, _, _, head in _scan(text) if head is not None]
-    spans: dict[str, list[tuple[int, int]]] = {}
-    for (start, name), (end, _) in zip(heads, heads[1:] + [(len(text), "")]):
-        spans.setdefault(name, []).append((start, end))
-    dropped = set().union(*spans.values())
+    spans: dict[str, list[tuple[int, int, int]]] = {}
     todo = set(WORD.findall(uses))
+    for index, text in enumerate(texts):
+        heads = [(offset, head[1]) for offset, _, _, head in _scan(text) if head is not None]
+        todo.update(WORD.findall(text, 0, heads[0][0] if heads else len(text)))
+        for (start, name), (end, _) in zip(heads, heads[1:] + [(len(text), "")]):
+            spans.setdefault(name, []).append((index, start, end))
+    dropped = set().union(*spans.values())
     while todo:
-        for start, end in spans.pop(todo.pop(), ()):
-            dropped.discard((start, end))
-            todo.update(WORD.findall(text, start, end))
+        for index, start, end in spans.pop(todo.pop(), ()):
+            dropped.discard((index, start, end))
+            todo.update(WORD.findall(texts[index], start, end))
+    cuts: list[list[tuple[int, int]]] = [[] for _ in texts]
+    for index, start, end in dropped:
+        cuts[index].append((start, end))
+    return [_blanked(text, sorted(cut)) for text, cut in zip(texts, cuts)]
+
+
+def _blanked(text: str, cuts: list[tuple[int, int]]) -> str:
+    """`text` with each span of the ordered `cuts` blanked except for its newlines."""
     out, last = [], 0
-    for start, end in sorted(dropped):
+    for start, end in cuts:
         blank = "\n".join(" " * len(line) for line in text[start:end].split("\n"))
         out += [text[last:start], blank]
         last = end
@@ -161,18 +180,25 @@ def prelude_slice(text: str, uses: str) -> str:
 
 
 def load_prelude(
-    checker: Checker, path: Optional[str] = None, uses: Optional[str] = None
+    checker: Checker,
+    path: Optional[str] = None,
+    uses: Optional[str] = None,
+    deps: Optional[list[str]] = None,
 ) -> list[Diagnostic]:
     """Check the prelude into the given checker; returns its diagnostics.
 
     Given `uses`, the shipped prelude (no `path` and no TTT_PRELUDE) is
     checked as its slice for `uses`; a prelude named by either is always
     checked whole, so an ill-typed entry that `uses` never reaches is still
-    reported.
+    reported.  `deps`, the texts of the modules the caller checks next, in
+    order, are sliced in place with the prelude, by one closure over them
+    all, and are left whole when the prelude is.
     """
     text, actual = read_prelude(path)
     if uses is not None and path is None and not os.environ.get(ENV_VAR):
-        text = prelude_slice(text, uses)
+        text, *sliced = slice_texts([text, *(deps or [])], uses)
+        if deps is not None:
+            deps[:] = sliced
     return checker.check_source(text, actual)
 
 

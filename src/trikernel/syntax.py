@@ -18,7 +18,7 @@ when an arrow or star follows, so no backtracking is needed.
 from __future__ import annotations
 
 import re
-from typing import Callable, Optional, TypeVar
+from typing import Callable, NoReturn, Optional, TypeVar
 
 from .diagnostics import Diagnostic, KernelError
 from .modality import ModeError, TwoCell, Word, format_cell, format_word, parse_cell, parse_word
@@ -60,7 +60,7 @@ _UNICODE_ALIASES = {
 }
 
 
-def _parse_error(message: str, span: Span, file: str):
+def _parse_error(message: str, span: Span, file: str) -> NoReturn:
     raise KernelError(Diagnostic(file=file, code="E-PARSE", message=message, span=span))
 
 
@@ -425,7 +425,6 @@ class Parser:
         _parse_error(
             f"expected a declaration but found {tok.text!r}", tok.span, self.file
         )
-        raise AssertionError
 
     # -- terms --------------------------------------------------------------
 
@@ -596,7 +595,6 @@ class Parser:
         if tok.kind == "KEYWORD" and tok.text in _KEYWORD_ATOMS:
             return self.parse_keyword_atom()
         _parse_error(f"expected a term but found {tok.text!r}", tok.span, self.file)
-        raise AssertionError
 
     def parse_keyword_atom(self) -> STerm:
         tok = self.next()
@@ -639,7 +637,6 @@ class Parser:
             end = self.expect("RPAREN")
             return SCoe(cell, body, span=(tok.span[0], end.span[1]))
         _parse_error(f"unexpected keyword {kw!r} in term position", tok.span, self.file)
-        raise AssertionError
 
     def parse_paren_args(self, count: int, what: str) -> tuple[list[STerm], int]:
         self.expect("LPAREN", f"'(' after {what}")

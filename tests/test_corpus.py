@@ -155,6 +155,57 @@ def test_prelude_slice_gives_check_file_the_whole_prelude_verdicts(tmp_path, mon
     assert counts["sliced"] < counts["whole"] / 2
 
 
+def library_copy(tmp_path, name, edit):
+    """A copy of the library whose file `name` has the text `edit(text)`."""
+    stdlib = tmp_path / "stdlib"
+    shutil.copytree(STDLIB, stdlib)
+    (stdlib / name).write_text(edit(read_corpus_file(name)), encoding="utf-8")
+    return str(stdlib)
+
+
+def test_check_file_skips_a_dependency_entry_that_the_file_does_not_reach(tmp_path, monkeypatch):
+    # an ill-typed dependency entry that no file names fails only the
+    # dependency's own check, and with it the run
+    monkeypatch.delenv("TTT_PRELUDE", raising=False)
+    text = read_corpus_file("simplices.ttt")
+    assert text.endswith("\n")
+    stdlib = library_copy(tmp_path, "simplices.ttt",
+                          lambda old: old + "def never_named_dep : Nat := true\n")
+    manifest = load_manifest(stdlib)
+    for name in ("segal.ttt", "iso.ttt", "space.ttt"):
+        result = check_file(manifest, name, stdlib)
+        assert result.ok, (name, result.actual)
+    own = check_file(manifest, "simplices.ttt", stdlib)
+    assert not own.ok
+    (diag,) = own.diagnostics
+    assert (diag.file, diag.code, diag.line) == ("simplices.ttt", "E-CONV", text.count("\n") + 1)
+    report = run_corpus(stdlib)
+    assert not report.ok
+    assert [r.file for r in report.results if not r.ok] == ["simplices.ttt"]
+
+
+@pytest.mark.parametrize("statement", [
+    "check hasHLevel : Nat -> U 0 -> U 0",
+    "check hasHLevel : Nat",
+])
+def test_a_check_before_a_dependencys_first_entry_gives_the_whole_verdict(
+    tmp_path, monkeypatch, statement
+):
+    # text before a dependency's first entry is kept, and the prelude entries
+    # it names are kept with it
+    monkeypatch.delenv("TTT_PRELUDE", raising=False)
+    prelude_text, shipped = read_prelude()
+    library = "\n".join(map(read_corpus_file, ("simplices.ttt", "hom.ttt", "segal.ttt", "iso.ttt")))
+    reached = prelude.prelude_slice(prelude_text, library)
+    assert "hasHLevel" not in {e.name for e in parse_metadata(reached)}
+    stdlib = library_copy(tmp_path, "simplices.ttt", lambda text: f"{statement}\n{text}")
+    manifest = load_manifest(stdlib)
+    for name in ("segal.ttt", "iso.ttt"):
+        sliced = check_file(manifest, name, stdlib)
+        assert sliced == check_file(manifest, name, stdlib, shipped), name
+        assert sliced.ok == statement.endswith("U 0"), (name, sliced.actual)
+
+
 def test_corpus_run_checks_the_shipped_prelude_whole(tmp_path, monkeypatch):
     # an ill-typed entry that no library file reaches passes every sliced
     # check_file, and still fails the run

@@ -230,6 +230,16 @@ def test_letmod_beta():
     )
 
 
+def test_letmod_at_the_identity_modality_reduces_on_any_scrutinee():
+    # under mod{1} the bound variable is the scrutinee itself, boxed or not
+    run_ok(
+        "axiom T : U 0\n"
+        "axiom g0 : T -> T\n"
+        "def letbeta1 : (a : T) -> (let mod{1}(x) = a in g0 x) = g0 a := fun a => refl"
+    )
+    assert Checker().whnf(LetMod((), (), Var(3), Suc(Var(0)))) == Suc(Var(3))
+
+
 def test_identity_type_over_a_letmod_type():
     # x's type is a let-mod elimination, whose own type is read off its body
     header = "axiom b : <g| U 1>\naxiom x : let mod{g}(B) = b in B\n"
@@ -457,6 +467,26 @@ def test_print_core_output():
     checker = run_ok("def c : (A : U 0) -> A -> A := fun A a => a")
     assert "U 0" in print_core(checker.globals["c"].ty)
     assert print_core(checker.globals["c"].ty) == "(x : U 0) -> x -> x"
+
+
+def test_lifted_terms_print_and_elaborate_back():
+    header = "axiom T : U 0\n"
+    checker = run_ok(
+        header
+        + "def boxed : T -> Lift T := fun x => up x\n"
+        + "def unboxed : Lift T -> T := fun x => down x\n"
+    )
+    printed = {
+        name: (print_core(checker.globals[name].ty), print_core(checker.globals[name].body))
+        for name in ("boxed", "unboxed")
+    }
+    assert printed == {
+        "boxed": ("T -> Lift T", "fun x => up x"),
+        "unboxed": ("Lift T -> T", "fun x => down x"),
+    }
+    again = run_ok(header + "".join(f"def {n} : {ty} := {body}\n" for n, (ty, body) in printed.items()))
+    for name in printed:
+        assert again.globals[name] == checker.globals[name], name
 
 
 def test_print_core_nat_literals_are_not_endpoints():

@@ -1,7 +1,10 @@
 """Prelude integrity: checks, coverage table, tiers, dependency behavior."""
 
+import os
+
 import pytest
 
+from trikernel.corpus import default_stdlib_dir, load_manifest
 from trikernel.kernel import Checker
 from trikernel.prelude import (
     AXIOM_TAGS,
@@ -9,8 +12,10 @@ from trikernel.prelude import (
     parse_metadata,
     prelude_slice,
     read_prelude,
+    slice_texts,
     verify_prelude,
 )
+from trikernel.syntax import WORD
 
 
 def test_prelude_checks_clean():
@@ -159,3 +164,84 @@ def test_prelude_slice_closes_under_the_words_of_kept_entries():
     checker = Checker()
     assert checker.check_source(sliced) == []
     assert checker.global_order == ["A", "B", "C"]
+
+
+def read_library_file(name):
+    with open(os.path.join(default_stdlib_dir(), name), encoding="utf-8") as handle:
+        return handle.read()
+
+
+def reference_slice(text, uses):
+    """The one-text slice by a plain fixpoint over whole lines: the words of
+    `uses` and of kept entries keep entries, until nothing more is kept."""
+    lines = text.splitlines(keepends=True)
+    starts = [i for i, line in enumerate(lines) if line.strip().startswith(("def ", "axiom "))]
+    entries = []
+    for start, end in zip(starts, starts[1:] + [len(lines)]):
+        name = lines[start].strip().split(None, 1)[1].split(":", 1)[0].split()[0]
+        entries.append((name, "".join(lines[start:end])))
+    kept = set(WORD.findall(uses))
+    grown = True
+    while grown:
+        words = set().union(*(WORD.findall(chunk) for name, chunk in entries if name in kept))
+        grown = not words <= kept
+        kept |= words
+    out = "".join(lines[: starts[0] if starts else len(lines)])
+    for name, chunk in entries:
+        out += chunk if name in kept else "\n".join(" " * len(line) for line in chunk.split("\n"))
+    return out
+
+
+def test_one_text_slice_of_the_shipped_prelude_is_unchanged_for_each_library_file():
+    # the cold `trikernel check` slices the shipped prelude by this case alone
+    text, _ = read_prelude()
+    for entry in load_manifest().entries:
+        uses = read_library_file(entry.file)
+        assert prelude_slice(text, uses) == reference_slice(text, uses), entry.file
+
+
+def test_slice_texts_keeps_offsets_and_lines_in_every_text():
+    manifest = load_manifest()
+    prelude_text, _ = read_prelude()
+    entry = manifest.entry("monoid.ttt")
+    texts = [prelude_text] + [read_library_file(dep) for dep in entry.deps]
+    for uses in ("", read_library_file("monoid.ttt"), "def t : U 0 := Space"):
+        sliced = slice_texts(texts, uses)
+        assert len(sliced) == len(texts)
+        for text, cut in zip(texts, sliced):
+            assert len(cut) == len(text)
+            assert [i for i, ch in enumerate(cut) if ch == "\n"] == [
+                i for i, ch in enumerate(text) if ch == "\n"
+            ]
+            assert all(kept in (ch, " ") for kept, ch in zip(cut, text))
+    # the library's last file reaches some, not all, of its dependencies' entries
+    kept = [len(parse_metadata(cut)) for cut in slice_texts(texts, read_library_file("monoid.ttt"))]
+    whole = [len(parse_metadata(text)) for text in texts]
+    assert 0 < sum(kept[1:]) < sum(whole[1:])
+
+
+def test_slice_texts_keeps_an_entry_reached_only_through_another_text():
+    prelude_text = (
+        "axiom P : U 0\n"
+        "def Wrap : (Q : U 0) -> U 0 := fun Q => Q\n"
+        "axiom Unused : U 0\n"
+    )
+    first = "def A : U 0 := P\naxiom Q : U 0\naxiom Z : U 0\n"
+    second = "def B : U 0 := A\naxiom Y : U 0\n"
+    sliced = slice_texts([prelude_text, first, second], "def x : U 0 := Wrap B")
+    names = [[e.name for e in parse_metadata(cut)] for cut in sliced]
+    # A only through B, P only through A, Q only through a word of Wrap
+    assert names == [["P", "Wrap"], ["A", "Q"], ["B"]]
+    checker = Checker()
+    for cut in sliced:
+        assert checker.check_source(cut) == []
+    assert checker.global_order == ["P", "Wrap", "A", "Q", "B"]
+
+
+def test_text_before_a_first_entry_is_kept_and_its_words_are_uses():
+    texts = ["axiom A : U 0\naxiom D : U 0\n", "check A : U 0\n\ndef B : U 0 := A\n"]
+    prelude_part, dep = slice_texts(texts, "")
+    assert [e.name for e in parse_metadata(prelude_part)] == ["A"]
+    assert dep == "check A : U 0\n\n                \n"
+    # the one-text case counts them too
+    assert prelude_slice(texts[1], "") == dep
