@@ -8,7 +8,6 @@ errors.  With --json, diagnostics stream as one JSON object per line.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Optional
 
@@ -17,7 +16,7 @@ from . import lattice
 from .diagnostics import Diagnostic
 from .kernel import Checker
 from .modality import SEARCH_DEPTH, ModeError, cell_search, format_word, normalize, parse_word
-from .prelude import ENV_VAR, load_prelude, verify_prelude
+from .prelude import load_prelude, verify_prelude
 
 EXIT_OK = 0
 EXIT_DIAGNOSTICS = 1
@@ -68,19 +67,17 @@ def cmd_mode(args) -> int:
             word = normalize(parse_word(args.word))
             print(format_word(word))
             return EXIT_OK
-        if args.mode_command == "cell":
-            src = normalize(parse_word(args.src))
-            dst = normalize(parse_word(args.dst))
-            found = cell_search(src, dst, depth=args.depth)
-            if found is None:
-                print(f"none (depth {args.depth})")
-                return EXIT_DIAGNOSTICS
-            print(found.describe())
-            return EXIT_OK
+        src = normalize(parse_word(args.src))
+        dst = normalize(parse_word(args.dst))
+        found = cell_search(src, dst, depth=args.depth)
+        if found is None:
+            print(f"none (depth {args.depth})")
+            return EXIT_DIAGNOSTICS
+        print(found.describe())
+        return EXIT_OK
     except ModeError as exc:
         print(f"error: {exc.message}", file=sys.stderr)
         return EXIT_USAGE
-    raise AssertionError
 
 
 def cmd_lattice(args) -> int:
@@ -106,9 +103,8 @@ def cmd_lattice(args) -> int:
             p0, p1 = lattice.phoa_endpoints(poly, atom)
             print(f"({lattice.format_poly(p0, table)}, {lattice.format_poly(p1, table)})")
             return EXIT_OK
-        if args.lattice_command == "count":
-            print(lattice.count_free(args.n))
-            return EXIT_OK
+        print(lattice.count_free(args.n))
+        return EXIT_OK
     except lattice.LatticeParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -118,7 +114,6 @@ def cmd_lattice(args) -> int:
     except RecursionError:
         print("error: E-DEPTH: expression is nested too deeply (recursion limit)", file=sys.stderr)
         return EXIT_DIAGNOSTICS
-    raise AssertionError
 
 
 def cmd_corpus(args) -> int:
@@ -130,11 +125,9 @@ def cmd_corpus(args) -> int:
                     print(d.to_json())
         print(report.render())
         return EXIT_OK if report.ok else EXIT_DIAGNOSTICS
-    if args.corpus_command == "prelude":
-        report = verify_prelude(args.prelude)
-        print(report.render())
-        return EXIT_OK if report.ok else EXIT_DIAGNOSTICS
-    raise AssertionError
+    report = verify_prelude(args.prelude)
+    print(report.render())
+    return EXIT_OK if report.ok else EXIT_DIAGNOSTICS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -146,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="type-check .ttt files against the prelude")
     p_check.add_argument("files", nargs="+")
-    p_check.add_argument("--prelude", default=os.environ.get(ENV_VAR))
+    p_check.add_argument("--prelude")
     p_check.add_argument("--json", action="store_true")
     p_check.add_argument("--depth", type=int, default=SEARCH_DEPTH,
                          help="2-cell search depth (default %(default)s)")
@@ -188,11 +181,11 @@ def build_parser() -> argparse.ArgumentParser:
     corpus_sub = p_corpus.add_subparsers(dest="corpus_command")
     p_run = corpus_sub.add_parser("run", help="check every corpus file against the manifest")
     p_run.add_argument("--stdlib", default=None)
-    p_run.add_argument("--prelude", default=os.environ.get(ENV_VAR))
+    p_run.add_argument("--prelude")
     p_run.add_argument("--json", action="store_true")
     p_run.set_defaults(func=cmd_corpus)
     p_pre = corpus_sub.add_parser("prelude", help="verify the prelude and its coverage")
-    p_pre.add_argument("--prelude", default=os.environ.get(ENV_VAR))
+    p_pre.add_argument("--prelude")
     p_pre.set_defaults(func=cmd_corpus)
 
     return parser

@@ -110,8 +110,10 @@ _FORMERS = {
     J: (IdT, "J eliminates a path; this is not one"),
     Down: (LiftT, "down of an unlifted term"),
 }
-# The core eliminator of each one-argument surface eliminator.
-_UNARY_ELIMS = {syntax.SFst: Fst, syntax.SSnd: Snd, syntax.SDown: Down}
+# The core former of each one-argument surface eliminator and of each
+# interval connective.
+_CORE_FORMERS = {syntax.SFst: Fst, syntax.SSnd: Snd, syntax.SDown: Down,
+                 syntax.SMeet: MeetT, syntax.SJoin: JoinT}
 
 
 def _elim_type(t: Term, principal: Term) -> Term:
@@ -140,22 +142,20 @@ class Checker:
         self.atoms = lattice.AtomTable()
         self._atoms_by_former: dict[type, list[int]] = {}
         self.depth = depth
-        self.file = "<input>"
-        self._spans: list[tuple[int, int]] = []
 
     # -- diagnostics ---------------------------------------------------------
 
     def err(self, code: str, message: str, expected: Term | str | None = None,
-            actual: Term | str | None = None, span: Optional[tuple[int, int]] = None,
+            actual: Term | str | None = None, span: tuple[int, int] = (0, 0),
             ctx: Optional[Ctx] = None) -> NoReturn:
-        """Raise a diagnostic; core terms stay unprinted until `run_module`."""
+        """Raise a diagnostic at `span`.
+
+        A (0, 0) span takes that of the innermost term with a span on its way
+        out of `infer` or `check`, else the declaration's in `run_module`,
+        which also names the file and prints the core terms.
+        """
         raise KernelError(
-            Diagnostic(
-                file=self.file,
-                code=code,
-                message=message,
-                span=span or (self._spans[-1] if self._spans else (0, 0)),
-            ),
+            Diagnostic(file="<input>", code=code, message=message, span=span),
             expected,
             actual,
             ctx.names() if ctx is not None else [],
@@ -273,8 +273,6 @@ class Checker:
             return I1()
 
         def monomial(m: tuple[int, ...]) -> Term:
-            if not m:
-                return I1()
             parts = [self.atoms.key(a) for a in m]
             out = parts[-1]
             for part in reversed(parts[:-1]):
@@ -482,42 +480,29 @@ class Checker:
             return functools.reduce(cell_vcomp, factors)
         except ModeError as exc:
             self.err("E-2CELL-BOUNDARY", exc.message)
-            raise
 
     # -- bidirectional elaboration -----------------------------------------------
 
     def infer(self, ctx: Ctx, s: syntax.STerm) -> tuple[Term, Term]:
-        pushed = s.span != (0, 0)
-        if pushed:
-            self._spans.append(s.span)
         try:
             return self._infer(ctx, s)
-        finally:
-            if pushed:
-                self._spans.pop()
+        except KernelError as exc:
+            _locate(exc, s.span)
+            raise
 
     def check(self, ctx: Ctx, s: syntax.STerm, ty: Term) -> Term:
-        pushed = s.span != (0, 0)
-        if pushed:
-            self._spans.append(s.span)
         try:
             return self._check(ctx, s, ty)
-        finally:
-            if pushed:
-                self._spans.pop()
+        except KernelError as exc:
+            _locate(exc, s.span)
+            raise
 
     def elab_type(self, ctx: Ctx, s: syntax.STerm) -> tuple[Term, int]:
         tc, tty = self.infer(ctx, s)
         ttyw = self.whnf(tty)
         if isinstance(ttyw, Univ):
             return tc, ttyw.level
-        self.err(
-            "E-CONV",
-            "expected a type",
-            actual=ttyw,
-            span=s.span if s.span != (0, 0) else None,
-            ctx=ctx,
-        )
+        self.err("E-CONV", "expected a type", actual=ttyw, span=s.span, ctx=ctx)
 
     def _lookup(self, ctx: Ctx, name: str, cell: Optional[TwoCell]) -> tuple[Term, Term]:
         ix = ctx.find(name)
@@ -562,14 +547,10 @@ class Checker:
             case syntax.SSucc(arg):
                 ac = self.check(ctx, arg, NatT())
                 return Suc(ac), NatT()
-            case syntax.SMeet(lhs, rhs):
+            case syntax.SMeet(lhs, rhs) | syntax.SJoin(lhs, rhs):
                 lc = self.check(ctx, lhs, IntT())
                 rc = self.check(ctx, rhs, IntT())
-                return MeetT(lc, rc), IntT()
-            case syntax.SJoin(lhs, rhs):
-                lc = self.check(ctx, lhs, IntT())
-                rc = self.check(ctx, rhs, IntT())
-                return JoinT(lc, rc), IntT()
+                return _CORE_FORMERS[type(s)](lc, rc), IntT()
             case syntax.SPi(name, word, dom, cod):
                 word = normalize(word)
                 if "p" in word:
@@ -598,7 +579,7 @@ class Checker:
                 t = App(fc, self.check(ctx.lock(fty.word), arg, fty.dom))
                 return t, _elim_type(t, fty)
             case syntax.SFst(arg) | syntax.SSnd(arg) | syntax.SDown(arg):
-                former = _UNARY_ELIMS[type(s)]
+                former = _CORE_FORMERS[type(s)]
                 ac, aty = self.infer(ctx, arg)
                 t = former(ac)
                 return t, _elim_type(t, self._principal(ctx, former, aty))
@@ -851,61 +832,44 @@ class Checker:
         # makes each diagnostic independent of what was checked before it.
         self.atoms, self._atoms_by_former = lattice.AtomTable(), {}
         ctx = Ctx()
-        if decl.kind in ("def", "axiom") and decl.name in self.globals:
+        defines = decl.kind in ("def", "axiom")
+        if defines and decl.name in self.globals:
             self.err("E-PARSE", f"redefinition of {decl.name!r}", span=decl.span)
-        if decl.kind == "def":
+        try:
             tyc, _ = self.elab_type(ctx, decl.ty)
-            bodyc = self.check(ctx, decl.body, tyc)
-            self.globals[decl.name] = GlobalDef(decl.name, "def", tyc, bodyc)
-            self.global_order.append(decl.name)
-            return
-        if decl.kind == "axiom":
-            tyc, _ = self.elab_type(ctx, decl.ty)
-            self.globals[decl.name] = GlobalDef(decl.name, "axiom", tyc, None)
-            self.global_order.append(decl.name)
-            return
-        if decl.kind == "check":
-            tyc, _ = self.elab_type(ctx, decl.ty)
-            self.check(ctx, decl.body, tyc)
-            return
-        if decl.kind == "fail-check":
-            try:
-                tyc, _ = self.elab_type(ctx, decl.ty)
-                self.check(ctx, decl.body, tyc)
-            except KernelError as exc:
-                if exc.diagnostic.code == decl.expect_code:
-                    return
-                exc.diagnostic.message = (
-                    f"fail-check expected {decl.expect_code} but failed with "
-                    f"{exc.diagnostic.code}: {exc.diagnostic.message}"
-                )
+            bodyc = None if decl.body is None else self.check(ctx, decl.body, tyc)
+        except KernelError as exc:
+            if decl.kind != "fail-check":
                 raise
+            if exc.diagnostic.code == decl.expect_code:
+                return
+            exc.diagnostic.message = (
+                f"fail-check expected {decl.expect_code} but failed with "
+                f"{exc.diagnostic.code}: {exc.diagnostic.message}"
+            )
+            raise
+        if decl.kind == "fail-check":
             self.err(
                 decl.expect_code or "E-CONV",
                 f"fail-check: the term type-checked but {decl.expect_code} "
                 "was expected",
                 span=decl.span,
             )
-            return
-        raise ValueError(f"unknown declaration kind {decl.kind}")
+        if defines:
+            self.globals[decl.name] = GlobalDef(decl.name, decl.kind, tyc, bodyc)
+            self.global_order.append(decl.name)
 
     def run_module(self, module: syntax.SurfaceModule) -> list[Diagnostic]:
-        old_file = self.file
-        self.file = module.path
-        try:
-            for decl in module.decls:
-                self._spans.append(decl.span)
-                try:
-                    self.run_decl(decl)
-                except KernelError as exc:
-                    return [_printed(exc)]
-                except RecursionError:
-                    return [_too_deep(module.path, "declaration", decl.span)]
-                finally:
-                    self._spans.pop()
-            return []
-        finally:
-            self.file = old_file
+        for decl in module.decls:
+            try:
+                self.run_decl(decl)
+            except KernelError as exc:
+                _locate(exc, decl.span)
+                exc.diagnostic.file = module.path
+                return [_printed(exc)]
+            except RecursionError:
+                return [_too_deep(module.path, "declaration", decl.span)]
+        return []
 
     def check_source(self, text: str, path: str = "<input>") -> list[Diagnostic]:
         """Check one source text; its diagnostics carry line and column."""
@@ -922,6 +886,12 @@ class Checker:
             for d in diags:
                 d.located(linemap)
         return diags
+
+
+def _locate(exc: KernelError, span: tuple[int, int]) -> None:
+    """Give the diagnostic of `exc` the span `span` if it has none yet."""
+    if exc.diagnostic.span == (0, 0):
+        exc.diagnostic.span = span
 
 
 def _too_deep(path: str, what: str, span: tuple[int, int]) -> Diagnostic:

@@ -358,12 +358,7 @@ def format_poly(p: Poly, table: AtomTable) -> str:
         return "0"
     if p == ONE:
         return "1"
-    parts = []
-    for m in p:
-        if not m:
-            parts.append("1")
-        else:
-            parts.append(" /\\ ".join(str(table.key(a)) for a in m))
+    parts = [" /\\ ".join(str(table.key(a)) for a in m) for m in p]
     if len(parts) == 1:
         return parts[0]
     return " \\/ ".join(f"({q})" if " /\\ " in q else q for q in parts)

@@ -187,15 +187,15 @@ def load_prelude(
 ) -> list[Diagnostic]:
     """Check the prelude into the given checker; returns its diagnostics.
 
-    Given `uses`, the shipped prelude (no `path` and no TTT_PRELUDE) is
-    checked as its slice for `uses`; a prelude named by either is always
-    checked whole, so an ill-typed entry that `uses` never reaches is still
-    reported.  `deps`, the texts of the modules the caller checks next, in
+    Given `uses`, the shipped prelude (`path` and TTT_PRELUDE each unset or
+    empty) is checked as its slice for `uses`; a prelude named by either is
+    always checked whole, so an ill-typed entry that `uses` never reaches is
+    still reported.  `deps`, the texts of the modules the caller checks next, in
     order, are sliced in place with the prelude, by one closure over them
     all, and are left whole when the prelude is.
     """
     text, actual = read_prelude(path)
-    if uses is not None and path is None and not os.environ.get(ENV_VAR):
+    if uses is not None and not (path or os.environ.get(ENV_VAR)):
         text, *sliced = slice_texts([text, *(deps or [])], uses)
         if deps is not None:
             deps[:] = sliced

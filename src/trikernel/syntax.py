@@ -366,7 +366,6 @@ class Parser:
             return parse_word("".join(parts) or "?")
         except ModeError as exc:
             _parse_error(exc.message, span, self.file)
-            raise
 
     def braced(self, tok: Token, parse: Callable[[str], _T]) -> _T:
         """A braced word or 2-cell; its `ModeError` is an E-PARSE at `tok`."""
@@ -374,7 +373,6 @@ class Parser:
             return parse(tok.text)
         except ModeError as exc:
             _parse_error(exc.message, tok.span, self.file)
-            raise
 
     # -- declarations -------------------------------------------------------
 

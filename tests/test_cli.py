@@ -11,6 +11,7 @@ import pytest
 from trikernel.cli import main
 from trikernel.corpus import default_stdlib_dir
 from trikernel.diagnostics import Diagnostic
+from trikernel.kernel import Checker
 
 STDLIB = default_stdlib_dir()
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -280,6 +281,27 @@ def test_explicit_prelude_is_checked_whole(capsys, tmp_path, monkeypatch):
         code, out, _ = run_cli(["check", "--json", *argv, hom], capsys)
         assert code == 1
         assert [(d["file"], d["line"]) for d in json_diagnostics(out)] == [(str(copy), bad_line)]
+
+
+def test_empty_env_var_prelude_is_unset(capsys, monkeypatch):
+    # a set but empty TTT_PRELUDE names no prelude: the shipped one is sliced
+    decls = []
+    real_run_decl = Checker.run_decl
+
+    def counted(self, decl):
+        decls.append(decl.name)
+        return real_run_decl(self, decl)
+
+    def check_hom():
+        decls.clear()
+        return run_cli(["check", "--json", os.path.join(STDLIB, "hom.ttt")], capsys), len(decls)
+
+    monkeypatch.setattr(Checker, "run_decl", counted)
+    monkeypatch.delenv("TTT_PRELUDE", raising=False)
+    unset = check_hom()
+    monkeypatch.setenv("TTT_PRELUDE", "")
+    assert check_hom() == unset
+    assert unset[0] == (0, "", "")
 
 
 def test_shipped_schema_matches_code():

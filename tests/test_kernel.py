@@ -51,7 +51,7 @@ from trikernel.core import (
     subterms,
     syn_eq,
 )
-from trikernel import corpus, kernel
+from trikernel import corpus, kernel, syntax
 from trikernel.diagnostics import KernelError
 from trikernel.kernel import Checker, print_core
 from trikernel.modality import (
@@ -934,3 +934,49 @@ def test_an_explicit_identity_cell_is_no_annotation():
     (var,) = [u for u, _ in subterms(body) if isinstance(u, Var)]
     assert var == Var(0, None)
     assert print_core(body) == "fun x x0 => mod{g}(x0)"
+
+
+@pytest.mark.parametrize("source", [
+    "def f : (A : U 0) -> (a : A) -> <p| A> := fun A a => mod{p}(a)",
+    "def f : (A : U 0 @ g) -> (a : A @ g) -> <g.p| A> := fun A a => mod{g.p}(a)",
+])
+def test_path_modal_introduction(source):
+    run_ok(source)
+
+
+def test_path_modal_introduction_of_an_ill_typed_body():
+    _, diags = run("def f : (A : U 0) -> (a : A) -> <p| A> := fun A a => mod{p}(A)")
+    assert [(d.code, d.line, d.column, d.message) for d in diags] == [
+        ("E-CONV", 1, 61, "type mismatch")
+    ]
+
+
+def test_inferred_nat_literal_above_the_endpoints():
+    run_ok("def t : 3 = 3 := refl")
+    _, diags = run("def t : 3 = 4 := refl")
+    assert [(d.code, d.line, d.column) for d in diags] == [("E-CONV", 1, 18)]
+
+
+def test_direct_elaboration_locates_at_the_innermost_spanned_subterm():
+    checker = Checker()
+    with pytest.raises(KernelError) as err:
+        checker.infer(Ctx(), parse_term("fst (zero, zero)"))
+    assert (err.value.diagnostic.file, err.value.diagnostic.span) == ("<input>", (4, 16))
+    with pytest.raises(KernelError) as err:
+        checker.check(Ctx(), parse_term("(zero, succ true)"), Sigma(NatT(), NatT()))
+    assert err.value.diagnostic.span == (12, 16)
+    # a subterm built without a span takes the span of the nearest term with one
+    unspanned = syntax.SFst(syntax.SPair(syntax.SConstT("zero"), syntax.SConstT("zero")),
+                            span=(3, 9))
+    with pytest.raises(KernelError) as err:
+        checker.infer(Ctx(), unspanned)
+    assert err.value.diagnostic.span == (3, 9)
+
+
+def test_a_checker_reports_each_module_under_its_own_path():
+    checker = Checker()
+    assert checker.check_source("axiom A : U 0\n", "first.ttt") == []
+    (d,) = checker.check_source("axiom b : A\ndef c : A := zero\n", "second.ttt")
+    assert (d.file, d.code, d.line, d.column) == ("second.ttt", "E-CONV", 2, 14)
+    (d,) = checker.check_source("def e : A := b b\n", "third.ttt")
+    assert (d.file, d.code, d.line, d.column) == ("third.ttt", "E-CONV", 1, 14)

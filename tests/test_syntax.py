@@ -9,7 +9,7 @@ import string
 import pytest
 
 from trikernel.diagnostics import KernelError, LineMap
-from trikernel import syntax
+from trikernel import modality, syntax
 from trikernel.modality import generator_cell, identity_cell
 from trikernel.prelude import read_prelude
 from trikernel.record import fields
@@ -536,3 +536,13 @@ def test_line_map_matches_the_reference_scan():
         assert fast.starts == slow.starts
         for offset in range(len(text) + 2):
             assert fast.locate(offset) == slow.locate(offset), (text, offset)
+
+
+def test_grammar_words_match_code():
+    # docs/grammar.ebnf is the one grammar document: its quoted words are
+    # the parser's keywords, the mode theory's generators and generator cells
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "docs", "grammar.ebnf"), encoding="utf-8") as handle:
+        words = set(re.findall(r'"([A-Za-z][\w-]*)"', handle.read()))
+    assert words == (syntax.KEYWORDS | {"fail-check", "id"} | set(modality.GENERATORS)
+                     | set(modality.GENERATOR_CELLS))
