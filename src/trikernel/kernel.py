@@ -279,7 +279,7 @@ class Checker:
                 out = MeetT(part, out)
             return out
 
-        monos = [monomial(m) for m in poly]
+        monos = [monomial(m) for m in lattice.monomials(poly)]
         out = monos[-1]
         for m in reversed(monos[:-1]):
             out = JoinT(m, out)
@@ -910,12 +910,16 @@ def _too_deep(path: str, what: str, span: tuple[int, int]) -> Diagnostic:
 
 
 def _printed(exc: KernelError) -> Diagnostic:
-    """The diagnostic of `exc` with its core terms printed."""
+    """The diagnostic of `exc` with its core terms printed; terms nested too
+    deeply to print are left out."""
     d = exc.diagnostic
-    d.expected, d.actual = (
-        shown if shown is None or isinstance(shown, str) else print_core(shown, exc.names)
-        for shown in (exc.expected, exc.actual)
-    )
+    try:
+        d.expected, d.actual = (
+            shown if shown is None or isinstance(shown, str) else print_core(shown, exc.names)
+            for shown in (exc.expected, exc.actual)
+        )
+    except RecursionError:
+        d.expected = d.actual = None
     return d
 
 

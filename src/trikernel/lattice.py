@@ -1,9 +1,10 @@
 """Free bounded distributive lattice over interval atoms.
 
 Canonical forms are irredundant disjunctive normal forms: an antichain of
-monomials, each monomial a set of atoms joined by meet.  Two expressions are
-equal in the free bounded distributive lattice exactly when their canonical
-forms coincide, which the Boolean two-element oracle cross-checks.
+monomials, each monomial a set of atoms joined by meet and stored as an int
+bitmask over atom ids.  Two expressions are equal in the free bounded
+distributive lattice exactly when their canonical forms coincide, which the
+Boolean two-element oracle cross-checks.
 
 Expressions are the kernel's interval terms under their lattice names:
 `Atom`, `Bot`, `Top`, `Meet` and `Join` are `core.Const`, `I0`, `I1`, `MeetT`
@@ -23,12 +24,12 @@ from .core import Term as Expr, constants
 from .diagnostics import KernelError
 from .record import record
 
-# A canonical polynomial: sorted tuple of sorted atom-id tuples.
-# () inside = the monomial 1; the empty outer tuple = 0.
-Poly = tuple[tuple[int, ...], ...]
+# A canonical polynomial: an ascending tuple of monomials, each an int whose
+# bit i is atom id i.  The monomial 0 (no atoms) is 1; the empty tuple is 0.
+Poly = tuple[int, ...]
 
 ZERO: Poly = ()
-ONE: Poly = ((),)
+ONE: Poly = (0,)
 
 ORACLE_ATOM_BUDGET = 20
 COUNT_BUDGET = 5
@@ -134,45 +135,71 @@ def format_expr(expr: Expr) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _reduce(monomials: Iterable[tuple[int, ...]]) -> Poly:
-    """Deduplicate and drop monomials absorbed by a smaller one."""
-    sets = {frozenset(m) for m in monomials}
-    keep = (m for m in sets if not any(other < m for other in sets))
-    return tuple(sorted(tuple(sorted(m)) for m in keep))
+def _reduce(monomials: Iterable[int]) -> Poly:
+    """Deduplicate and drop monomials absorbed by a smaller one: each size
+    class is tested only against those kept from the smaller classes."""
+    kept: list[int] = []
+    for _, same in itertools.groupby(sorted(set(monomials), key=int.bit_count), int.bit_count):
+        kept += [m for m in same if not any(k & m == k for k in kept)]
+    return tuple(sorted(kept))
 
 
 def poly_atom(ident: int) -> Poly:
-    return ((ident,),)
+    return (1 << ident,)
+
+
+def monomial_atoms(m: int) -> tuple[int, ...]:
+    """The atom ids of a monomial, ascending."""
+    return tuple(i for i in range(m.bit_length()) if m >> i & 1)
+
+
+def monomials(p: Poly) -> list[tuple[int, ...]]:
+    """The monomials of `p` as atom-id tuples, in the order they print."""
+    return sorted(map(monomial_atoms, p))
 
 
 def poly_meet(p: Poly, q: Poly) -> Poly:
-    return _reduce(tuple(sorted(set(m) | set(n))) for m in p for n in q)
+    return _reduce(m | n for m in p for n in q)
 
 
 def poly_join(p: Poly, q: Poly) -> Poly:
-    return _reduce(itertools.chain(p, q))
+    """Both sides are antichains, so a monomial can only be absorbed by one of
+    the other side: `q` loses those that contain one of `p`, then `p` those
+    that contain one of what `q` kept."""
+    q = [n for n in q if not any(m & n == m for m in p)]
+    return tuple(sorted([m for m in p if not any(n & m == n for n in q)] + q))
 
 
 def canon(expr: Expr, table: Optional[AtomTable] = None,
           atom: Optional[Callable[[Expr], Poly]] = None) -> Poly:
     """Canonical antichain form of `expr`.
 
-    Bounds, meets and joins fold here; every other subterm is a leaf whose
-    form `atom` gives.  By default a leaf must be a constant, and its name is
-    interned into `table` (or a fresh table).
+    Bounds, meets and joins fold here, left operand first, on an explicit
+    stack; every other subterm is a leaf whose form `atom` gives.  By default
+    a leaf must be a constant, and its name is interned into `table` (or a
+    fresh table).
     """
     if atom is None:
         atom = partial(_named_atom, table if table is not None else AtomTable())
-    match expr:
-        case Bot():
-            return ZERO
-        case Top():
-            return ONE
-        case Meet(l, r):
-            return poly_meet(canon(l, table, atom), canon(r, table, atom))
-        case Join(l, r):
-            return poly_join(canon(l, table, atom), canon(r, table, atom))
-    return atom(expr)
+    todo: list = [expr]  # subterms still to fold, and folds awaiting operands
+    forms: list[Poly] = []
+    while todo:
+        top = todo.pop()
+        match top:
+            case Bot():
+                forms.append(ZERO)
+            case Top():
+                forms.append(ONE)
+            case Meet(l, r):
+                todo += (poly_meet, r, l)
+            case Join(l, r):
+                todo += (poly_join, r, l)
+            case Expr():
+                forms.append(atom(top))
+            case fold:  # its two operands are the last two forms
+                rhs = forms.pop()
+                forms[-1] = fold(forms[-1], rhs)
+    return forms[0]
 
 
 def _named_atom(table: AtomTable, expr: Expr) -> Poly:
@@ -186,19 +213,17 @@ def eq(p: Poly, q: Poly) -> bool:
 
 
 def leq(p: Poly, q: Poly) -> bool:
-    """Lattice order: p <= q iff p /\\ q = p."""
-    return poly_meet(p, q) == p
+    """Lattice order: p <= q iff every monomial of p contains one of q."""
+    return all(any(n & m == n for n in q) for m in p)
 
 
 def poly_atoms(p: Poly) -> set[int]:
-    out: set[int] = set()
-    for m in p:
-        out.update(m)
-    return out
+    return {a for m in p for a in monomial_atoms(m)}
 
 
 def eval_poly(p: Poly, assignment: dict[int, bool]) -> bool:
-    return any(all(assignment[a] for a in m) for m in p)
+    true = sum(1 << a for a, value in assignment.items() if value)
+    return any(m & true == m for m in p)
 
 
 def oracle_eq(a: Expr | Poly, b: Expr | Poly) -> bool:
@@ -229,7 +254,7 @@ def subst(p: Poly, mapping: dict[int, Poly]) -> Poly:
     out = ZERO
     for m in p:
         term = ONE
-        for atom in m:
+        for atom in monomial_atoms(m):
             term = poly_meet(term, mapping.get(atom, poly_atom(atom)))
         out = poly_join(out, term)
     return out
@@ -255,7 +280,7 @@ def dualize(p: Poly) -> Poly:
     out = ONE
     for m in p:
         clause = ZERO
-        for atom in m:
+        for atom in monomial_atoms(m):
             clause = poly_join(clause, poly_atom(atom))
         out = poly_meet(out, clause)
     return out
@@ -267,25 +292,22 @@ def dualize(p: Poly) -> Poly:
 
 
 def enumerate_canonical(n: int) -> Iterator[Poly]:
-    """All canonical forms over atoms 0..n-1 (antichains of subsets)."""
-    subsets = [tuple(sorted(s)) for k in range(n + 1) for s in itertools.combinations(range(n), k)]
+    """All canonical forms over atoms 0..n-1 (antichains of subsets).
 
-    def extend(prefix: list[tuple[int, ...]], start: int) -> Iterator[Poly]:
+    Each antichain is built once, its monomials in ascending order: a mask
+    contains only smaller masks, so a candidate is tested only for containing
+    one already chosen.
+    """
+
+    def extend(prefix: list[int], start: int) -> Iterator[Poly]:
         yield tuple(prefix)
-        for i in range(start, len(subsets)):
-            cand = frozenset(subsets[i])
-            if any(frozenset(m) <= cand or cand <= frozenset(m) for m in prefix):
-                continue
-            prefix.append(subsets[i])
-            yield from extend(prefix, i + 1)
-            prefix.pop()
+        for m in range(start, 1 << n):
+            if not any(k & m == k for k in prefix):
+                prefix.append(m)
+                yield from extend(prefix, m + 1)
+                prefix.pop()
 
-    seen: set[Poly] = set()
-    for antichain in extend([], 0):
-        sorted_form = tuple(sorted(antichain))
-        if sorted_form not in seen:
-            seen.add(sorted_form)
-            yield sorted_form
+    return extend([], 0)
 
 
 def count_free(n: int) -> int:
@@ -358,7 +380,7 @@ def format_poly(p: Poly, table: AtomTable) -> str:
         return "0"
     if p == ONE:
         return "1"
-    parts = [" /\\ ".join(str(table.key(a)) for a in m) for m in p]
+    parts = [" /\\ ".join(str(table.key(a)) for a in m) for m in monomials(p)]
     if len(parts) == 1:
         return parts[0]
     return " \\/ ".join(f"({q})" if " /\\ " in q else q for q in parts)

@@ -560,14 +560,34 @@ def test_unequal_large_nat_literals_are_a_conversion_error():
     assert diag.span == (40, 44)
 
 
-def test_permuted_meet_of_joins_under_a_function_is_fast():
-    n = 8
+@pytest.mark.parametrize("n", [8, 12])
+def test_permuted_meet_of_joins_under_a_function_is_fast(n):
     atoms = "".join(f"axiom x{k} : Int\naxiom y{k} : Int\n" for k in range(n))
     meet = " /\\ ".join(f"(x{k} \\/ y{k})" for k in range(n))
     permuted = " /\\ ".join(f"(y{k} \\/ x{k})" for k in reversed(range(n)))
     start = time.perf_counter()
     run_ok(atoms + f"axiom f : Int -> Nat\ndef t : f ({meet}) = f ({permuted}) := refl\n")
     assert time.perf_counter() - start < 1.0
+
+
+def test_a_thousand_monomial_definition_converts_with_its_permutation():
+    # `M` unfolds to a join of 1,024 monomials, a spine the canonical-form
+    # fold walks without recursion; dropping one argument of a join is false
+    n = 10
+    atoms = "".join(f"axiom x{k} : Int\naxiom y{k} : Int\n" for k in range(n))
+    meet = " /\\ ".join(f"(x{k} \\/ y{k})" for k in range(n))
+
+    def equation(joins):
+        permuted = " /\\ ".join(joins)
+        return atoms + f"def M : Int := {meet}\ndef t : M = {permuted} := refl\n"
+
+    joins = [f"(y{k} \\/ x{k})" for k in reversed(range(n))]
+    run_ok(equation(joins))
+    text = equation([f"y{n - 1}"] + joins[1:])
+    diag = run_fail(text, "E-CONV")
+    assert text[diag.span[0] : diag.span[1]] == "refl"
+    # the unfolded sides are nested too deeply to print, so they are left out
+    assert (diag.expected, diag.actual) == (None, None)
 
 
 def test_too_deep_input_is_a_depth_diagnostic():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from trikernel import core
+from trikernel import core, lattice
 from trikernel.lattice import (
     ONE,
     ZERO,
@@ -29,6 +29,7 @@ from trikernel.lattice import (
     format_poly,
     fp_algebra_homs,
     leq,
+    monomial_atoms,
     oracle_eq,
     parse_expr,
     phoa_endpoints,
@@ -258,3 +259,50 @@ def test_format_poly():
     assert canon(parse_expr(rendered), AtomTable()) == canon(
         parse_expr("(x /\\ y) \\/ z"), AtomTable()
     )
+
+
+# Monomials as frozensets of atom ids: the slow path that the bitmask
+# operations are compared against.
+def _reference_reduce(monomials):
+    sets = {frozenset(m) for m in monomials}
+    keep = (m for m in sets if not any(other < m for other in sets))
+    return tuple(sorted(tuple(sorted(m)) for m in keep))
+
+
+def _reference_meet(p, q):
+    return _reference_reduce(tuple(sorted(set(m) | set(n))) for m in p for n in q)
+
+
+def _reference_join(p, q):
+    return _reference_reduce(itertools.chain(p, q))
+
+
+def _random_monomials(rng, atoms):
+    """Monomials as atom tuples, duplicates and the empty monomial included."""
+    return [tuple(a for a in atoms if rng.random() < 0.4) for _ in range(rng.randint(0, 6))]
+
+
+def test_bitmask_operations_match_the_frozenset_reference():
+    rng = random.Random(20261019)
+    seen = set()
+    for i in range(2000):
+        width = rng.randint(1, 8)
+        if i % 3 == 0:  # disjoint supports
+            split = rng.randint(0, width)
+            left, right = range(split), range(split, width)
+        else:
+            left = right = range(width)
+        raw_p, raw_q = _random_monomials(rng, left), _random_monomials(rng, right)
+        if i % 5 == 0:
+            raw_q = raw_p + raw_q  # q shares monomials with p, so p <= q
+        ref_p, ref_q = _reference_reduce(raw_p), _reference_reduce(raw_q)
+        p, q = (lattice._reduce(sum(1 << a for a in m) for m in raw) for raw in (raw_p, raw_q))
+        for ours, ref in [(p, ref_p), (q, ref_q),
+                          (poly_meet(p, q), _reference_meet(ref_p, ref_q)),
+                          (poly_join(p, q), _reference_join(ref_p, ref_q))]:
+            assert list(ours) == sorted(set(ours))
+            assert {monomial_atoms(m) for m in ours} == set(ref)
+        assert leq(p, q) == (_reference_meet(ref_p, ref_q) == ref_p)
+        assert leq(q, p) == (_reference_meet(ref_q, ref_p) == ref_q)
+        seen.update({("zero", p == ZERO), ("one", p == ONE), ("leq", leq(p, q))})
+    assert seen == {(k, b) for k in ("zero", "one", "leq") for b in (False, True)}
