@@ -130,6 +130,14 @@ def cmd_corpus(args) -> int:
     return EXIT_OK if report.ok else EXIT_DIAGNOSTICS
 
 
+def depth(text: str) -> int:
+    """A 2-cell search depth: the most steps a searched cell has, 0 for none."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, not {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trikernel",
@@ -141,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("files", nargs="+")
     p_check.add_argument("--prelude")
     p_check.add_argument("--json", action="store_true")
-    p_check.add_argument("--depth", type=int, default=SEARCH_DEPTH,
+    p_check.add_argument("--depth", type=depth, default=SEARCH_DEPTH,
                          help="2-cell search depth (default %(default)s)")
     p_check.set_defaults(func=cmd_check)
 
@@ -153,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cell = mode_sub.add_parser("cell", help="search for a 2-cell between words")
     p_cell.add_argument("src")
     p_cell.add_argument("dst")
-    p_cell.add_argument("--depth", type=int, default=SEARCH_DEPTH)
+    p_cell.add_argument("--depth", type=depth, default=SEARCH_DEPTH)
     p_cell.set_defaults(func=cmd_mode)
 
     p_lat = sub.add_parser("lattice", help="interval lattice queries")

@@ -68,7 +68,9 @@ class KernelError(Exception):
 
     The kernel leaves `expected` and `actual` as core terms, with the `names`
     of the context they live in, and prints them only for the diagnostic it
-    returns (`Checker.run_module`).  Text built at the raise site stays text.
+    returns (`Checker.run_module`).  Either may instead be a function of no
+    arguments, called when the diagnostic is printed, for a term that only
+    the printed diagnostic needs.  Text built at the raise site stays text.
     """
 
     def __init__(self, diagnostic: Diagnostic, expected=None, actual=None,

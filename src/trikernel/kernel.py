@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import NoReturn, Optional
+from typing import Callable, NoReturn, Optional
 
 from . import lattice, syntax
 from .core import (
@@ -145,14 +145,17 @@ class Checker:
 
     # -- diagnostics ---------------------------------------------------------
 
-    def err(self, code: str, message: str, expected: Term | str | None = None,
-            actual: Term | str | None = None, span: tuple[int, int] = (0, 0),
-            ctx: Optional[Ctx] = None) -> NoReturn:
+    def err(self, code: str, message: str,
+            expected: Term | str | Callable[[], Term] | None = None,
+            actual: Term | str | Callable[[], Term] | None = None,
+            span: tuple[int, int] = (0, 0), ctx: Optional[Ctx] = None) -> NoReturn:
         """Raise a diagnostic at `span`.
 
         A (0, 0) span takes that of the innermost term with a span on its way
         out of `infer` or `check`, else the declaration's in `run_module`,
-        which also names the file and prints the core terms.
+        which also names the file and prints the core terms.  A function given
+        as `expected` or `actual` is called only then, so a diagnostic that a
+        `fail-check` catches never computes the term.
         """
         raise KernelError(
             Diagnostic(file="<input>", code=code, message=message, span=span),
@@ -684,8 +687,8 @@ class Checker:
                     self.err(
                         "E-CONV",
                         "refl requires definitionally equal sides",
-                        expected=self.whnf(tyw.lhs),
-                        actual=self.whnf(tyw.rhs),
+                        expected=lambda: self.whnf(tyw.lhs),
+                        actual=lambda: self.whnf(tyw.rhs),
                         ctx=ctx,
                     )
                 return Refl()
@@ -910,12 +913,13 @@ def _too_deep(path: str, what: str, span: tuple[int, int]) -> Diagnostic:
 
 
 def _printed(exc: KernelError) -> Diagnostic:
-    """The diagnostic of `exc` with its core terms printed; terms nested too
-    deeply to print are left out."""
+    """The diagnostic of `exc` with its core terms printed, each deferred one
+    computed first; terms nested too deeply to print are left out."""
     d = exc.diagnostic
     try:
         d.expected, d.actual = (
-            shown if shown is None or isinstance(shown, str) else print_core(shown, exc.names)
+            shown if shown is None or isinstance(shown, str)
+            else print_core(shown() if callable(shown) else shown, exc.names)
             for shown in (exc.expected, exc.actual)
         )
     except RecursionError:

@@ -326,17 +326,29 @@ _SEARCH_SLACK = 4
 _search_cache: dict[tuple[Word, Word, int], Optional[TwoCell]] = {}
 
 
+def _unreachable(start: Word, goal: Word) -> bool:
+    """Whether no pasting of any length leads from `start` to another word `goal`.
+
+    The normal words that start with s or a are closed under every step: no
+    rule removes a leading s (s.x -> s) and no rule starts with a, every
+    counit's source starts with g or p, and a unit whiskered in front puts s
+    or a there.  From 1 only the units apply, giving s and a.p.
+    """
+    return (not start or start[0] in "sa") and not (goal and goal[0] in "sa")
+
+
 def cell_search(src: Word, dst: Word, depth: int = SEARCH_DEPTH) -> Optional[TwoCell]:
     """Breadth-first search for a pasting src => dst.
 
     Returns a witness cell, or None if none exists within `depth` whiskered
     generator applications (intermediate words are capped a few letters above
     the endpoints).  Absence within the bounds is not a proof of nonexistence.
+    A pair that `_unreachable` refutes returns None without a search.
     """
     start, goal = normalize(src), normalize(dst)
     if start == goal:
         return identity_cell(start)
-    if depth < 1:
+    if depth < 1 or _unreachable(start, goal):
         return None
     key = (start, goal, depth)
     if key in _search_cache:

@@ -58,6 +58,25 @@ def test_mode_cell_none(capsys):
     assert out.strip() == "none (depth 8)"
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--depth", "-1", os.path.join(STDLIB, "interval.ttt")],
+    ["mode", "cell", "g", "1", "--depth", "-3"],
+])
+def test_negative_search_depth_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument --depth: must be 0 or more" in captured.err
+
+
+def test_mode_cell_depth_zero_searches_nothing(capsys):
+    code, out, _ = run_cli(["mode", "cell", "g", "1", "--depth", "0"], capsys)
+    assert code == 1
+    assert out.strip() == "none (depth 0)"
+
+
 def test_mode_parse_failure(capsys):
     code, _, err = run_cli(["mode", "normalize", "q"], capsys)
     assert code == 2

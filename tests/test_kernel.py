@@ -51,7 +51,7 @@ from trikernel.core import (
     subterms,
     syn_eq,
 )
-from trikernel import corpus, kernel, syntax
+from trikernel import corpus, kernel, modality, syntax
 from trikernel.diagnostics import KernelError
 from trikernel.kernel import Checker, print_core
 from trikernel.modality import (
@@ -588,6 +588,41 @@ def test_a_thousand_monomial_definition_converts_with_its_permutation():
     assert text[diag.span[0] : diag.span[1]] == "refl"
     # the unfolded sides are nested too deeply to print, so they are left out
     assert (diag.expected, diag.actual) == (None, None)
+
+
+def test_a_failing_refl_normalises_its_sides_only_when_printed(monkeypatch):
+    calls = []
+    real = Checker.int_canon
+    monkeypatch.setattr(Checker, "int_canon", lambda self, t: calls.append(t) or real(self, t))
+    atoms = "".join(f"axiom x{k} : Int\naxiom y{k} : Int\n" for k in range(8))
+    meet = " /\\ ".join(f"(x{k} \\/ y{k})" for k in range(8))
+    false = " /\\ ".join(["y7"] + [f"(y{k} \\/ x{k})" for k in reversed(range(7))])
+    run_ok(atoms + f'fail-check "E-CONV" refl : {meet} = {false}\n')
+    assert calls == []
+    # printed, the sides are unfolded and put in canonical form as before
+    text = "axiom x : Int\naxiom y : Int\ndef M : Int := x /\\ (x \\/ y)\ndef t : M = y := refl\n"
+    diag = run_fail(text, "E-CONV")
+    assert (diag.line, diag.column, diag.expected, diag.actual) == (4, 18, "x", "y")
+
+
+def test_an_unreachable_lock_word_is_refuted_without_search(monkeypatch):
+    expansions = []
+    real = modality._expansions
+    monkeypatch.setattr(modality, "_expansions", lambda w: expansions.append(w) or real(w))
+    monkeypatch.setattr(modality, "_search_cache", {})
+    binders = " -> ".join(f"(i{k} : Int)" for k in range(8))
+    names = " ".join(f"i{k}" for k in range(8))
+    diag = run_fail(
+        f"def bad : (A : U 0) -> (a : A) -> <g| {binders} -> A> := "
+        f"fun A a => mod{{g}}(fun {names} => a)",
+        "E-MODALITY",
+    )
+    words = ", ".join("g" + ".p" * k for k in range(9))
+    assert diag.message == (
+        "variable 'A' is annotated 1 but sits under locks g.p.p.p.p.p.p.p.p and no "
+        f"mediating 2-cell was found to any word tried: {words} (depth 8)"
+    )
+    assert expansions == []
 
 
 def test_too_deep_input_is_a_depth_diagnostic():

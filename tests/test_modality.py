@@ -5,9 +5,11 @@ import itertools
 import pytest
 
 from trikernel.modality import (
+    _SEARCH_SLACK,
     BASE_RULES,
     GENERATORS,
     RULES,
+    SEARCH_DEPTH,
     ModeError,
     Step,
     TwoCell,
@@ -22,6 +24,8 @@ from trikernel.modality import (
     identity_cell,
     normalize,
     parse_word,
+    _expansions,
+    _unreachable,
 )
 
 
@@ -249,6 +253,32 @@ def test_search_soundness_random_pairs():
                 cell.validate()
                 assert cell.src == normalize(src)
                 assert cell.dst == normalize(dst)
+
+
+def test_refuted_pairs_are_beyond_the_bounded_search():
+    # Every word within cell_search's bounds of a source: depth 8, and words
+    # no longer than the cap that a pair of words of length <= 4 allows.  A
+    # word the search can reach is one the refutation must let it look for.
+    sources = sorted({normalize(w) for w in all_words(4)})
+    assert len(sources) == 281
+    cap = 4 + _SEARCH_SLACK
+    successors = {}
+    for src in sources:
+        seen, frontier = {src}, [src]
+        for _ in range(SEARCH_DEPTH):
+            reached = []
+            for word in frontier:
+                if word not in successors:
+                    successors[word] = [nxt for _, nxt in _expansions(word)]
+                for nxt in successors[word]:
+                    if len(nxt) <= cap and nxt not in seen:
+                        seen.add(nxt)
+                        reached.append(nxt)
+            frontier = reached
+        assert [w for w in seen if w != src and _unreachable(src, w)] == [], src
+    refuted = [(s, d) for s in sources for d in sources if s != d and _unreachable(s, d)]
+    assert len(refuted) > 10_000
+    assert cell_search(("s",), ("g",)) is None and cell_search((), ("p",)) is None
 
 
 def test_cell_from_steps_boundary_mismatch():
