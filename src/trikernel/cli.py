@@ -90,7 +90,7 @@ def cmd_lattice(args) -> int:
         if args.lattice_command == "eq":
             lhs = lattice.canon(lattice.parse_expr(args.lhs), table)
             rhs = lattice.canon(lattice.parse_expr(args.rhs), table)
-            print("true" if lattice.eq(lhs, rhs) else "false")
+            print("true" if lhs == rhs else "false")
             return EXIT_OK
         if args.lattice_command == "leq":
             lhs = lattice.canon(lattice.parse_expr(args.lhs), table)

@@ -110,10 +110,19 @@ _FORMERS = {
     J: (IdT, "J eliminates a path; this is not one"),
     Down: (LiftT, "down of an unlifted term"),
 }
-# The core former of each one-argument surface eliminator and of each
-# interval connective.
-_CORE_FORMERS = {syntax.SFst: Fst, syntax.SSnd: Snd, syntax.SDown: Down,
-                 syntax.SMeet: MeetT, syntax.SJoin: JoinT}
+# The surface former of each core former that binds nothing and whose
+# subterms read back in field order, and its inverse.
+_SURFACE = {App: syntax.SApp, Pair: syntax.SPair, Fst: syntax.SFst, Snd: syntax.SSnd,
+            MeetT: syntax.SMeet, JoinT: syntax.SJoin, LiftT: syntax.SLift,
+            Up: syntax.SUp, Down: syntax.SDown}
+_CORE_FORMERS = {surface: core for core, surface in _SURFACE.items()}
+# The core term and type of each of `syntax.CONSTANTS`, in its order, and
+# the keyword of each such term.
+_CONSTANTS = dict(zip(syntax.CONSTANTS, (
+    (IntT(), Univ(0)), (NatT(), Univ(0)), (BoolT(), Univ(0)),
+    (Zero(), NatT()), (TrueC(), BoolT()), (FalseC(), BoolT()),
+), strict=True))
+_CONSTANT_OF = {type(term): kw for kw, (term, _) in _CONSTANTS.items()}
 
 
 def _elim_type(t: Term, principal: Term) -> Term:
@@ -534,15 +543,7 @@ class Checker:
             case syntax.SUniv(level):
                 return Univ(level), Univ(level + 1)
             case syntax.SConstT(kw):
-                table = {
-                    "Int": (IntT(), Univ(0)),
-                    "Nat": (NatT(), Univ(0)),
-                    "Bool": (BoolT(), Univ(0)),
-                    "zero": (Zero(), NatT()),
-                    "true": (TrueC(), BoolT()),
-                    "false": (FalseC(), BoolT()),
-                }
-                return table[kw]
+                return _CONSTANTS[kw]
             case syntax.SNum(value):
                 if value in (0, 1):
                     return (I0() if value == 0 else I1()), IntT()
@@ -952,6 +953,11 @@ def readback(t: Term, names: list[str]) -> syntax.STerm:
         return fresh("x", scope) if free_in(body) else "_"
 
     def go(u: Term, scope: list[str]) -> syntax.STerm:
+        surface = _SURFACE.get(type(u))
+        if surface is not None:
+            return surface(*(go(getattr(u, f), scope) for f in u.__match_args__))
+        if type(u) in _CONSTANT_OF:
+            return syntax.SConstT(_CONSTANT_OF[type(u)])
         match u:
             case Var(ix, cell):
                 var = syntax.SVar(scope[-1 - ix] if ix < len(scope) else f"@{ix}")
@@ -971,14 +977,6 @@ def readback(t: Term, names: list[str]) -> syntax.STerm:
             case Lam(body):
                 x = fresh("x", scope)
                 return syntax.SLam(x, go(body, scope + [x]))
-            case App(fn, arg):
-                return syntax.SApp(go(fn, scope), go(arg, scope))
-            case Pair(a, b):
-                return syntax.SPair(go(a, scope), go(b, scope))
-            case Fst(arg):
-                return syntax.SFst(go(arg, scope))
-            case Snd(arg):
-                return syntax.SSnd(go(arg, scope))
             case IdT(ty, lhs, rhs):
                 left = go(lhs, scope)
                 if isinstance(lhs, (Lam, Pair, Refl)):  # no type to infer
@@ -999,10 +997,6 @@ def readback(t: Term, names: list[str]) -> syntax.STerm:
                 b = fresh("b", scope)
                 return syntax.SBoolRec(syntax.SLam(b, go(motive, scope + [b])),
                                        go(tcase, scope), go(fcase, scope), go(scrut, scope))
-            case NatT():
-                return syntax.SConstT("Nat")
-            case Zero():
-                return syntax.SConstT("zero")
             case Suc(arg):
                 n, inner = 1, arg
                 while isinstance(inner, Suc):
@@ -1010,22 +1004,10 @@ def readback(t: Term, names: list[str]) -> syntax.STerm:
                 if n > 1 and isinstance(inner, Zero):
                     return syntax.SNum(n)
                 return syntax.SSucc(go(arg, scope))
-            case BoolT():
-                return syntax.SConstT("Bool")
-            case TrueC():
-                return syntax.SConstT("true")
-            case FalseC():
-                return syntax.SConstT("false")
-            case IntT():
-                return syntax.SConstT("Int")
             case I0():
                 return syntax.SNum(0)
             case I1():
                 return syntax.SNum(1)
-            case MeetT(lhs, rhs):
-                return syntax.SMeet(go(lhs, scope), go(rhs, scope))
-            case JoinT(lhs, rhs):
-                return syntax.SJoin(go(lhs, scope), go(rhs, scope))
             case Modify(word, ty):
                 # each p in the word locks the body under an interval named i
                 return syntax.SModify(word, go(ty, scope + ["i"] * npee(word)))
@@ -1034,12 +1016,6 @@ def readback(t: Term, names: list[str]) -> syntax.STerm:
             case LetMod(frame, word, scrut, body):
                 x = fresh("x", scope)
                 return syntax.SLetMod(word, x, frame, go(scrut, scope), go(body, scope + [x]))
-            case LiftT(ty):
-                return syntax.SLift(go(ty, scope))
-            case Up(arg):
-                return syntax.SUp(go(arg, scope))
-            case Down(arg):
-                return syntax.SDown(go(arg, scope))
         raise TypeError(f"cannot read back {u!r}")
 
     return go(t, list(names))

@@ -208,10 +208,6 @@ def _named_atom(table: AtomTable, expr: Expr) -> Poly:
     raise TypeError(f"not a lattice expression: {expr!r}")
 
 
-def eq(p: Poly, q: Poly) -> bool:
-    return p == q
-
-
 def leq(p: Poly, q: Poly) -> bool:
     """Lattice order: p <= q iff every monomial of p contains one of q."""
     return all(any(n & m == n for n in q) for m in p)

@@ -234,10 +234,7 @@ def verify_prelude(path: Optional[str] = None) -> PreludeReport:
 
     if not diagnostics:
         declared = {e.name for e in entries}
-        checked = {
-            name for name, g in checker.globals.items()
-        }
-        missing = declared - checked
+        missing = declared - set(checker.globals)
         for name in sorted(missing):
             report.problems.append(f"entry {name} did not reach the checker")
     return report

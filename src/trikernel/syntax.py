@@ -24,12 +24,6 @@ from .diagnostics import Diagnostic, KernelError
 from .modality import ModeError, TwoCell, Word, format_cell, format_word, parse_cell, parse_word
 from .record import field, record
 
-KEYWORDS = {
-    "def", "axiom", "check", "fun", "let", "mod", "in", "coe",
-    "U", "Int", "Nat", "Bool", "zero", "succ", "true", "false",
-    "refl", "J", "natrec", "boolrec", "fst", "snd", "Lift", "up", "down",
-}
-
 Span = tuple[int, int]
 _T = TypeVar("_T")
 
@@ -222,7 +216,7 @@ class SJoin(STerm):
 
 
 class SConstT(STerm):
-    name: str  # "Int" | "Nat" | "Bool" | "zero" | "true" | "false"
+    name: str  # one of CONSTANTS
 
 
 class SNatRec(STerm):
@@ -290,6 +284,15 @@ class SDown(STerm):
     arg: STerm
 
 
+# The keyword formers, by how each is written: `kw postfix`, `kw(t, .., t)`
+# with one argument per field, and a bare constant.
+PREFIX = {"succ": SSucc, "fst": SFst, "snd": SSnd, "Lift": SLift, "up": SUp, "down": SDown}
+CALLS = {"J": SJ, "natrec": SNatRec, "boolrec": SBoolRec}
+CONSTANTS = ("Int", "Nat", "Bool", "zero", "true", "false")
+_KEYWORD_ATOMS = {"U", "refl", "mod", "coe", *PREFIX, *CALLS, *CONSTANTS}
+KEYWORDS = _KEYWORD_ATOMS | {"def", "axiom", "check", "fun", "let", "in"}
+
+
 @record
 class Decl:
     kind: str  # "def" | "axiom" | "check" | "fail-check"
@@ -311,13 +314,10 @@ class SurfaceModule:
 # Parser
 # ---------------------------------------------------------------------------
 
-# The binding power of each infix operator below `->`, loosest first.
-_INFIX = {"STAR": 1, "EQUALS": 2, "JOIN": 3, "MEET": 4}
-
-_KEYWORD_ATOMS = {
-    "U", "Int", "Nat", "Bool", "zero", "succ", "true", "false", "refl",
-    "J", "natrec", "boolrec", "coe", "fst", "snd", "mod", "Lift", "up", "down",
-}
+# The one precedence scale, loosest first, of the parser and the printer,
+# and the level of each infix operator below `->`.
+_PREC_ARROW, _PREC_SIGMA, _PREC_EQ, _PREC_JOIN, _PREC_MEET, _PREC_APP, _PREC_ATOM = range(7)
+_INFIX = {"STAR": _PREC_SIGMA, "EQUALS": _PREC_EQ, "JOIN": _PREC_JOIN, "MEET": _PREC_MEET}
 
 
 class Parser:
@@ -498,19 +498,19 @@ class Parser:
             _parse_error("modal annotation outside a binder", lhs.span, self.file)
         return lhs
 
-    def parse_infix(self, floor: int = 1) -> STerm:
+    def parse_infix(self, floor: int = _PREC_SIGMA) -> STerm:
         """The operators of `_INFIX` that bind at least as tight as `floor`.
 
         `*` is right associative, `=` non-associative (a second `=` is left to
         the caller), and the lattice operators are left associative.
         """
         lhs = self.parse_app()
-        ceiling = 4
+        ceiling = _PREC_MEET
         while floor <= (prec := _INFIX.get(self.peek().kind, 0)) <= ceiling:
             self.next()
-            rhs = self.parse_infix(prec if prec == 1 else prec + 1)
+            rhs = self.parse_infix(prec if prec == _PREC_SIGMA else prec + 1)
             span = (lhs.span[0], rhs.span[1])
-            if prec == 1:  # `*` took every operator after it
+            if prec == _PREC_SIGMA:  # `*` took every operator after it
                 if isinstance(lhs, SAnnot) and not lhs.word:
                     names = self._binder_names(lhs.term)
                     if names is not None:
@@ -519,10 +519,10 @@ class Parser:
                             out = SSigma(name, lhs.ty, out, span=span)
                         return out
                 return SSigma("_", lhs, rhs, span=span)
-            if prec == 2:  # only `*` may follow an equation
-                lhs, ceiling = SEq(lhs, rhs, span=span), 1
+            if prec == _PREC_EQ:  # only `*` may follow an equation
+                lhs, ceiling = SEq(lhs, rhs, span=span), _PREC_SIGMA
             else:
-                lhs = (SJoin if prec == 3 else SMeet)(lhs, rhs, span=span)
+                lhs = (SJoin if prec == _PREC_JOIN else SMeet)(lhs, rhs, span=span)
         return lhs
 
     def at_atom(self) -> bool:
@@ -596,58 +596,40 @@ class Parser:
 
     def parse_keyword_atom(self) -> STerm:
         tok = self.next()
-        kw = tok.text
+        kw, start = tok.text, tok.span[0]
+        if kw in CONSTANTS:
+            return SConstT(kw, span=tok.span)
+        if kw in PREFIX:
+            arg = self.parse_postfix()
+            return PREFIX[kw](arg, span=(start, arg.span[1]))
+        if kw in CALLS:
+            self.expect("LPAREN", f"'(' after {kw}")
+            args = [self.parse_term()]
+            while self.peek().kind == "COMMA":
+                self.next()
+                args.append(self.parse_term())
+            end = self.expect("RPAREN")
+            if len(args) != (count := len(CALLS[kw].__match_args__)):
+                _parse_error(f"{kw} takes {count} arguments, got {len(args)}", end.span, self.file)
+            return CALLS[kw](*args, span=(start, end.span[1]))
         if kw == "U":
             num = self.expect("NUMBER", "a universe level")
-            return SUniv(int(num.text), span=(tok.span[0], num.span[1]))
-        if kw in ("Int", "Nat", "Bool", "zero", "true", "false"):
-            return SConstT(kw, span=tok.span)
+            return SUniv(int(num.text), span=(start, num.span[1]))
         if kw == "refl":
             return SRefl(span=tok.span)
-        if kw in ("succ", "fst", "snd", "Lift", "up", "down"):
-            arg = self.parse_postfix()
-            ctor = {
-                "succ": SSucc, "fst": SFst, "snd": SSnd,
-                "Lift": SLift, "up": SUp, "down": SDown,
-            }[kw]
-            return ctor(arg, span=(tok.span[0], arg.span[1]))
-        if kw == "J":
-            args, end = self.parse_paren_args(3, "J")
-            return SJ(args[0], args[1], args[2], span=(tok.span[0], end))
-        if kw == "natrec":
-            args, end = self.parse_paren_args(4, "natrec")
-            return SNatRec(*args, span=(tok.span[0], end))
-        if kw == "boolrec":
-            args, end = self.parse_paren_args(4, "boolrec")
-            return SBoolRec(*args, span=(tok.span[0], end))
         if kw == "mod":
             braced = self.expect("BRACED", "a modality word")
             word = self.braced(braced, parse_word)
             self.expect("LPAREN")
             body = self.parse_term()
             end = self.expect("RPAREN")
-            return SMkMod(word, body, span=(tok.span[0], end.span[1]))
-        if kw == "coe":
-            braced = self.expect("BRACED", "a 2-cell")
-            cell = self.braced(braced, parse_cell)
-            self.expect("LPAREN")
-            body = self.parse_term()
-            end = self.expect("RPAREN")
-            return SCoe(cell, body, span=(tok.span[0], end.span[1]))
-        _parse_error(f"unexpected keyword {kw!r} in term position", tok.span, self.file)
-
-    def parse_paren_args(self, count: int, what: str) -> tuple[list[STerm], int]:
-        self.expect("LPAREN", f"'(' after {what}")
-        args = [self.parse_term()]
-        while self.peek().kind == "COMMA":
-            self.next()
-            args.append(self.parse_term())
+            return SMkMod(word, body, span=(start, end.span[1]))
+        braced = self.expect("BRACED", "a 2-cell")  # the one keyword atom left: `coe`
+        cell = self.braced(braced, parse_cell)
+        self.expect("LPAREN")
+        body = self.parse_term()
         end = self.expect("RPAREN")
-        if len(args) != count:
-            _parse_error(
-                f"{what} takes {count} arguments, got {len(args)}", end.span, self.file
-            )
-        return args, end.span[1]
+        return SCoe(cell, body, span=(start, end.span[1]))
 
 
 def parse_module(text: str, file: str = "<input>") -> SurfaceModule:
@@ -667,13 +649,19 @@ def parse_term(text: str, file: str = "<input>") -> STerm:
 # Printer (inverse of the parser up to spans)
 # ---------------------------------------------------------------------------
 
-_PREC_ARROW, _PREC_SIGMA, _PREC_EQ, _PREC_JOIN, _PREC_MEET, _PREC_APP, _PREC_ATOM = range(7)
+# The keyword of each prefix and call former.
+_KEYWORD_OF = {cls: kw for table in (PREFIX, CALLS) for kw, cls in table.items()}
 
 
 def print_term(t: STerm, prec: int = 0) -> str:
     def par(s: str, inner: int) -> str:
         return f"({s})" if inner < prec else s
 
+    kw = _KEYWORD_OF.get(type(t))
+    if kw in PREFIX:
+        return par(f"{kw} {print_term(t.arg, _PREC_ATOM)}", _PREC_APP)
+    if kw in CALLS:
+        return f"{kw}({', '.join(print_term(getattr(t, f)) for f in t.__match_args__)})"
     match t:
         case SVar(name):
             return name
@@ -704,22 +692,14 @@ def print_term(t: STerm, prec: int = 0) -> str:
             )
         case SPair(a, b):
             return f"({print_term(a)}, {print_term(b)})"
-        case SFst(arg):
-            return par(f"fst {print_term(arg, _PREC_ATOM)}", _PREC_APP)
-        case SSnd(arg):
-            return par(f"snd {print_term(arg, _PREC_ATOM)}", _PREC_APP)
         case SEq(lhs, rhs):
             return par(
                 f"{print_term(lhs, _PREC_JOIN)} = {print_term(rhs, _PREC_JOIN)}", _PREC_EQ
             )
         case SRefl():
             return "refl"
-        case SJ(motive, base, eq_):
-            return f"J({print_term(motive)}, {print_term(base)}, {print_term(eq_)})"
         case SNum(value):
             return str(value)
-        case SSucc(arg):
-            return par(f"succ {print_term(arg, _PREC_ATOM)}", _PREC_APP)
         case SMeet(lhs, rhs):
             return par(
                 f"{print_term(lhs, _PREC_APP)} /\\ {print_term(rhs, _PREC_APP)}", _PREC_MEET
@@ -731,16 +711,6 @@ def print_term(t: STerm, prec: int = 0) -> str:
             )
         case SConstT(name):
             return name
-        case SNatRec(motive, z, s, n):
-            return (
-                f"natrec({print_term(motive)}, {print_term(z)}, "
-                f"{print_term(s)}, {print_term(n)})"
-            )
-        case SBoolRec(motive, tc, fc, b):
-            return (
-                f"boolrec({print_term(motive)}, {print_term(tc)}, "
-                f"{print_term(fc)}, {print_term(b)})"
-            )
         case SModify(word, body):
             return f"<{format_word(word)}| {print_term(body)}>"
         case SMkMod(word, body):
@@ -753,20 +723,18 @@ def print_term(t: STerm, prec: int = 0) -> str:
                 _PREC_ARROW,
             )
         case SCellApp(arg, cell):
-            return f"{print_term(arg, _PREC_ATOM)}^{{{format_cell(cell)}}}"
+            return par(f"{print_term(arg, _PREC_ATOM)}^{{{format_cell(cell)}}}", _PREC_ATOM)
         case SInst(arg, index):
-            return f"{print_term(arg, _PREC_ATOM)} . {print_term(index, _PREC_ATOM)}"
+            # the index is an atom: a postfix form there is parenthesized
+            return par(
+                f"{print_term(arg, _PREC_ATOM)} . {print_term(index, _PREC_ATOM + 1)}",
+                _PREC_ATOM,
+            )
         case SCoe(cell, arg):
             return f"coe{{{format_cell(cell)}}}({print_term(arg)})"
         case SAnnot(term, ty, word):
             ann = f" @ {format_word(word)}" if word else ""
             return f"({print_term(term)} : {print_term(ty)}{ann})"
-        case SLift(arg):
-            return par(f"Lift {print_term(arg, _PREC_ATOM)}", _PREC_APP)
-        case SUp(arg):
-            return par(f"up {print_term(arg, _PREC_ATOM)}", _PREC_APP)
-        case SDown(arg):
-            return par(f"down {print_term(arg, _PREC_ATOM)}", _PREC_APP)
     raise TypeError(f"cannot print {t!r}")
 
 

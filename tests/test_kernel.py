@@ -495,6 +495,26 @@ def test_print_core_nat_literals_are_not_endpoints():
     assert [print_core(I0()), print_core(MeetT(Var(0), Var(1)), ["i", "j"])] == ["0", "j /\\ i"]
 
 
+def _sample_former(cls, samples):
+    """An instance of the record class `cls`, each field from `samples` by
+    its annotation."""
+    return cls(**{name: samples[ann] for name, ann in fields(cls).items()})
+
+
+def test_every_former_reads_back_and_prints():
+    # a former missing from both the tables and the explicit cases of
+    # `readback` or `print_term` fails here, not inside a diagnostic
+    core_samples = {"Term": Var(0), "Word": ("g",), "int": 2, "str": "c",
+                    "Optional[TwoCell]": None}
+    for cls in Term.__subclasses__():
+        surface = kernel.readback(_sample_former(cls, core_samples), ["x"])
+        assert isinstance(syntax.print_term(surface), str), cls
+    surface_samples = {"STerm": syntax.SVar("x"), "Word": ("g",), "int": 2, "str": "c",
+                       "tuple[TwoCell, ...]": (generator_cell("eps0"),), "Span": (0, 0)}
+    for cls in syntax.STerm.__subclasses__():
+        assert isinstance(syntax.print_term(_sample_former(cls, surface_samples)), str), cls
+
+
 def test_expected_fail_check_prints_nothing(monkeypatch):
     calls = []
     real = kernel.print_core

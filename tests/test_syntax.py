@@ -17,8 +17,11 @@ from trikernel.syntax import (
     Decl,
     SAnnot,
     SApp,
+    SBoolRec,
     SCellApp,
+    SCoe,
     SConstT,
+    SDown,
     SEq,
     SFst,
     SInst,
@@ -39,6 +42,7 @@ from trikernel.syntax import (
     SSnd,
     SSucc,
     SUniv,
+    SUp,
     SVar,
     parse_module,
     parse_term,
@@ -132,6 +136,8 @@ def test_print_parse_examples_roundtrip():
         "boolrec(fun b => U 0, Int, Bool, true)",
         "(x : Lift A) -> down x = up y",
         "let mod{s}(z) =[g] y in mod{g.s}(z)",
+        "a . (b . c)",  # an instantiation index in postfix form
+        "a . (b^{eps0})",
     ]
     for text in samples:
         first = parse_term(text)
@@ -164,7 +170,9 @@ def _random_cell(rng):
     return tuple(factors)
 
 
-def _random_ast(rng, depth):
+def _random_ast(rng, depth, every_former=False):
+    """A random surface term; `every_former` adds the formers that the first
+    round-trip test leaves out, without changing its random stream."""
     if depth == 0:
         return rng.choice(
             [
@@ -175,8 +183,8 @@ def _random_ast(rng, depth):
                 SRefl(),
             ]
         )
-    sub = lambda: _random_ast(rng, depth - 1)
-    choice = rng.randrange(20)
+    sub = lambda: _random_ast(rng, depth - 1, every_former)
+    choice = rng.randrange(26 if every_former else 20)
     if choice == 0:
         return SPi(_random_name(rng), _random_word(rng), sub(), sub())
     if choice == 1:
@@ -215,7 +223,22 @@ def _random_ast(rng, depth):
         return SCellApp(sub(), _random_cell(rng))
     if choice == 18:
         return SSucc(sub())
-    return SLift(sub())
+    if choice == 19:
+        return SLift(sub())
+    if choice == 20:
+        return SBoolRec(sub(), sub(), sub(), sub())
+    if choice == 21:
+        return SUp(sub())
+    if choice == 22:
+        return SDown(sub())
+    if choice == 23:
+        return SInst(sub(), sub())
+    if choice == 24:
+        return SCoe(_random_cell(rng), sub())
+    term = sub()
+    if isinstance(term, (SVar, SApp)):  # `(x y : A)` before `->` or `*` binds x and y
+        term = SFst(term)
+    return SAnnot(term, sub())
 
 
 def test_roundtrip_random_asts():
@@ -225,6 +248,14 @@ def test_roundtrip_random_asts():
         printed = print_term(ast)
         reparsed = parse_term(printed)
         assert reparsed == ast, printed
+
+
+def test_roundtrip_random_asts_of_every_former():
+    rng = random.Random(2407)
+    for _ in range(3000):
+        ast = _random_ast(rng, rng.randint(1, 8), every_former=True)
+        printed = print_term(ast)
+        assert parse_term(printed) == ast, printed
 
 
 def test_parser_totality_fuzz():
@@ -546,3 +577,16 @@ def test_grammar_words_match_code():
         words = set(re.findall(r'"([A-Za-z][\w-]*)"', handle.read()))
     assert words == (syntax.KEYWORDS | {"fail-check", "id"} | set(modality.GENERATORS)
                      | set(modality.GENERATOR_CELLS))
+
+
+def test_grammar_keyword_formers_match_the_tables():
+    # the `"kw" postfix` and `"kw" "(" term {"," term} ")"` alternatives of
+    # docs/grammar.ebnf are the parser's PREFIX and CALLS, with their arities
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "docs", "grammar.ebnf"), encoding="utf-8") as handle:
+        text = handle.read()
+    prefix = set(re.findall(r'"(\w+)" postfix', text))
+    calls = {kw: 1 + rest.count('","')
+             for kw, rest in re.findall(r'"(\w+)" "\(" term((?: "," term)*) "\)"', text)}
+    assert prefix == set(syntax.PREFIX)
+    assert calls == {kw: len(cls.__match_args__) for kw, cls in syntax.CALLS.items()}
