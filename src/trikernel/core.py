@@ -170,12 +170,18 @@ class Down(Term):
     arg: Term
 
 
+# The formers without fields, built once and shared, so that checking an
+# inferred `Int` against an expected one ends at `syn_eq`'s identity test.
+INT, NAT, BOOL, ZERO, TRUE, FALSE = IntT(), NatT(), BoolT(), Zero(), TrueC(), FalseC()
+ENDPOINTS = (I0(), I1())  # the interval's 0 and 1
+
+
 def npee(word: Word) -> int:
     return sum(1 for g in word if g == "p")
 
 
 def nat_literal(n: int) -> Term:
-    out: Term = Zero()
+    out: Term = ZERO
     for _ in range(n):
         out = Suc(out)
     return out
@@ -198,7 +204,7 @@ def mk_modify(word: Word, ty: Term) -> Term:
     """<w| A> with trailing p factors peeled into interval products."""
     w, k = strip_trailing_p(normalize(word))
     for _ in range(k):
-        ty = Pi((), IntT(), ty)
+        ty = Pi((), INT, ty)
     return Modify(w, ty) if w else ty
 
 
@@ -450,7 +456,7 @@ class Ctx:
         for gen in normalize(word):
             if gen == "p":
                 levels = levels + (len(entries),)
-                entries = entries + (CDecl("i", (), IntT(), True),)
+                entries = entries + (CDecl("i", (), INT, True),)
             else:
                 last_lock = len(entries)
                 entries = entries + (CLock(gen),)

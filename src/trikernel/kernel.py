@@ -18,6 +18,13 @@ from typing import Callable, NoReturn, Optional
 
 from . import lattice, syntax
 from .core import (
+    BOOL,
+    ENDPOINTS,
+    FALSE,
+    INT,
+    NAT,
+    TRUE,
+    ZERO,
     App,
     BoolRec,
     BoolT,
@@ -119,8 +126,7 @@ _CORE_FORMERS = {surface: core for core, surface in _SURFACE.items()}
 # The core term and type of each of `syntax.CONSTANTS`, in its order, and
 # the keyword of each such term.
 _CONSTANTS = dict(zip(syntax.CONSTANTS, (
-    (IntT(), Univ(0)), (NatT(), Univ(0)), (BoolT(), Univ(0)),
-    (Zero(), NatT()), (TrueC(), BoolT()), (FalseC(), BoolT()),
+    (INT, Univ(0)), (NAT, Univ(0)), (BOOL, Univ(0)), (ZERO, NAT), (TRUE, BOOL), (FALSE, BOOL),
 ), strict=True))
 _CONSTANT_OF = {type(term): kw for kw, (term, _) in _CONSTANTS.items()}
 
@@ -280,9 +286,9 @@ class Checker:
 
     def _poly_term(self, poly: lattice.Poly) -> Term:
         if poly == lattice.ZERO:
-            return I0()
+            return ENDPOINTS[0]
         if poly == lattice.ONE:
-            return I1()
+            return ENDPOINTS[1]
 
         def monomial(m: tuple[int, ...]) -> Term:
             parts = [self.atoms.key(a) for a in m]
@@ -546,15 +552,15 @@ class Checker:
                 return _CONSTANTS[kw]
             case syntax.SNum(value):
                 if value in (0, 1):
-                    return (I0() if value == 0 else I1()), IntT()
-                return nat_literal(value), NatT()
+                    return ENDPOINTS[value], INT
+                return nat_literal(value), NAT
             case syntax.SSucc(arg):
-                ac = self.check(ctx, arg, NatT())
-                return Suc(ac), NatT()
+                ac = self.check(ctx, arg, NAT)
+                return Suc(ac), NAT
             case syntax.SMeet(lhs, rhs) | syntax.SJoin(lhs, rhs):
-                lc = self.check(ctx, lhs, IntT())
-                rc = self.check(ctx, rhs, IntT())
-                return _CORE_FORMERS[type(s)](lc, rc), IntT()
+                lc = self.check(ctx, lhs, INT)
+                rc = self.check(ctx, rhs, INT)
+                return _CORE_FORMERS[type(s)](lc, rc), INT
             case syntax.SPi(name, word, dom, cod):
                 word = normalize(word)
                 if "p" in word:
@@ -568,7 +574,7 @@ class Checker:
                 # binding table whiskers the codomain by p as the context does
                 is_interval = self.is_interval_type(dc, word)
                 if is_interval:
-                    dc = IntT()
+                    dc = INT
                 ctx2 = ctx.extend(name, word, dc, is_interval)
                 cc, l2 = self.elab_type(ctx2, cod)
                 return Pi(word, dc, cc), Univ(max(l1, l2))
@@ -600,18 +606,18 @@ class Checker:
                 t = J(mbody, bc, ec)
                 return t, _elim_type(t, ety)
             case syntax.SNatRec(motive, zcase, scase, scrut):
-                nc = self.check(ctx, scrut, NatT())
-                mbody = self._motive(ctx, motive, "natrec", NatT())
-                zc = self.check(ctx, zcase, subst(mbody, Zero()))
+                nc = self.check(ctx, scrut, NAT)
+                mbody = self._motive(ctx, motive, "natrec", NAT)
+                zc = self.check(ctx, zcase, subst(mbody, ZERO))
                 step_cod = subst(shift(mbody, 2, cutoff=1), Suc(Var(1)))
-                step_ty = Pi((), NatT(), Pi((), mbody, step_cod))
+                step_ty = Pi((), NAT, Pi((), mbody, step_cod))
                 sc = self.check(ctx, scase, step_ty)
                 return NatRec(mbody, zc, sc, nc), subst(mbody, nc)
             case syntax.SBoolRec(motive, tcase, fcase, scrut):
-                bc = self.check(ctx, scrut, BoolT())
-                mbody = self._motive(ctx, motive, "boolrec", BoolT())
-                tc = self.check(ctx, tcase, subst(mbody, TrueC()))
-                fc = self.check(ctx, fcase, subst(mbody, FalseC()))
+                bc = self.check(ctx, scrut, BOOL)
+                mbody = self._motive(ctx, motive, "boolrec", BOOL)
+                tc = self.check(ctx, tcase, subst(mbody, TRUE))
+                fc = self.check(ctx, fcase, subst(mbody, FALSE))
                 return BoolRec(mbody, tc, fc, bc), subst(mbody, bc)
             case syntax.SModify(word, body):
                 word = normalize(word)
@@ -624,7 +630,7 @@ class Checker:
             case syntax.SLetMod(word, name, frame, scrut, body):
                 return self._elab_letmod(ctx, s, None)
             case syntax.SInst(arg, index):
-                ic = self.check(ctx, index, IntT())
+                ic = self.check(ctx, index, INT)
                 ctx2 = ctx.lock(("p",))
                 ac, aty = self.infer(ctx2, arg)
                 return subst(ac, ic), subst(aty, ic)
@@ -696,7 +702,7 @@ class Checker:
             case syntax.SNum(value):
                 if isinstance(tyw, IntT):
                     if value in (0, 1):
-                        return I0() if value == 0 else I1()
+                        return ENDPOINTS[value]
                     self.err("E-CONV", f"{value} is not an interval endpoint")
                 if isinstance(tyw, NatT):
                     return nat_literal(value)

@@ -12,7 +12,7 @@ Precedence, loosest to tightest:
     postfix ``^{cell}`` and ``. t`` on atoms
 
 ``(x : A)`` parses as an annotation atom and is reinterpreted as a binder
-when an arrow or star follows, so no backtracking is needed.
+when an arrow or star follows (``((x : A))`` is not), so nothing backtracks.
 """
 
 from __future__ import annotations
@@ -62,70 +62,83 @@ def _parse_error(message: str, span: Span, file: str) -> NoReturn:
 # `λ`.  `\w` and `\d` are `isalnum`-or-underscore and `isdecimal`.
 WORD = re.compile(r"[^\W\dλ][\w']*")
 
-# One master pattern, tried at each position.  The alternatives start with
-# disjoint characters, so they are in order of frequency; only `fail-check`
-# is also a word's prefix and comes before it, and `_PUNCT` keeps its
-# longest-first order.  `\s` is `str.isspace`.  What the pattern does not
-# match (`{...}`, unicode aliases, an unterminated string, a stray character)
-# takes the hand-written path below.
+# One master pattern: blanks and comments, then one token, whose group is
+# the entry of `_GROUP_KINDS` at its number.  `fail-check` comes before the
+# word it starts with; `_PUNCT` is longest first.  `\s` is `str.isspace`.
+# OTHER takes a character for the hand-written path below (`{...}`, a
+# unicode alias, an unterminated string, a stray one): with the end, some
+# group always matches, so the blanks are never backtracked into.
 _TOKEN = re.compile(
-    r"(?P<SKIP>\s+|--[^\n]*)"
-    r"|(?P<FAIL>fail-check(?!\w))"
-    r"|(?P<WORD>" + WORD.pattern + ")"
-    r"|(?P<PUNCT>" + "|".join(re.escape(lit) for lit, _ in _PUNCT) + r")"
-    r"|(?P<NUMBER>\d+)"
-    r'|"(?P<STRING>[^"]*)"'
+    r"(?:\s+|--[^\n]*)*"
+    r"(?:(fail-check(?!\w))"
+    r"|(" + WORD.pattern + ")"
+    r"|(" + "|".join(re.escape(lit) for lit, _ in _PUNCT) + r")"
+    r"|(\d+)"
+    r'|("[^"]*")'
+    r"|(\Z)|(.))"
 )
+_GROUP_KINDS = (None, "KEYWORD", "WORD", "PUNCT", "NUMBER", "STRING", "EOF", "OTHER")
 _PUNCT_KIND = dict(_PUNCT)
 
 
-def tokenize(text: str, file: str = "<input>") -> list[Token]:
-    tokens: list[Token] = []
+class Tokens:
+    """A token stream as parallel lists, EOF last; iterating yields `Token`s."""
+
+    def __init__(self) -> None:
+        self.kinds, self.texts, self.spans = [], [], []  # str, str, Span
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __iter__(self):
+        return map(Token, self.kinds, self.texts, self.spans)
+
+
+def tokenize(text: str, file: str = "<input>") -> Tokens:
+    tokens = Tokens()
+    kinds, texts, spans = tokens.kinds, tokens.texts, tokens.spans
     i, n = 0, len(text)
-    match = _TOKEN.match
-    while i < n:
-        m = match(text, i)
-        if m is None:
-            ch = text[i]
-            if ch in _UNICODE_ALIASES:
-                kind, canonical = _UNICODE_ALIASES[ch]
-                tokens.append(Token(kind, canonical, (i, i + 1)))
-                i += 1
-                continue
-            if ch == "{":
-                depth, j = 1, i + 1
-                while j < n and depth:
-                    if text[j] == "{":
-                        depth += 1
-                    elif text[j] == "}":
-                        depth -= 1
-                    j += 1
-                if depth:
-                    _parse_error("unterminated '{'", (i, n), file)
-                tokens.append(Token("BRACED", text[i + 1 : j - 1], (i, j)))
-                i = j
-                continue
-            if ch == '"':
-                _parse_error("unterminated string literal", (i, n), file)
-            _parse_error(f"unexpected character {ch!r}", (i, i + 1), file)
-        kind, j = m.lastgroup, m.end()
-        if kind == "SKIP":
-            i = j
-            continue
-        lexeme = m.group(kind)
-        if kind == "WORD":
-            # `\w` also admits numeric characters that are not digits (`²`)
-            if not (lexeme[0].isalpha() or lexeme[0] == "_"):
-                _parse_error(f"unexpected character {lexeme[0]!r}", (i, i + 1), file)
-            kind = "KEYWORD" if lexeme in KEYWORDS else "IDENT"
-        elif kind == "PUNCT":
-            kind = _PUNCT_KIND[lexeme]
-        elif kind == "FAIL":
-            kind = "KEYWORD"
-        tokens.append(Token(kind, lexeme, (i, j)))
-        i = j
-    tokens.append(Token("EOF", "", (n, n)))
-    return tokens
+    while True:  # one pass, restarted after each `{...}`
+        for m in _TOKEN.finditer(text, i):
+            k = m.lastindex
+            kind, lexeme, span = _GROUP_KINDS[k], m[k], m.span(k)
+            if kind == "WORD":
+                # `\w` also admits numeric characters that are not digits (`²`)
+                if not (lexeme[0].isalpha() or lexeme[0] == "_"):
+                    span = (span[0], span[0] + 1)
+                    _parse_error(f"unexpected character {lexeme[0]!r}", span, file)
+                kind = "KEYWORD" if lexeme in KEYWORDS else "IDENT"
+            elif kind == "PUNCT":
+                kind = _PUNCT_KIND[lexeme]
+            elif kind == "STRING":
+                lexeme = lexeme[1:-1]
+            elif kind == "OTHER":
+                if lexeme in _UNICODE_ALIASES:
+                    kind, lexeme = _UNICODE_ALIASES[lexeme]
+                elif lexeme == "{":
+                    i, depth, j = span[0], 1, span[1]
+                    while j < n and depth:
+                        if text[j] == "{":
+                            depth += 1
+                        elif text[j] == "}":
+                            depth -= 1
+                        j += 1
+                    if depth:
+                        _parse_error("unterminated '{'", (i, n), file)
+                    kinds.append("BRACED")
+                    texts.append(text[i + 1 : j - 1])
+                    spans.append((i, j))
+                    i = j
+                    break
+                elif lexeme == '"':
+                    _parse_error("unterminated string literal", (span[0], n), file)
+                else:
+                    _parse_error(f"unexpected character {lexeme!r}", span, file)
+            kinds.append(kind)
+            texts.append(lexeme)
+            spans.append(span)
+            if kind == "EOF":  # the end, after any blanks; a second, empty match may follow
+                return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -324,62 +337,63 @@ class Parser:
     def __init__(self, text: str, file: str = "<input>"):
         self.file = file
         self.text = text
-        self.tokens = tokenize(text, file)
+        tokens = tokenize(text, file)
+        self.kinds, self.texts, self.spans = tokens.kinds, tokens.texts, tokens.spans
         self.pos = 0
+        self.wrapped: Optional[STerm] = None  # the last `((x : A))`, which binds nothing
 
     # -- token helpers ------------------------------------------------------
 
     def peek(self) -> Token:
-        # in range: `tokenize` ends with EOF, and `next` never moves past it
-        return self.tokens[self.pos]
+        # in range: the stream ends with EOF, and nothing moves past it
+        return Token(self.kinds[self.pos], self.texts[self.pos], self.spans[self.pos])
 
     def next(self) -> Token:
-        tok = self.tokens[self.pos]
+        tok = self.peek()
         if tok.kind != "EOF":
             self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str = "") -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            _parse_error(
-                f"expected {what or kind} but found {tok.text!r}", tok.span, self.file
-            )
-        return self.next()
+    def expect(self, kind: str, what: str = "") -> int:
+        """Consume the current token, which must be of `kind`; its position."""
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            self.fail(f"expected {what or kind} but found {self.texts[pos]!r}")
+        self.pos = pos + 1
+        return pos
 
-    def expect_kw(self, word: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "KEYWORD" or tok.text != word:
-            _parse_error(f"expected {word!r} but found {tok.text!r}", tok.span, self.file)
-        return self.next()
+    def expect_kw(self, word: str) -> int:
+        if self.texts[self.pos] != word:
+            self.fail(f"expected {word!r} but found {self.texts[self.pos]!r}")
+        return self.expect("KEYWORD", repr(word))
 
-    def at_kw(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "KEYWORD" and tok.text == word
+    def fail(self, message: str) -> NoReturn:
+        """An E-PARSE at the current token."""
+        _parse_error(message, self.spans[self.pos], self.file)
 
     def parse_word_tokens(self) -> Word:
-        parts = []
-        span = self.peek().span
-        while self.peek().kind in ("IDENT", "NUMBER", "DOT"):
-            parts.append(self.next().text)
+        start = self.pos
+        while self.kinds[self.pos] in ("IDENT", "NUMBER", "DOT"):
+            self.pos += 1
         try:
-            return parse_word("".join(parts) or "?")
+            return parse_word("".join(self.texts[start : self.pos]) or "?")
         except ModeError as exc:
-            _parse_error(exc.message, span, self.file)
+            _parse_error(exc.message, self.spans[start], self.file)
 
-    def braced(self, tok: Token, parse: Callable[[str], _T]) -> _T:
-        """A braced word or 2-cell; its `ModeError` is an E-PARSE at `tok`."""
+    def braced(self, what: str, parse: Callable[[str], _T]) -> _T:
+        """Consume a braced word or 2-cell; its `ModeError` is an E-PARSE."""
+        pos = self.expect("BRACED", what)
         try:
-            return parse(tok.text)
+            return parse(self.texts[pos])
         except ModeError as exc:
-            _parse_error(exc.message, tok.span, self.file)
+            _parse_error(exc.message, self.spans[pos], self.file)
 
     # -- declarations -------------------------------------------------------
 
     def parse_module(self) -> SurfaceModule:
         decls: list[Decl] = []
         seen: set[str] = set()
-        while self.peek().kind != "EOF":
+        while self.kinds[self.pos] != "EOF":
             decl = self.parse_decl()
             if decl.kind in ("def", "axiom"):
                 if decl.name in seen:
@@ -389,81 +403,69 @@ class Parser:
         return SurfaceModule(self.file, decls, self.text)
 
     def parse_decl(self) -> Decl:
-        tok = self.peek()
-        if self.at_kw("def"):
-            start = self.next().span
-            name = self.expect("IDENT", "a definition name")
-            self.expect("COLON")
-            ty = self.parse_term()
-            self.expect("DEFINE", "':='")
+        pos = self.pos
+        kw = self.texts[pos] if self.kinds[pos] == "KEYWORD" else ""
+        if kw not in ("def", "axiom", "check", "fail-check"):
+            self.fail(f"expected a declaration but found {self.texts[pos]!r}")
+        start, self.pos = self.spans[pos][0], pos + 1
+        name, code, body = "_", None, None
+        if kw == "def" or kw == "axiom":
+            what = "a definition name" if kw == "def" else "an axiom name"
+            name = self.texts[self.expect("IDENT", what)]
+        else:
+            if kw == "fail-check":
+                code = self.texts[self.expect("STRING", "an error code string")]
             body = self.parse_term()
-            return Decl("def", name.text, ty, body, span=(start[0], body.span[1]))
-        if self.at_kw("axiom"):
-            start = self.next().span
-            name = self.expect("IDENT", "an axiom name")
-            self.expect("COLON")
-            ty = self.parse_term()
-            return Decl("axiom", name.text, ty, None, span=(start[0], ty.span[1]))
-        if self.at_kw("check"):
-            start = self.next().span
-            term = self.parse_term()
-            self.expect("COLON")
-            ty = self.parse_term()
-            return Decl("check", "_", ty, term, span=(start[0], ty.span[1]))
-        if self.at_kw("fail-check"):
-            start = self.next().span
-            code = self.expect("STRING", "an error code string")
-            term = self.parse_term()
-            self.expect("COLON")
-            ty = self.parse_term()
-            return Decl(
-                "fail-check", "_", ty, term, expect_code=code.text,
-                span=(start[0], ty.span[1]),
-            )
-        _parse_error(
-            f"expected a declaration but found {tok.text!r}", tok.span, self.file
-        )
+        self.expect("COLON")
+        ty = last = self.parse_term()
+        if kw == "def":
+            self.expect("DEFINE", "':='")
+            body = last = self.parse_term()
+        return Decl(kw, name, ty, body, expect_code=code, span=(start, last.span[1]))
 
     # -- terms --------------------------------------------------------------
 
     def parse_term(self) -> STerm:
-        if self.at_kw("fun"):
-            return self.parse_lambda()
-        if self.at_kw("let"):
-            return self.parse_letmod()
+        if self.kinds[self.pos] == "KEYWORD":
+            kw = self.texts[self.pos]
+            if kw == "fun":
+                return self.parse_lambda()
+            if kw == "let":
+                return self.parse_letmod()
         return self.parse_arrow()
 
     def parse_lambda(self) -> STerm:
-        start = self.expect_kw("fun").span
+        start = self.spans[self.expect_kw("fun")][0]
         names = []
-        while self.peek().kind == "IDENT":
-            names.append(self.next().text)
+        while self.kinds[self.pos] == "IDENT":
+            names.append(self.texts[self.pos])
+            self.pos += 1
         if not names:
-            _parse_error("fun needs at least one binder", self.peek().span, self.file)
+            self.fail("fun needs at least one binder")
         self.expect("FATARROW", "'=>'")
         body = self.parse_term()
         out = body
         for name in reversed(names):
-            out = SLam(name, out, span=(start[0], body.span[1]))
+            out = SLam(name, out, span=(start, body.span[1]))
         return out
 
     def parse_letmod(self) -> STerm:
-        start = self.expect_kw("let").span
+        start = self.spans[self.expect_kw("let")][0]
         self.expect_kw("mod")
-        word = self.braced(self.expect("BRACED", "a modality word"), parse_word)
+        word = self.braced("a modality word", parse_word)
         self.expect("LPAREN")
-        name = self.expect("IDENT", "a variable name")
+        name = self.texts[self.expect("IDENT", "a variable name")]
         self.expect("RPAREN")
         self.expect("EQUALS", "'='")
         frame: Word = ()
-        if self.peek().kind == "LBRACKET":
-            self.next()
+        if self.kinds[self.pos] == "LBRACKET":
+            self.pos += 1
             frame = self.parse_word_tokens()
             self.expect("RBRACKET")
         scrut = self.parse_term()
         self.expect_kw("in")
         body = self.parse_term()
-        return SLetMod(word, name.text, frame, scrut, body, span=(start[0], body.span[1]))
+        return SLetMod(word, name, frame, scrut, body, span=(start, body.span[1]))
 
     def _binder_names(self, term: STerm) -> Optional[list[str]]:
         names: list[str] = []
@@ -479,18 +481,23 @@ class Parser:
         names.reverse()
         return names
 
+    def _binder(self, lhs: STerm) -> Optional[list[str]]:
+        """The names that `lhs` binds before `->` or `*`: `(x y : A)`, not `((x y : A))`."""
+        if type(lhs) is not SAnnot or lhs is self.wrapped:
+            return None
+        return self._binder_names(lhs.term)
+
     def parse_arrow(self) -> STerm:
         lhs = self.parse_infix()
-        if self.peek().kind == "ARROW":
-            self.next()
+        if self.kinds[self.pos] == "ARROW":
+            self.pos += 1
+            names = self._binder(lhs)
             cod = self.parse_term()
-            if isinstance(lhs, SAnnot):
-                names = self._binder_names(lhs.term)
-                if names is not None:
-                    out = cod
-                    for name in reversed(names):
-                        out = SPi(name, lhs.word, lhs.ty, out, span=(lhs.span[0], cod.span[1]))
-                    return out
+            if names is not None:
+                out = cod
+                for name in reversed(names):
+                    out = SPi(name, lhs.word, lhs.ty, out, span=(lhs.span[0], cod.span[1]))
+                return out
             if isinstance(lhs, SAnnot) and lhs.word:
                 _parse_error("modal annotation on a non-binder", lhs.span, self.file)
             return SPi("_", (), lhs, cod, span=(lhs.span[0], cod.span[1]))
@@ -505,35 +512,32 @@ class Parser:
         the caller), and the lattice operators are left associative.
         """
         lhs = self.parse_app()
-        ceiling = _PREC_MEET
-        while floor <= (prec := _INFIX.get(self.peek().kind, 0)) <= ceiling:
-            self.next()
-            rhs = self.parse_infix(prec if prec == _PREC_SIGMA else prec + 1)
+        kinds, ceiling = self.kinds, _PREC_MEET
+        while floor <= (prec := _INFIX.get(kinds[self.pos], 0)) <= ceiling:
+            self.pos += 1
+            if prec == _PREC_SIGMA:  # `*` takes every operator after it
+                names = self._binder(lhs)
+                rhs = self.parse_infix(prec)
+                span = (lhs.span[0], rhs.span[1])
+                if names is None or lhs.word:
+                    return SSigma("_", lhs, rhs, span=span)
+                out = rhs
+                for name in reversed(names):
+                    out = SSigma(name, lhs.ty, out, span=span)
+                return out
+            rhs = self.parse_infix(prec + 1)
             span = (lhs.span[0], rhs.span[1])
-            if prec == _PREC_SIGMA:  # `*` took every operator after it
-                if isinstance(lhs, SAnnot) and not lhs.word:
-                    names = self._binder_names(lhs.term)
-                    if names is not None:
-                        out = rhs
-                        for name in reversed(names):
-                            out = SSigma(name, lhs.ty, out, span=span)
-                        return out
-                return SSigma("_", lhs, rhs, span=span)
             if prec == _PREC_EQ:  # only `*` may follow an equation
                 lhs, ceiling = SEq(lhs, rhs, span=span), _PREC_SIGMA
             else:
                 lhs = (SJoin if prec == _PREC_JOIN else SMeet)(lhs, rhs, span=span)
         return lhs
 
-    def at_atom(self) -> bool:
-        tok = self.peek()
-        if tok.kind == "KEYWORD":
-            return tok.text in _KEYWORD_ATOMS
-        return tok.kind in ("IDENT", "NUMBER", "LPAREN", "LT")
-
     def parse_app(self) -> STerm:
         head = self.parse_postfix()
-        while self.at_atom():
+        kinds, texts = self.kinds, self.texts
+        while (kind := kinds[self.pos]) in ("IDENT", "NUMBER", "LPAREN", "LT") or (
+                kind == "KEYWORD" and texts[self.pos] in _KEYWORD_ATOMS):
             arg = self.parse_postfix()
             head = SApp(head, arg, span=(head.span[0], arg.span[1]))
         return head
@@ -541,95 +545,94 @@ class Parser:
     def parse_postfix(self) -> STerm:
         term = self.parse_atom()
         while True:
-            tok = self.peek()
-            if tok.kind == "HAT":
-                self.next()
-                braced = self.expect("BRACED", "a 2-cell in braces")
-                cell = self.braced(braced, parse_cell)
-                term = SCellApp(term, cell, span=(term.span[0], braced.span[1]))
-            elif tok.kind == "DOT":
-                self.next()
+            kind = self.kinds[self.pos]
+            if kind == "HAT":
+                self.pos += 1
+                cell = self.braced("a 2-cell in braces", parse_cell)
+                term = SCellApp(term, cell, span=(term.span[0], self.spans[self.pos - 1][1]))
+            elif kind == "DOT":
+                self.pos += 1
                 idx = self.parse_atom()
                 term = SInst(term, idx, span=(term.span[0], idx.span[1]))
             else:
                 return term
 
     def parse_atom(self) -> STerm:
-        tok = self.peek()
-        if tok.kind == "IDENT":
-            self.next()
-            return SVar(tok.text, span=tok.span)
-        if tok.kind == "NUMBER":
-            self.next()
-            return SNum(int(tok.text), span=tok.span)
-        if tok.kind == "LT":
-            self.next()
+        pos = self.pos
+        kind = self.kinds[pos]
+        if kind == "IDENT":
+            self.pos = pos + 1
+            return SVar(self.texts[pos], span=self.spans[pos])
+        start = self.spans[pos][0]
+        if kind == "LPAREN":
+            self.pos = pos + 1
+            inner = self.parse_term()
+            kind = self.kinds[self.pos]
+            if kind == "COMMA":
+                self.pos += 1
+                second = self.parse_term()
+                end = self.spans[self.expect("RPAREN")][1]
+                return SPair(inner, second, span=(start, end))
+            if kind == "COLON":
+                self.pos += 1
+                ty = self.parse_term()
+                word: Word = ()
+                if self.kinds[self.pos] == "AT":
+                    self.pos += 1
+                    word = self.parse_word_tokens()
+                end = self.spans[self.expect("RPAREN")][1]
+                return SAnnot(inner, ty, word, span=(start, end))
+            inner.span = (start, self.spans[self.expect("RPAREN")][1])
+            if type(inner) is SAnnot:
+                self.wrapped = inner
+            return inner
+        if kind == "NUMBER":
+            self.pos = pos + 1
+            return SNum(int(self.texts[pos]), span=self.spans[pos])
+        if kind == "KEYWORD" and self.texts[pos] in _KEYWORD_ATOMS:
+            return self.parse_keyword_atom()
+        if kind == "LT":
+            self.pos = pos + 1
             word = self.parse_word_tokens()
             self.expect("PIPE", "'|' after the modality word")
             body = self.parse_term()
-            end = self.expect("GT", "'>' closing the modal type")
-            return SModify(word, body, span=(tok.span[0], end.span[1]))
-        if tok.kind == "LPAREN":
-            self.next()
-            inner = self.parse_term()
-            nxt = self.peek()
-            if nxt.kind == "COMMA":
-                self.next()
-                second = self.parse_term()
-                end = self.expect("RPAREN")
-                return SPair(inner, second, span=(tok.span[0], end.span[1]))
-            if nxt.kind == "COLON":
-                self.next()
-                ty = self.parse_term()
-                word: Word = ()
-                if self.peek().kind == "AT":
-                    self.next()
-                    word = self.parse_word_tokens()
-                end = self.expect("RPAREN")
-                return SAnnot(inner, ty, word, span=(tok.span[0], end.span[1]))
-            end = self.expect("RPAREN")
-            inner.span = (tok.span[0], end.span[1])
-            return inner
-        if tok.kind == "KEYWORD" and tok.text in _KEYWORD_ATOMS:
-            return self.parse_keyword_atom()
-        _parse_error(f"expected a term but found {tok.text!r}", tok.span, self.file)
+            end = self.spans[self.expect("GT", "'>' closing the modal type")][1]
+            return SModify(word, body, span=(start, end))
+        self.fail(f"expected a term but found {self.texts[pos]!r}")
 
     def parse_keyword_atom(self) -> STerm:
-        tok = self.next()
-        kw, start = tok.text, tok.span[0]
+        pos = self.expect("KEYWORD")
+        kw, span, start = self.texts[pos], self.spans[pos], self.spans[pos][0]
         if kw in CONSTANTS:
-            return SConstT(kw, span=tok.span)
+            return SConstT(kw, span=span)
         if kw in PREFIX:
             arg = self.parse_postfix()
             return PREFIX[kw](arg, span=(start, arg.span[1]))
         if kw in CALLS:
             self.expect("LPAREN", f"'(' after {kw}")
             args = [self.parse_term()]
-            while self.peek().kind == "COMMA":
-                self.next()
+            while self.kinds[self.pos] == "COMMA":
+                self.pos += 1
                 args.append(self.parse_term())
             end = self.expect("RPAREN")
             if len(args) != (count := len(CALLS[kw].__match_args__)):
-                _parse_error(f"{kw} takes {count} arguments, got {len(args)}", end.span, self.file)
-            return CALLS[kw](*args, span=(start, end.span[1]))
+                _parse_error(f"{kw} takes {count} arguments, got {len(args)}",
+                             self.spans[end], self.file)
+            return CALLS[kw](*args, span=(start, self.spans[end][1]))
         if kw == "U":
             num = self.expect("NUMBER", "a universe level")
-            return SUniv(int(num.text), span=(start, num.span[1]))
+            return SUniv(int(self.texts[num]), span=(start, self.spans[num][1]))
         if kw == "refl":
-            return SRefl(span=tok.span)
+            return SRefl(span=span)
         if kw == "mod":
-            braced = self.expect("BRACED", "a modality word")
-            word = self.braced(braced, parse_word)
+            word = self.braced("a modality word", parse_word)
             self.expect("LPAREN")
             body = self.parse_term()
-            end = self.expect("RPAREN")
-            return SMkMod(word, body, span=(start, end.span[1]))
-        braced = self.expect("BRACED", "a 2-cell")  # the one keyword atom left: `coe`
-        cell = self.braced(braced, parse_cell)
+            return SMkMod(word, body, span=(start, self.spans[self.expect("RPAREN")][1]))
+        cell = self.braced("a 2-cell", parse_cell)  # the one keyword atom left: `coe`
         self.expect("LPAREN")
         body = self.parse_term()
-        end = self.expect("RPAREN")
-        return SCoe(cell, body, span=(start, end.span[1]))
+        return SCoe(cell, body, span=(start, self.spans[self.expect("RPAREN")][1]))
 
 
 def parse_module(text: str, file: str = "<input>") -> SurfaceModule:
@@ -639,9 +642,8 @@ def parse_module(text: str, file: str = "<input>") -> SurfaceModule:
 def parse_term(text: str, file: str = "<input>") -> STerm:
     parser = Parser(text, file)
     term = parser.parse_term()
-    tok = parser.peek()
-    if tok.kind != "EOF":
-        _parse_error(f"trailing input {tok.text!r}", tok.span, file)
+    if parser.kinds[parser.pos] != "EOF":
+        parser.fail(f"trailing input {parser.texts[parser.pos]!r}")
     return term
 
 
@@ -669,14 +671,14 @@ def print_term(t: STerm, prec: int = 0) -> str:
             return par(f"U {level}", _PREC_APP)
         case SPi(name, word, dom, cod):
             if name == "_" and not word:
-                body = f"{print_term(dom, _PREC_SIGMA)} -> {print_term(cod, _PREC_ARROW)}"
+                body = f"{_anonymous(dom, _PREC_SIGMA)} -> {print_term(cod, _PREC_ARROW)}"
             else:
                 ann = f" @ {format_word(word)}" if word else ""
                 body = f"({name} : {print_term(dom)}{ann}) -> {print_term(cod, _PREC_ARROW)}"
             return par(body, _PREC_ARROW)
         case SSigma(name, dom, cod):
             if name == "_":
-                body = f"{print_term(dom, _PREC_EQ)} * {print_term(cod, _PREC_SIGMA)}"
+                body = f"{_anonymous(dom, _PREC_EQ)} * {print_term(cod, _PREC_SIGMA)}"
             else:
                 body = f"({name} : {print_term(dom)}) * {print_term(cod, _PREC_SIGMA)}"
             return par(body, _PREC_SIGMA)
@@ -736,6 +738,11 @@ def print_term(t: STerm, prec: int = 0) -> str:
             ann = f" @ {format_word(word)}" if word else ""
             return f"({print_term(term)} : {print_term(ty)}{ann})"
     raise TypeError(f"cannot print {t!r}")
+
+
+def _anonymous(dom: STerm, prec: int) -> str:
+    # the domain of a `->` or `*` that binds nothing: `((x : A))`, not a binder
+    return f"({print_term(dom)})" if type(dom) is SAnnot else print_term(dom, prec)
 
 
 def print_decl(d: Decl) -> str:

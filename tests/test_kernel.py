@@ -1055,3 +1055,26 @@ def test_a_checker_reports_each_module_under_its_own_path():
     assert (d.file, d.code, d.line, d.column) == ("second.ttt", "E-CONV", 2, 14)
     (d,) = checker.check_source("def e : A := b b\n", "third.ttt")
     assert (d.file, d.code, d.line, d.column) == ("third.ttt", "E-CONV", 1, 14)
+
+
+def test_constant_types_are_built_once(monkeypatch):
+    # an inferred `Int` is the object an `axiom x : Int` is stored at
+    checker = Checker()
+    assert checker.check_source("axiom x : Int\naxiom y : Int") == []
+    _, ty = checker.infer(Ctx(), parse_term("x /\\ y"))
+    assert ty is checker.globals["x"].ty
+    # so checking each leaf of a meet of 8 joins against `Int` ends at the
+    # identity test that `syn_eq` makes first
+    calls, past_identity = [], []
+    original = kernel.syn_eq
+
+    def counting(a, b):
+        calls.append(a)
+        if a is not b:
+            past_identity.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(kernel, "syn_eq", counting)
+    meet = " /\\ ".join(["(x \\/ y)"] * 8)
+    assert checker.check_source(f"check {meet} : Int") == []
+    assert len(calls) >= 16 and past_identity == []

@@ -1,15 +1,17 @@
 """Parser/printer tests: examples, roundtrip property, totality."""
 
+import functools
 import glob
 import os
 import random
 import re
 import string
+import sys
 
 import pytest
 
 from trikernel.diagnostics import KernelError, LineMap
-from trikernel import modality, syntax
+from trikernel import corpus, modality, syntax
 from trikernel.modality import generator_cell, identity_cell
 from trikernel.prelude import read_prelude
 from trikernel.record import fields
@@ -235,10 +237,22 @@ def _random_ast(rng, depth, every_former=False):
         return SInst(sub(), sub())
     if choice == 24:
         return SCoe(_random_cell(rng), sub())
-    term = sub()
-    if isinstance(term, (SVar, SApp)):  # `(x y : A)` before `->` or `*` binds x and y
-        term = SFst(term)
-    return SAnnot(term, sub())
+    return SAnnot(sub(), sub())
+
+
+def test_parenthesised_annotation_is_not_a_binder():
+    x, y, a, b = SVar("x"), SVar("y"), SVar("A"), SVar("B")
+    assert parse_term("(x y : A) -> B") == SPi("x", (), a, SPi("y", (), a, b))
+    assert parse_term("(x : A) * B") == SSigma("x", a, b)
+    annotated = [SAnnot(x, a), SAnnot(SApp(x, y), a)]
+    for dom in annotated:
+        for ast in (SPi("_", (), dom, b), SSigma("_", dom, b)):
+            printed = print_term(ast)
+            assert printed.startswith("((") and parse_term(printed) == ast, printed
+    assert parse_term("(((x : A))) -> B") == SPi("_", (), SAnnot(x, a), b)
+    assert parse_term("((x : A)) -> (y : A) -> B") == SPi("_", (), SAnnot(x, a), SPi("y", (), a, b))
+    with pytest.raises(KernelError, match="modal annotation outside a binder"):
+        parse_term("((x : A @ g)) -> B")
 
 
 def test_roundtrip_random_asts():
@@ -380,6 +394,43 @@ def test_tokenizer_matches_reference_on_random_text():
         assert _tokens(text) == _reference_tokenize(text), text
 
 
+@functools.lru_cache(maxsize=None)
+def _benchmark_texts():
+    """The texts the benchmark parses: the prelude and dependency slices that
+    `corpus.check_file` parses for each of the 17 manifest files, and the
+    interval modules of seeds 1 and 7, generated as perfbench's `interval`
+    workload does (a pool of 4 rounds of 36)."""
+    seen, original = [], syntax.parse_module
+
+    def recording(text, file="<input>"):
+        seen.append(text)
+        return original(text, file)
+
+    syntax.parse_module = recording
+    try:
+        manifest = corpus.load_manifest()
+        for entry in manifest.entries:
+            corpus.check_file(manifest, entry.file)
+    finally:
+        syntax.parse_module = original
+    assert len(manifest.entries) == 17
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                    "perfbench"))
+    import intervalgen
+
+    modules = []
+    for seed in (1, 7):
+        rng = random.Random(seed)
+        modules += [case.text for _ in range(4) for case in intervalgen.make_round(rng)]
+    assert len(modules) == 288
+    return tuple(seen + modules)
+
+
+def test_tokenizer_matches_reference_on_benchmark_texts():
+    for text in _benchmark_texts():
+        assert _tokens(text) == _reference_tokenize(text), text
+
+
 def test_non_decimal_numeric_character_is_a_parse_error():
     # `²` passes `str.isdigit` but not `int`; it used to end in a ValueError
     with pytest.raises(KernelError) as err:
@@ -399,16 +450,25 @@ def _shipped_texts():
             yield path, handle.read()
 
 
-# The master pattern with its alternatives in priority order, as it was before
-# they were put in first-character order.
-_PRIORITY_ORDER_TOKEN = re.compile(
-    r"(?P<SKIP>\s+|--[^\n]*)"
-    r"|(?P<FAIL>fail-check(?!\w))"
-    r'|"(?P<STRING>[^"]*)"'
-    r"|(?P<PUNCT>" + "|".join(re.escape(lit) for lit, _ in syntax._PUNCT) + r")"
-    r"|(?P<NUMBER>\d+)"
-    r"|(?P<WORD>" + syntax.WORD.pattern + ")"
-)
+def _token_pattern(alternatives):
+    """`syntax._TOKEN`'s layout over `alternatives`, (kind, pattern) pairs in
+    the order tried, with the `_GROUP_KINDS` table that goes with it."""
+    groups = "|".join(f"({pattern})" for _, pattern in alternatives)
+    kinds = (None,) + tuple(kind for kind, _ in alternatives)
+    return re.compile(r"(?:\s+|--[^\n]*)*(?:" + groups + ")"), kinds
+
+
+_PUNCT_PATTERN = "|".join(re.escape(lit) for lit, _ in syntax._PUNCT)
+_LAST = [("EOF", r"\Z"), ("OTHER", ".")]
+# The alternatives in priority order, as they were before they were put in
+# first-character order.
+_PRIORITY_ORDER = _token_pattern([
+    ("KEYWORD", r"fail-check(?!\w)"), ("STRING", '"[^"]*"'), ("PUNCT", _PUNCT_PATTERN),
+    ("NUMBER", r"\d+"), ("WORD", syntax.WORD.pattern)] + _LAST)
+# A control: words before `fail-check`, which then reads as `fail`, `-`, ...
+_WORDS_FIRST = _token_pattern([
+    ("WORD", syntax.WORD.pattern), ("KEYWORD", r"fail-check(?!\w)"), ("PUNCT", _PUNCT_PATTERN),
+    ("NUMBER", r"\d+"), ("STRING", '"[^"]*"')] + _LAST)
 
 
 def _token_outcome(text):
@@ -429,10 +489,15 @@ def test_token_alternatives_order_does_not_change_the_stream(monkeypatch):
         "f (x y : A @ g) * B = C \\/ D /\\ E", "#", "a ? b",
     ]
     new = [_token_outcome(text) for text in texts]
-    monkeypatch.setattr(syntax, "_TOKEN", _PRIORITY_ORDER_TOKEN)
+    monkeypatch.setattr(syntax, "_TOKEN", _PRIORITY_ORDER[0])
+    monkeypatch.setattr(syntax, "_GROUP_KINDS", _PRIORITY_ORDER[1])
     assert [_token_outcome(text) for text in texts] == new
     assert all(isinstance(out, list) for out in new[:18])
     assert sum(isinstance(out, tuple) for out in new) == 8
+    # the patch reaches `tokenize`: the control pattern changes the stream
+    monkeypatch.setattr(syntax, "_TOKEN", _WORDS_FIRST[0])
+    monkeypatch.setattr(syntax, "_GROUP_KINDS", _WORDS_FIRST[1])
+    assert _token_outcome("fail-check") != new[texts.index("fail-check")]
 
 
 class _LevelParser(syntax.Parser):
@@ -511,6 +576,12 @@ def test_precedence_loop_matches_level_methods_on_shipped_files():
         if new[0] == "E-PARSE":
             failing.append(os.path.basename(path))
     assert failing == ["parse-error.ttt"]
+
+
+def test_precedence_loop_matches_level_methods_on_benchmark_texts():
+    for text in _benchmark_texts():
+        new = _parse_outcome(syntax.Parser, text, True)
+        assert new == _parse_outcome(_LevelParser, text, True), text
 
 
 def _random_infix_text(rng):
