@@ -47,7 +47,7 @@ def cmd_check(args) -> int:
             print(f"error: cannot read {path}: {exc}", file=sys.stderr)
             return EXIT_USAGE
     for path, text in texts:
-        checker = Checker(depth=args.depth)
+        checker = Checker()
         prelude_diags = load_prelude(checker, args.prelude, text)
         if prelude_diags:
             collected.extend(prelude_diags)
@@ -69,9 +69,9 @@ def cmd_mode(args) -> int:
             return EXIT_OK
         src = normalize(parse_word(args.src))
         dst = normalize(parse_word(args.dst))
-        found = cell_search(src, dst, depth=args.depth)
+        found = cell_search(src, dst)
         if found is None:
-            print(f"none (depth {args.depth})")
+            print(f"none (depth {SEARCH_DEPTH})")
             return EXIT_DIAGNOSTICS
         print(found.describe())
         return EXIT_OK
@@ -130,8 +130,8 @@ def cmd_corpus(args) -> int:
     return EXIT_OK if report.ok else EXIT_DIAGNOSTICS
 
 
-def depth(text: str) -> int:
-    """A 2-cell search depth: the most steps a searched cell has, 0 for none."""
+def natural(text: str) -> int:
+    """An argument that is an integer, 0 or more."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be 0 or more, not {value}")
@@ -149,8 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("files", nargs="+")
     p_check.add_argument("--prelude")
     p_check.add_argument("--json", action="store_true")
-    p_check.add_argument("--depth", type=depth, default=SEARCH_DEPTH,
-                         help="2-cell search depth (default %(default)s)")
     p_check.set_defaults(func=cmd_check)
 
     p_mode = sub.add_parser("mode", help="mode theory queries")
@@ -161,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cell = mode_sub.add_parser("cell", help="search for a 2-cell between words")
     p_cell.add_argument("src")
     p_cell.add_argument("dst")
-    p_cell.add_argument("--depth", type=depth, default=SEARCH_DEPTH)
     p_cell.set_defaults(func=cmd_mode)
 
     p_lat = sub.add_parser("lattice", help="interval lattice queries")
@@ -182,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_phoa.add_argument("atom")
     p_phoa.set_defaults(func=cmd_lattice)
     p_count = lat_sub.add_parser("count", help="count canonical forms over n atoms")
-    p_count.add_argument("n", type=int)
+    p_count.add_argument("n", type=natural)
     p_count.set_defaults(func=cmd_lattice)
 
     p_corpus = sub.add_parser("corpus", help="run the checked corpus")
@@ -205,7 +202,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     if not getattr(args, "func", None):
         parser.print_help()
         return EXIT_USAGE
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, UnicodeDecodeError) as exc:  # a prelude, manifest or library file
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -148,15 +148,14 @@ def _elim_type(t: Term, principal: Term) -> Term:
 
 
 class Checker:
-    """One checking instance: globals, the interval atoms of the declaration
-    being checked, search depth."""
+    """One checking instance: globals, and the interval atoms of the
+    declaration being checked."""
 
-    def __init__(self, depth: int = SEARCH_DEPTH):
+    def __init__(self) -> None:
         self.globals: dict[str, GlobalDef] = {}
         self.global_order: list[str] = []
         self.atoms = lattice.AtomTable()
         self._atoms_by_former: dict[type, list[int]] = {}
-        self.depth = depth
 
     # -- diagnostics ---------------------------------------------------------
 
@@ -477,7 +476,7 @@ class Checker:
             found = explicit
         else:
             for target in candidates:
-                found = cell_search(annotation, target, self.depth)
+                found = cell_search(annotation, target)
                 if found is not None:
                     break
             else:
@@ -486,7 +485,7 @@ class Checker:
                     f"variable {name!r} is annotated {format_word(annotation)} but sits "
                     f"under locks {format_word(candidates[-1])} and no mediating 2-cell "
                     f"was found to any word tried: "
-                    f"{', '.join(map(format_word, candidates))} (depth {self.depth})",
+                    f"{', '.join(map(format_word, candidates))} (depth {SEARCH_DEPTH})",
                 )
         found = cell_normalize(found)
         return None if found.is_identity() else found

@@ -321,9 +321,9 @@ def _expansions(word: Word) -> Iterator[tuple[Step, Word]]:
                 yield step, normalize(word[:i] + dst + word[i + k :])
 
 
-SEARCH_DEPTH = 8  # default bound on the steps of a searched 2-cell
+SEARCH_DEPTH = 8
 _SEARCH_SLACK = 4
-_search_cache: dict[tuple[Word, Word, int], Optional[TwoCell]] = {}
+_search_cache: dict[tuple[Word, Word], Optional[TwoCell]] = {}
 
 
 def _unreachable(start: Word, goal: Word) -> bool:
@@ -337,20 +337,21 @@ def _unreachable(start: Word, goal: Word) -> bool:
     return (not start or start[0] in "sa") and not (goal and goal[0] in "sa")
 
 
-def cell_search(src: Word, dst: Word, depth: int = SEARCH_DEPTH) -> Optional[TwoCell]:
+def cell_search(src: Word, dst: Word) -> Optional[TwoCell]:
     """Breadth-first search for a pasting src => dst.
 
-    Returns a witness cell, or None if none exists within `depth` whiskered
-    generator applications (intermediate words are capped a few letters above
-    the endpoints).  Absence within the bounds is not a proof of nonexistence.
-    A pair that `_unreachable` refutes returns None without a search.
+    Returns a witness cell, or None if none exists within the bounds: at
+    most `SEARCH_DEPTH` whiskered generator applications, through words at
+    most `_SEARCH_SLACK` letters longer than the longer endpoint.  Absence
+    within the bounds is not a proof of nonexistence.  A pair that
+    `_unreachable` refutes returns None without a search.
     """
     start, goal = normalize(src), normalize(dst)
     if start == goal:
         return identity_cell(start)
-    if depth < 1 or _unreachable(start, goal):
+    if _unreachable(start, goal):
         return None
-    key = (start, goal, depth)
+    key = (start, goal)
     if key in _search_cache:
         return _search_cache[key]
     max_len = max(len(start), len(goal)) + _SEARCH_SLACK
@@ -359,7 +360,7 @@ def cell_search(src: Word, dst: Word, depth: int = SEARCH_DEPTH) -> Optional[Two
     found: Optional[TwoCell] = None
     while queue and found is None:
         word, path = queue.popleft()
-        if len(path) >= depth:
+        if len(path) >= SEARCH_DEPTH:
             continue
         for step, nxt in _expansions(word):
             if nxt == goal:

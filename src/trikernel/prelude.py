@@ -131,12 +131,6 @@ def parse_metadata(text: str) -> list[PreludeEntry]:
     return entries
 
 
-def prelude_slice(text: str, uses: str) -> str:
-    """`text` with every entry that `uses` cannot reach blanked out: the
-    one-text case of `slice_texts`."""
-    return slice_texts([text], uses)[0]
-
-
 def slice_texts(texts: list[str], uses: str) -> list[str]:
     """Each of `texts` with every entry that `uses` cannot reach blanked out.
 

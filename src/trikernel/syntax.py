@@ -28,13 +28,6 @@ Span = tuple[int, int]
 _T = TypeVar("_T")
 
 
-@record
-class Token:
-    kind: str
-    text: str
-    span: Span
-
-
 _PUNCT = [
     (":=", "DEFINE"), ("=>", "FATARROW"), ("->", "ARROW"),
     ("/\\", "MEET"), ("\\/", "JOIN"), ("=", "EQUALS"),
@@ -82,16 +75,13 @@ _PUNCT_KIND = dict(_PUNCT)
 
 
 class Tokens:
-    """A token stream as parallel lists, EOF last; iterating yields `Token`s."""
+    """A token stream as parallel lists, EOF last."""
 
     def __init__(self) -> None:
         self.kinds, self.texts, self.spans = [], [], []  # str, str, Span
 
     def __len__(self) -> int:
         return len(self.kinds)
-
-    def __iter__(self):
-        return map(Token, self.kinds, self.texts, self.spans)
 
 
 def tokenize(text: str, file: str = "<input>") -> Tokens:
@@ -343,16 +333,6 @@ class Parser:
         self.wrapped: Optional[STerm] = None  # the last `((x : A))`, which binds nothing
 
     # -- token helpers ------------------------------------------------------
-
-    def peek(self) -> Token:
-        # in range: the stream ends with EOF, and nothing moves past it
-        return Token(self.kinds[self.pos], self.texts[self.pos], self.spans[self.pos])
-
-    def next(self) -> Token:
-        tok = self.peek()
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
 
     def expect(self, kind: str, what: str = "") -> int:
         """Consume the current token, which must be of `kind`; its position."""

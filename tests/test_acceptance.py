@@ -6,7 +6,6 @@ import random
 import re
 import time
 
-from trikernel import lattice
 from trikernel.corpus import (
     REQUIRED_ANCHORS,
     check_file,
@@ -24,15 +23,14 @@ from trikernel.lattice import (
     Join,
     canon,
     count_free,
-    count_monotone_functions,
     enumerate_canonical,
-    eval_expr,
     leq,
     phoa_endpoints,
-    phoa_reconstruct,
 )
 from trikernel.modality import BASE_RULES, GENERATORS, RULES, normalize
 from trikernel.prelude import AXIOM_TAGS, verify_prelude
+
+from lattice_oracle import count_monotone_functions, eval_expr, oracle_eq, phoa_reconstruct
 
 
 def report(line):
@@ -108,7 +106,7 @@ def test_lattice_oracle_equivalence():
         a = _random_expr(rng, ["x", "y", "z", "w"], 4)
         b = _random_expr(rng, ["x", "y", "z", "w"], 4)
         t = AtomTable()
-        if (canon(a, t) == canon(b, t)) != lattice.oracle_eq(a, b):
+        if (canon(a, t) == canon(b, t)) != oracle_eq(a, b):
             disagreements += 1
     assert disagreements == 0
     report(f"ok: lattice equality matches the Boolean oracle on all "

@@ -2,13 +2,15 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 
 import jsonschema
 import pytest
 
-from trikernel.cli import main
+from trikernel.cli import build_parser, main
 from trikernel.corpus import default_stdlib_dir
 from trikernel.diagnostics import Diagnostic
 from trikernel.kernel import Checker
@@ -58,23 +60,13 @@ def test_mode_cell_none(capsys):
     assert out.strip() == "none (depth 8)"
 
 
-@pytest.mark.parametrize("argv", [
-    ["check", "--depth", "-1", os.path.join(STDLIB, "interval.ttt")],
-    ["mode", "cell", "g", "1", "--depth", "-3"],
-])
-def test_negative_search_depth_is_a_usage_error(capsys, argv):
+def test_negative_lattice_count_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exit_info:
-        main(argv)
+        main(["lattice", "count", "-1"])
     assert exit_info.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error: argument --depth: must be 0 or more" in captured.err
-
-
-def test_mode_cell_depth_zero_searches_nothing(capsys):
-    code, out, _ = run_cli(["mode", "cell", "g", "1", "--depth", "0"], capsys)
-    assert code == 1
-    assert out.strip() == "none (depth 0)"
+    assert "error: argument n: must be 0 or more" in captured.err
 
 
 def test_mode_parse_failure(capsys):
@@ -196,6 +188,30 @@ def test_check_unreadable_file_is_a_usage_error(tmp_path, kind):
     assert "Traceback" not in result.stderr
     assert len(result.stderr.splitlines()) == 1
     assert result.stderr.startswith(f"error: cannot read {bad}: ")
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["corpus", "run", "--stdlib", "{missing}"], None),
+    (["corpus", "run", "--prelude", "{missing}"], None),
+    (["corpus", "prelude", "--prelude", "{missing}"], None),
+    (["check", "--prelude", "{missing}", "{hom}"], None),
+    (["check", "{hom}"], "{missing}"),
+    (["check", "--prelude", "{not_utf8}", "{hom}"], None),
+], ids=["corpus-stdlib", "corpus-prelude", "prelude-prelude", "check-prelude",
+        "check-env-prelude", "check-prelude-not-utf-8"])
+def test_unreadable_prelude_or_library_is_a_usage_error(capsys, tmp_path, monkeypatch,
+                                                        argv, env):
+    not_utf8 = tmp_path / "prelude.ttt"
+    not_utf8.write_bytes(b"axiom A : U 0 -- \xff\xfe\n")
+    paths = {"missing": str(tmp_path / "missing"), "not_utf8": str(not_utf8),
+             "hom": os.path.join(STDLIB, "hom.ttt")}
+    if env:
+        monkeypatch.setenv("TTT_PRELUDE", env.format(**paths))
+    code, out, err = run_cli([arg.format(**paths) for arg in argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_check_multiple_files_deterministic_order(capsys):
@@ -358,11 +374,29 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert not added & {"dataclasses", "inspect"}
 
 
-def test_readme_library_block_executes():
-    import re
-
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    with open(os.path.join(root, "README.md"), encoding="utf-8") as handle:
+def _readme_block(heading):
+    """The first fenced block under `heading` in the README."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
         text = handle.read()
-    block = re.search(r"## Library use\n\n```python\n(.*?)```", text, re.S).group(1)
+    return re.search(rf"## {heading}\n\n```\w*\n(.*?)```", text, re.S).group(1)
+
+
+def test_readme_library_block_executes():
+    block = _readme_block("Library use")
     exec(compile(block, "README-library-block", "exec"), {})
+
+
+def test_readme_command_block_parses_and_prints_what_it_shows(capsys):
+    # every line parses, its [--option ...] brackets dropped, so a synopsis
+    # cannot name an option the parser lacks; a `# -> X` line prints X
+    shown = 0
+    for line in _readme_block("The command line").splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command.replace("[", "").replace("]", ""))
+        assert argv[0] == "trikernel", line
+        build_parser().parse_args(argv[1:])
+        if comment.startswith(" -> "):
+            code, out, _ = run_cli(argv[1:], capsys)
+            assert out.strip() == comment[len(" -> "):].strip(), line
+            shown += 1
+    assert shown == 8

@@ -196,7 +196,7 @@ def test_a_check_before_a_dependencys_first_entry_gives_the_whole_verdict(
     monkeypatch.delenv("TTT_PRELUDE", raising=False)
     prelude_text, shipped = read_prelude()
     library = "\n".join(map(read_corpus_file, ("simplices.ttt", "hom.ttt", "segal.ttt", "iso.ttt")))
-    reached = prelude.prelude_slice(prelude_text, library)
+    reached = prelude.slice_texts([prelude_text], library)[0]
     assert "hasHLevel" not in {e.name for e in parse_metadata(reached)}
     stdlib = library_copy(tmp_path, "simplices.ttt", lambda text: f"{statement}\n{text}")
     manifest = load_manifest(stdlib)

@@ -5,6 +5,7 @@ import threading
 import pytest
 
 from trikernel.kernel import Checker
+from trikernel.modality import cell_search
 from trikernel.prelude import load_prelude
 
 
@@ -195,20 +196,23 @@ def test_concurrent_checkers_are_independent():
 
 
 def test_depth_zero_blocks_search_access():
-    checker = Checker(depth=1)
+    checker = Checker()
     diags = checker.check_source(
         "def unit_s : (A : U 0) -> A -> <s| A> := fun A x => mod{s}(x)",
         "depth.ttt",
     )
-    assert diags == []  # the codiscrete unit needs exactly one step
-    checker2 = Checker(depth=1)
+    assert diags == []
+    # the codiscrete unit needs exactly one step
+    assert len(cell_search((), ("s",)).steps) == 1
+    checker2 = Checker()
     diags2 = checker2.check_source(
         "axiom T : U 0\n"
         "def two_steps : (phi : T @ g) -> <s| T> := fun phi => mod{s}(phi)\n",
         "depth2.ttt",
     )
-    # g => s needs one whiskered unit application; still within depth 1
     assert diags2 == []
+    # g => s needs one whiskered unit application
+    assert len(cell_search(("g",), ("s",)).steps) == 1
 
 
 def test_whnf_down_up_and_neutral():

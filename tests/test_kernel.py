@@ -61,6 +61,7 @@ from trikernel.modality import (
     generator_cell,
     identity_cell,
     normalize,
+    parse_cell,
 )
 from trikernel.prelude import load_prelude
 from trikernel.record import fields
@@ -823,6 +824,16 @@ def test_modality_error_lists_every_lock_word_tried():
     assert "any word tried: 1, p " in diag.message
 
 
+def test_cells_equal_reads_none_as_the_identity_on_either_side():
+    checker = Checker()
+    triangle = checker.elab_cell(parse_cell("eta_pa*a ; a*eps_pa"))
+    assert (triangle.src, triangle.dst) == (("a",), ("a",))
+    eps0 = generator_cell("eps0")
+    for c1, c2, equal in ((None, triangle, True), (None, eps0, False)):
+        assert checker.cells_equal(c1, c2) is equal
+        assert checker.cells_equal(c2, c1) is equal
+
+
 def _scan_position(ctx, ix):
     """Var(ix)'s declaration, found by scanning the telescope from the right."""
     count = 0
@@ -849,7 +860,7 @@ def _scan_access_cell(checker, ctx, ix, explicit):
     if annotation in candidates:
         return None
     for target in candidates:
-        found = cell_search(annotation, target, checker.depth)
+        found = cell_search(annotation, target)
         if found is not None:
             return cell_normalize(found)
     return "E-MODALITY"
@@ -913,8 +924,11 @@ def test_constant_time_variable_use_matches_enumeration_under_interval_binders(m
     outcomes = []
     _guard_access_cell(monkeypatch, outcomes)
     # a failed 2-cell search at the default depth 8 takes up to seconds on
-    # these long lock words; the fast path does not depend on the depth
-    checker = Checker(depth=3)
+    # these long lock words; the fast path does not depend on the depth, and
+    # a fresh cache keeps the shallow results from later tests
+    monkeypatch.setattr(modality, "SEARCH_DEPTH", 3)
+    monkeypatch.setattr(modality, "_search_cache", {})
+    checker = Checker()
     rng = random.Random(11)
     words = [(), ("g",), ("s",), ("g", "s"), ("s", "g")]
     for k in range(2, 13):

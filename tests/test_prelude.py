@@ -10,7 +10,6 @@ from trikernel.prelude import (
     AXIOM_TAGS,
     load_prelude,
     parse_metadata,
-    prelude_slice,
     read_prelude,
     slice_texts,
     verify_prelude,
@@ -136,11 +135,11 @@ def test_prelude_slice_keeps_offsets_and_lines():
     text, _ = read_prelude()
     newlines = [i for i, ch in enumerate(text) if ch == "\n"]
     for uses in ("", "def t : U 0 := sym", "transport Space hom\n-- IsEquiv0"):
-        sliced = prelude_slice(text, uses)
+        sliced = slice_texts([text], uses)[0]
         assert len(sliced) == len(text)
         assert [i for i, ch in enumerate(sliced) if ch == "\n"] == newlines
         assert all(kept in (ch, " ") for kept, ch in zip(sliced, text))
-    assert parse_metadata(prelude_slice(text, "")) == []
+    assert parse_metadata(slice_texts([text], "")[0]) == []
 
 
 def test_prelude_slice_for_hom_has_one_entry():
@@ -149,7 +148,7 @@ def test_prelude_slice_for_hom_has_one_entry():
     text, _ = read_prelude()
     with open(f"{default_stdlib_dir()}/hom.ttt", encoding="utf-8") as handle:
         uses = handle.read()
-    assert len(parse_metadata(prelude_slice(text, uses))) == 1
+    assert len(parse_metadata(slice_texts([text], uses)[0])) == 1
 
 
 def test_prelude_slice_closes_under_the_words_of_kept_entries():
@@ -159,7 +158,7 @@ def test_prelude_slice_closes_under_the_words_of_kept_entries():
         "def C : U 0 := B\n"
         "axiom D : U 0\n"
     )
-    sliced = prelude_slice(text, "def x : U 0 := C")
+    sliced = slice_texts([text], "def x : U 0 := C")[0]
     assert [e.name for e in parse_metadata(sliced)] == ["A", "B", "C"]
     checker = Checker()
     assert checker.check_source(sliced) == []
@@ -197,7 +196,7 @@ def test_one_text_slice_of_the_shipped_prelude_is_unchanged_for_each_library_fil
     text, _ = read_prelude()
     for entry in load_manifest().entries:
         uses = read_library_file(entry.file)
-        assert prelude_slice(text, uses) == reference_slice(text, uses), entry.file
+        assert slice_texts([text], uses)[0] == reference_slice(text, uses), entry.file
 
 
 def test_slice_texts_keeps_offsets_and_lines_in_every_text():
@@ -244,4 +243,4 @@ def test_text_before_a_first_entry_is_kept_and_its_words_are_uses():
     assert [e.name for e in parse_metadata(prelude_part)] == ["A"]
     assert dep == "check A : U 0\n\n                \n"
     # the one-text case counts them too
-    assert prelude_slice(texts[1], "") == dep
+    assert slice_texts([texts[1]], "")[0] == dep

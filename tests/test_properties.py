@@ -181,7 +181,7 @@ def test_cell_search_results_normalize_and_validate():
     words = [(), ("g",), ("s",), ("o",), ("p",), ("a",), ("g", "s"), ("a", "p"), ("p", "a")]
     for src in words:
         for dst in words:
-            found = cell_search(src, dst, depth=5)
+            found = cell_search(src, dst)
             if found is not None:
                 found.validate()
                 norm = cell_normalize(found)

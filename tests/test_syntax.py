@@ -369,7 +369,8 @@ def _reference_tokenize(text):
 
 def _tokens(text):
     try:
-        return [(t.kind, t.text, t.span) for t in syntax.tokenize(text)]
+        tokens = syntax.tokenize(text)
+        return list(zip(tokens.kinds, tokens.texts, tokens.spans))
     except KernelError as err:
         return (err.diagnostic.code, err.diagnostic.span)
 
@@ -473,7 +474,8 @@ _WORDS_FIRST = _token_pattern([
 
 def _token_outcome(text):
     try:
-        return [(t.kind, t.text, t.span) for t in syntax.tokenize(text)]
+        tokens = syntax.tokenize(text)
+        return list(zip(tokens.kinds, tokens.texts, tokens.spans))
     except KernelError as err:
         return (err.diagnostic.code, err.diagnostic.message, err.diagnostic.span)
 
@@ -508,8 +510,8 @@ class _LevelParser(syntax.Parser):
 
     def parse_sigma(self):
         lhs = self.parse_equality()
-        if self.peek().kind == "STAR":
-            self.next()
+        if self.kinds[self.pos] == "STAR":
+            self.pos += 1
             rhs = self.parse_sigma()
             if isinstance(lhs, SAnnot) and not lhs.word:
                 names = self._binder_names(lhs.term)
@@ -523,24 +525,24 @@ class _LevelParser(syntax.Parser):
 
     def parse_equality(self):
         lhs = self.parse_join()
-        if self.peek().kind == "EQUALS":
-            self.next()
+        if self.kinds[self.pos] == "EQUALS":
+            self.pos += 1
             rhs = self.parse_join()
             return SEq(lhs, rhs, span=(lhs.span[0], rhs.span[1]))
         return lhs
 
     def parse_join(self):
         lhs = self.parse_meet()
-        while self.peek().kind == "JOIN":
-            self.next()
+        while self.kinds[self.pos] == "JOIN":
+            self.pos += 1
             rhs = self.parse_meet()
             lhs = SJoin(lhs, rhs, span=(lhs.span[0], rhs.span[1]))
         return lhs
 
     def parse_meet(self):
         lhs = self.parse_app()
-        while self.peek().kind == "MEET":
-            self.next()
+        while self.kinds[self.pos] == "MEET":
+            self.pos += 1
             rhs = self.parse_app()
             lhs = SMeet(lhs, rhs, span=(lhs.span[0], rhs.span[1]))
         return lhs
@@ -563,7 +565,7 @@ def _parse_outcome(parser_class, text, whole_module):
         if whole_module:
             return _with_spans(parser.parse_module().decls)
         term = parser.parse_term()
-        return _with_spans(term), parser.peek().span
+        return _with_spans(term), parser.spans[parser.pos]
     except KernelError as err:
         return (err.diagnostic.code, err.diagnostic.message, err.diagnostic.span)
 
