@@ -204,7 +204,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (OSError, UnicodeDecodeError) as exc:  # a prelude, manifest or library file
+    except OSError as exc:  # a prelude, manifest or library file, named by `read_text`
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

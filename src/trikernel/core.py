@@ -352,6 +352,8 @@ def instantiate(t: Term, args: tuple[Term, ...]) -> Term:
     through the 2-cell action.
     """
     n = len(args)
+    if not n:
+        return t
 
     def hit(v: Var, depth: int, locks: Word) -> Term:
         k = v.ix - depth

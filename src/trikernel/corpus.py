@@ -18,7 +18,7 @@ from typing import Optional
 
 from .diagnostics import Diagnostic
 from .kernel import Checker
-from .prelude import load_prelude
+from .prelude import load_prelude, read_text
 from .record import record
 
 # Every definitional anchor the corpus must cover.
@@ -140,8 +140,7 @@ def parse_manifest(text: str) -> Manifest:
 
 def load_manifest(stdlib_dir: Optional[str] = None) -> Manifest:
     base = stdlib_dir or default_stdlib_dir()
-    with open(os.path.join(base, "manifest.txt"), "r", encoding="utf-8") as handle:
-        return parse_manifest(handle.read())
+    return parse_manifest(read_text(os.path.join(base, "manifest.txt")))
 
 
 def _transitive_deps(manifest: Manifest, entry: ManifestEntry) -> list[str]:
@@ -176,11 +175,7 @@ def check_file(
     base = stdlib_dir or default_stdlib_dir()
     entry = manifest.entry(name)
     deps = _transitive_deps(manifest, entry)
-    texts = []
-    for file in deps + [name]:
-        with open(os.path.join(base, file), "r", encoding="utf-8") as handle:
-            texts.append(handle.read())
-    *dep_texts, text = texts
+    *dep_texts, text = [read_text(os.path.join(base, file)) for file in deps + [name]]
     checker = Checker()
     # slices dep_texts in place, with the prelude, when the prelude is sliced
     diags = load_prelude(checker, prelude_path, text, dep_texts)

@@ -117,6 +117,11 @@ _FORMERS = {
     J: (IdT, "J eliminates a path; this is not one"),
     Down: (LiftT, "down of an unlifted term"),
 }
+# The surface forms that `Checker._check` checks against the head of the
+# expected type: the introductions above, numerals, `mod{w}` and `let mod`.
+# Any other term is inferred and its type compared.
+_INTRODUCTIONS = frozenset({syntax.SNum, syntax.SMkMod, syntax.SLetMod}.union(
+    former for former in _FORMERS if issubclass(former, syntax.STerm)))
 # The surface former of each core former that binds nothing and whose
 # subterms read back in field order, and its inverse.
 _SURFACE = {App: syntax.SApp, Pair: syntax.SPair, Fst: syntax.SFst, Snd: syntax.SSnd,
@@ -132,11 +137,10 @@ _CONSTANT_OF = {type(term): kw for kw, (term, _) in _CONSTANTS.items()}
 
 
 def _elim_type(t: Term, principal: Term) -> Term:
-    """Type of the eliminator `t` whose principal argument has the weak-head
-    normal type `principal`, of the former `_FORMERS` gives."""
+    """Type of the eliminator `t`, other than an application, whose principal
+    argument has the weak-head normal type `principal`, of the former
+    `_FORMERS` gives; `Checker._app_type` types an application spine."""
     match t:
-        case App(_, arg):
-            return subst(principal.cod, arg)
         case Fst(_):
             return principal.dom
         case Snd(p):
@@ -375,7 +379,10 @@ class Checker:
                 if entry is None:
                     self.err("E-UNBOUND", f"unknown constant {name!r}")
                 return entry.ty
-            case App(head, _) | Fst(head) | Snd(head) | J(_, _, head) | Down(head):
+            case App():
+                apps = _spine(w, App)
+                return self._app_type(ctx, self.type_of(ctx, apps[0].fn), apps)
+            case Fst(head) | Snd(head) | J(_, _, head) | Down(head):
                 return _elim_type(w, self._principal(ctx, type(w), self.type_of(ctx, head)))
             case NatRec(motive, _, _, scrut) | BoolRec(motive, _, _, scrut):
                 return subst(motive, scrut)
@@ -420,6 +427,27 @@ class Checker:
         if not isinstance(tyw, needed):
             self.err("E-CONV", message, actual=tyw, ctx=ctx)
         return tyw
+
+    def _app_type(self, ctx: Ctx, fty: Term, apps: list,
+                  check: Optional[Callable[..., Term]] = None) -> Term:
+        """Type of the spine `apps` (see `_spine`) whose head has type `fty`.
+
+        Each argument is taken as it is, or as `check(arg, word, dom)` makes
+        it against its binder's lock and its domain.  The arguments stay
+        pending while the telescope is a syntactic Pi, and go into a domain or
+        the result in one `instantiate`; only where it is not a Pi are they
+        substituted and its whnf taken.
+        """
+        cur, pending = fty, []
+        for app in apps:
+            if type(cur) is not Pi:
+                cur, pending = self._principal(ctx, App, instantiate(cur, tuple(pending))), []
+            arg = app.arg
+            if check is not None:
+                arg = check(arg, cur.word, instantiate(cur.dom, tuple(pending)))
+            pending.append(arg)
+            cur = cur.cod
+        return instantiate(cur, tuple(pending))
 
     # -- modal variable access ----------------------------------------------------
 
@@ -582,11 +610,22 @@ class Checker:
                 ctx2 = ctx.extend(name, (), dc, self.is_interval_type(dc, ()))
                 cc, l2 = self.elab_type(ctx2, cod)
                 return Sigma(dc, cc), Univ(max(l1, l2))
-            case syntax.SApp(fn, arg):
-                fc, fty = self.infer(ctx, fn)
-                fty = self._principal(ctx, App, fty)
-                t = App(fc, self.check(ctx.lock(fty.word), arg, fty.dom))
-                return t, _elim_type(t, fty)
+            case syntax.SApp():
+                apps = _spine(s, syntax.SApp)
+                fc, fty = self.infer(ctx, apps[0].fn)
+                args = []
+
+                def check_arg(arg, word, dom):
+                    args.append(self.check(ctx.lock(word), arg, dom))
+                    return args[-1]
+
+                try:
+                    ty = self._app_type(ctx, fty, apps, check_arg)
+                except KernelError as exc:
+                    # the partial application up to the argument that failed
+                    _locate(exc, apps[len(args)].span)
+                    raise
+                return functools.reduce(App, args, fc), ty
             case syntax.SFst(arg) | syntax.SSnd(arg) | syntax.SDown(arg):
                 former = _CORE_FORMERS[type(s)]
                 ac, aty = self.infer(ctx, arg)
@@ -673,6 +712,8 @@ class Checker:
         return self.elab_type(ctx, body)[0]
 
     def _check(self, ctx: Ctx, s: syntax.STerm, ty: Term) -> Term:
+        if type(s) not in _INTRODUCTIONS:
+            return self._check_via_infer(ctx, s, ty)
         tyw = self.whnf(ty)
         form = _FORMERS.get(type(s))
         if form is not None and not isinstance(tyw, form[0]):
@@ -734,14 +775,14 @@ class Checker:
                 return mk_mkmod(word, bc)
             case syntax.SLetMod(_, _, _, _, _):
                 return self._elab_letmod(ctx, s, tyw)
-            case _:
-                return self._check_via_infer(ctx, s, tyw)
 
-    def _check_via_infer(self, ctx: Ctx, s: syntax.STerm, tyw: Term) -> Term:
+    def _check_via_infer(self, ctx: Ctx, s: syntax.STerm, ty: Term) -> Term:
         tc, ity = self.infer(ctx, s)
-        ityw = self.whnf(ity)
-        if self.conv_str(ityw, tyw):
+        # `conv_str` unfolds both sides itself when they differ syntactically;
+        # the whnfs here serve only the diagnostic
+        if self.conv_str(ity, ty):
             return tc
+        tyw, ityw = self.whnf(ty), self.whnf(ity)
         if isinstance(ityw, Univ) and isinstance(tyw, Univ):
             self.err(
                 "E-UNIVERSE",
@@ -895,6 +936,17 @@ class Checker:
             for d in diags:
                 d.located(linemap)
         return diags
+
+
+def _spine(t, app: type) -> list:
+    """The applications `f a1 .. ak`, k = 1..n, of the spine `t` of former
+    `app`, shortest first; the head `f` is the first one's `fn`."""
+    apps = []
+    while type(t) is app:
+        apps.append(t)
+        t = t.fn
+    apps.reverse()
+    return apps
 
 
 def _locate(exc: KernelError, span: tuple[int, int]) -> None:

@@ -78,10 +78,19 @@ def default_prelude_path() -> str:
     return str(resources.files("trikernel") / "prelude.ttt")
 
 
+def read_text(path: str) -> str:
+    """The UTF-8 text of the file at `path`; a file that cannot be opened or
+    decoded raises an OSError whose message names `path`."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise OSError(f"cannot read {path}: {exc}") from exc
+
+
 def read_prelude(path: Optional[str] = None) -> tuple[str, str]:
     actual = path or default_prelude_path()
-    with open(actual, "r", encoding="utf-8") as handle:
-        return handle.read(), actual
+    return read_text(actual), actual
 
 
 def _scan(text: str):

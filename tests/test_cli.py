@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 
@@ -165,6 +166,30 @@ def test_check_too_deep_input_json(capsys, tmp_path, text):
     assert [obj["code"] for obj in json_diagnostics(out)] == ["E-DEPTH"]
 
 
+@pytest.mark.parametrize("text, diagnostic", [
+    ("def T : U 0 := Nat\ndef x : T := true\n",
+     {"code": "E-CONV", "line": 2, "column": 14, "start": 32, "end": 36,
+      "message": "type mismatch", "expected": "Nat", "actual": "Bool"}),
+    ("def f : Nat -> Nat -> Nat := fun a b => a\ndef y : Nat := f 1 true\n",
+     {"code": "E-CONV", "line": 2, "column": 20, "start": 61, "end": 65,
+      "message": "type mismatch", "expected": "Nat", "actual": "Bool"}),
+    ("def f : Nat -> Nat := fun a => a\ndef y : Nat := f 1 2 3\n",
+     {"code": "E-CONV", "line": 2, "column": 16, "start": 48, "end": 53,
+      "message": "application of a non-function", "actual": "Nat"}),
+    ("def L : U 1 := U 0\ndef z : L := U 0\n",
+     {"code": "E-UNIVERSE", "line": 2, "column": 14, "start": 32, "end": 35,
+      "message": "universe level mismatch: U 1 is not U 0",
+      "expected": "U 0", "actual": "U 1"}),
+], ids=["unfolded-expected", "later-argument", "partial-application", "universe"])
+def test_mismatch_prints_the_unfolded_types_at_the_offending_subterm(capsys, tmp_path,
+                                                                      text, diagnostic):
+    path = tmp_path / "pin.ttt"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(["check", "--json", str(path)], capsys)
+    assert (code, err) == (1, "")
+    assert json_diagnostics(out) == [{"file": str(path), **diagnostic}]
+
+
 def test_check_missing_file(capsys):
     code, _, err = run_cli(["check", "definitely-missing.ttt"], capsys)
     assert code == 2
@@ -212,6 +237,36 @@ def test_unreadable_prelude_or_library_is_a_usage_error(capsys, tmp_path, monkey
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, env, culprit", [
+    (["check", "--prelude", "{bad}", "{hom}"], None, "{bad}"),
+    (["check", "{hom}"], "{bad}", "{bad}"),
+    (["corpus", "run", "--prelude", "{bad}"], None, "{bad}"),
+    (["corpus", "prelude", "--prelude", "{bad}"], None, "{bad}"),
+    (["corpus", "run", "--stdlib", "{bad_manifest}"], None, "{bad_manifest}/manifest.txt"),
+    (["corpus", "run", "--stdlib", "{bad_library}"], None, "{bad_library}/hom.ttt"),
+], ids=["check-prelude", "check-env-prelude", "corpus-prelude", "prelude-prelude",
+        "manifest", "library"])
+def test_undecodable_prelude_manifest_or_library_names_its_path(capsys, tmp_path, monkeypatch,
+                                                                  argv, env, culprit):
+    not_utf8 = b"-- \xff\xfe\n"
+    bad = tmp_path / "bad.ttt"
+    bad.write_bytes(not_utf8)
+    paths = {"bad": str(bad), "hom": os.path.join(STDLIB, "hom.ttt")}
+    for case, broken in (("bad_manifest", "manifest.txt"), ("bad_library", "hom.ttt")):
+        if "{%s}" % case in argv:  # a copy of the library with one file broken
+            library = tmp_path / case
+            shutil.copytree(STDLIB, library)
+            (library / broken).write_bytes(not_utf8)
+            paths[case] = str(library)
+    if env:
+        monkeypatch.setenv("TTT_PRELUDE", env.format(**paths))
+    code, out, err = run_cli([arg.format(**paths) for arg in argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read {culprit.format(**paths)}: 'utf-8' codec ")
+    assert err.count("\n") == 1
 
 
 def test_check_multiple_files_deterministic_order(capsys):

@@ -664,6 +664,42 @@ def test_beta_substitutes_every_argument_at_depth_zero():
     run_ok("def k : Nat -> Nat -> Nat := fun a b => a\ndef t : k 3000 zero = 3000 := refl\n")
 
 
+SPINE_HEADS = (
+    "def F : U 0 := Nat -> Nat\n"
+    "def g : Nat -> F := fun a b => b\n"
+    "def h : (A : U 0 @ g) -> (x : A @ g) -> <g| A> := fun A x => mod{g}(x)\n"
+    "axiom P : (A : U 0) -> A -> U 0\n"
+)
+
+
+@pytest.mark.parametrize("decl", [
+    # the codomain unfolds to a function type in the middle of the spine
+    "check g 1 2 : Nat",
+    "fail-check \"E-CONV\" g 1 2 3 : Nat",
+    # a later argument's domain is modal and mentions the first argument
+    "check h Nat 3 : <g| Nat>",
+    "fail-check \"E-MODALITY\" (fun n => h Nat n : Nat -> <g| Nat>) : Nat -> <g| Nat>",
+    # `type_of` types a stuck spine whose second domain is its first argument
+    "def e : (A : U 0) -> (a : A) -> (x : P A a) -> U 0 := fun A a x => x = x",
+])
+def test_application_spine_walks_the_head_type_once(decl):
+    run_ok(SPINE_HEADS + decl + "\n")
+
+
+def test_application_spine_types_each_argument_against_its_instantiated_domain():
+    checker = run_ok(SPINE_HEADS)
+    ctx = Ctx()
+    term, ty = checker.infer(ctx, parse_term("h Nat 3"))
+    assert print_core(term) == "h Nat 3"
+    assert print_core(ty) == "<g| Nat>"
+    spine = App(App(Const("P"), NatT()), Suc(Zero()))
+    assert checker.type_of(ctx, spine) == Univ(0)
+    _, diags = run(SPINE_HEADS + "def y : Nat := h Nat true\n")
+    assert [(d.code, d.line, d.column, d.expected, d.actual) for d in diags] == [
+        ("E-CONV", 5, 22, "Nat", "Bool")
+    ]
+
+
 def test_natrec_on_a_large_literal_reduces_without_deep_recursion():
     # the step case is substituted in one pass, so the recursive value built
     # on the 2999-deep predecessor is not walked again

@@ -9,21 +9,32 @@ from trikernel.core import (
     App,
     I0,
     I1,
+    INT,
     IntT,
     JoinT,
     Lam,
     MeetT,
+    Modify,
     Pair,
+    Pi,
     Refl,
     Univ,
     Var,
     apply_cell,
+    instantiate,
     shift,
     subst,
+    subterms,
 )
 from trikernel.corpus import default_stdlib_dir, load_manifest
 from trikernel.kernel import Checker
-from trikernel.modality import cell_normalize, cell_search, identity_cell, normalize
+from trikernel.modality import (
+    cell_normalize,
+    cell_search,
+    generator_cell,
+    identity_cell,
+    normalize,
+)
 from trikernel.prelude import load_prelude
 from trikernel.syntax import parse_term
 
@@ -200,3 +211,58 @@ def test_shift_subst_inverse_on_samples():
         # for it just undoes the shift
         assert subst(shift(term, 1), I0()) == term
         assert shift(term, 0) == term
+
+
+def test_instantiate_is_substitution_one_argument_at_a_time():
+    """`instantiate(b, (a, c))`, which beta reduction and the typing of an
+    application spine use, is the same term as substituting `a` for Var 1
+    under the binder of Var 0, then `c` for Var 0."""
+    rng = random.Random(41)
+    cells = [generator_cell(name) for name in ("eps0", "eta_gs", "eps_gs", "eta_pa", "eps_pa")]
+    cells += [cell_search(("g",), ()), cell_search((), ("s",))]
+
+    def random_term(depth, free, annotated):
+        """A term over Var 0 .. free - 1 with interval (`Int`) and modal
+        binders; with `annotated`, variables carry 2-cells."""
+        roll = rng.randrange(8) if depth else 0
+        sub = lambda: random_term(depth - 1, free, annotated)
+        under = lambda: random_term(depth - 1, free + 1, annotated)
+        if roll == 0:
+            cell = rng.choice(cells) if annotated and rng.random() < 0.5 else None
+            return Var(rng.randrange(free), cell)
+        if roll == 1:
+            return App(sub(), sub())
+        if roll == 2:
+            return Lam(under())
+        if roll == 3:
+            return Pi((), INT, under())  # an interval binder: its codomain is under p
+        if roll == 4:
+            return Pi(("g",), sub(), under())
+        if roll == 5:
+            return Modify(("g",), sub())
+        if roll == 6:
+            return Pair(sub(), MeetT(sub(), I1()))
+        return rng.choice([I0(), Univ(0), INT])
+
+    def one_at_a_time(body, a, c):
+        return subst(subst(Lam(body), a).body, c)
+
+    def peeled(t):
+        """`t` under at most three of its leading binders."""
+        for _ in range(3):
+            if isinstance(t, Lam):
+                t = t.body
+            elif isinstance(t, Pi):
+                t = t.cod
+        return t
+
+    bodies = [peeled(t) for g in CHECKER.globals.values() for t in (g.ty, g.body)
+              if t is not None and isinstance(t, (Lam, Pi))]
+    bodies = rng.sample(bodies, 120) + [random_term(5, 4, True) for _ in range(300)]
+    annotated_uses = 0
+    for body in bodies:
+        annotated_uses += any(isinstance(u, Var) and u.cell is not None and u.ix - d in (0, 1)
+                              for u, d in subterms(body))
+        a, c = random_term(3, 3, False), random_term(3, 3, False)
+        assert instantiate(body, (a, c)) == one_at_a_time(body, a, c)
+    assert annotated_uses > 50
