@@ -118,7 +118,11 @@ def cmd_lattice(args) -> int:
 
 def cmd_corpus(args) -> int:
     if args.corpus_command == "run":
-        report = corpus_mod.run_corpus(stdlib_dir=args.stdlib, prelude_path=args.prelude)
+        try:
+            report = corpus_mod.run_corpus(stdlib_dir=args.stdlib, prelude_path=args.prelude)
+        except corpus_mod.ManifestError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         if args.json:
             for result in report.results:
                 for d in result.diagnostics:

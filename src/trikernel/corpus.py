@@ -40,6 +40,11 @@ REQUIRED_ANCHORS = frozenset(
 )
 
 
+class ManifestError(ValueError):
+    """A manifest that does not describe a corpus: a malformed line, an
+    unknown dependency or a dependency cycle."""
+
+
 @record
 class ManifestEntry:
     file: str
@@ -117,14 +122,15 @@ def parse_manifest(text: str) -> Manifest:
             continue
         parts = [p.strip() for p in line.split("|")]
         if len(parts) != 4:
-            raise ValueError(f"malformed manifest line: {raw!r}")
+            raise ManifestError(f"malformed manifest line: {raw!r}")
         file, expect, deps, anchors = parts
         code = line_no = col_no = None
         if expect != "pass":
-            bits = expect.split(":")
-            code = bits[0]
-            if len(bits) >= 3:
-                line_no, col_no = int(bits[1]), int(bits[2])
+            code, *where = expect.split(":")
+            if where:
+                if len(where) != 2 or not all(w.isdecimal() for w in where):
+                    raise ManifestError(f"malformed expectation {expect!r}, not CODE:LINE:COLUMN")
+                line_no, col_no = map(int, where)
         entries.append(
             ManifestEntry(
                 file=file,
@@ -135,12 +141,37 @@ def parse_manifest(text: str) -> Manifest:
                 anchors=[a for a in anchors.split(",") if a],
             )
         )
+    _check_deps(entries)
     return Manifest(entries, substitution)
 
 
+def _check_deps(entries: list[ManifestEntry]) -> None:
+    """Raise a ManifestError if a dependency names no entry or the
+    dependencies form a cycle."""
+    deps = {e.file: e.deps for e in entries}
+    done: set[str] = set()
+
+    def visit(name: str, path: list[str]) -> None:
+        if name in path:
+            cycle = " -> ".join(path[path.index(name):] + [name])
+            raise ManifestError(f"dependency cycle: {cycle}")
+        if name not in done:
+            for d in deps[name]:
+                if d not in deps:
+                    raise ManifestError(f"{name} depends on {d}, which has no entry")
+                visit(d, path + [name])
+            done.add(name)
+
+    for name in deps:
+        visit(name, [])
+
+
 def load_manifest(stdlib_dir: Optional[str] = None) -> Manifest:
-    base = stdlib_dir or default_stdlib_dir()
-    return parse_manifest(read_text(os.path.join(base, "manifest.txt")))
+    path = os.path.join(stdlib_dir or default_stdlib_dir(), "manifest.txt")
+    try:
+        return parse_manifest(read_text(path))
+    except ManifestError as exc:
+        raise ManifestError(f"{path}: {exc}") from None
 
 
 def _transitive_deps(manifest: Manifest, entry: ManifestEntry) -> list[str]:

@@ -6,8 +6,10 @@ interval instantiation ordinary substitution and lets ordinary weakening
 cross interval binders.  Variable access across locks is mediated by 2-cells
 from the declaration's annotation to the composite of the trailing locks.
 
-Interval-typed terms are kept in lattice canonical form by weak-head
-normalization, so the lattice equations hold definitionally.
+Conversion decides the interval's lattice laws: where either side unfolds
+to a meet or join, both sides are folded to their canonical polynomials
+(`Checker.int_canon`) and compared, so the laws hold definitionally at every
+type, also under a neutral head such as `f (i /\\ j)`.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ class GlobalDef:
 
 # The formers that `Checker.whnf` can reduce; any other term is already in
 # weak-head normal form.
-_REDEX_FORMERS = frozenset({Const, App, Fst, Snd, J, NatRec, BoolRec, LetMod, Down, MeetT, JoinT})
+_REDEX_FORMERS = frozenset({Const, App, Fst, Snd, J, NatRec, BoolRec, LetMod, Down})
 
 # The type former that an introduction form is checked against, and that the
 # type of an eliminator's principal argument must have, with the E-CONV
@@ -251,12 +253,11 @@ class Checker:
                 if isinstance(xw, Up):
                     return self.whnf(xw.arg)
                 return Down(xw)
-            case MeetT(_, _) | JoinT(_, _):
-                return self.int_canon(t)
 
     # -- interval canonical forms ---------------------------------------------
 
-    def _collect_poly(self, t: Term) -> lattice.Poly:
+    def int_canon(self, t: Term) -> lattice.Poly:
+        """Canonical polynomial of an interval-typed term, the one lattice fold."""
         return lattice.canon(t, atom=self._leaf_poly)
 
     def _leaf_poly(self, t: Term) -> lattice.Poly:
@@ -264,14 +265,14 @@ class Checker:
         bound, meet or join, and otherwise an interned atom."""
         w = self.whnf(t)
         if isinstance(w, (I0, I1, MeetT, JoinT)):
-            return self._collect_poly(w)
+            return self.int_canon(w)
         return lattice.poly_atom(self._atom(w))
 
     def _atom(self, t: Term) -> int:
         """Id of a whnf'd interval atom, shared by the atoms convertible with it.
 
-        On a miss of the exact key, `t` is matched by `conv_str` against the
-        atoms of its own former (the only ones it can convert with), so that
+        On a miss of the exact key, `t` is matched by `conv` against the atoms
+        of its own former (the only ones it can convert with), so that
         `f (i /\\ j)` and `f (j /\\ i)` get one id.  A `Const` atom is an
         axiom, equal only to itself.
         """
@@ -280,35 +281,30 @@ class Checker:
             return ident
         same = [] if isinstance(t, Const) else self._atoms_by_former.setdefault(type(t), [])
         for other in same:
-            if self.conv_str(self.atoms.key(other), t):
+            if self.conv(self.atoms.key(other), t):
                 self.atoms.alias(t, other)
                 return other
         ident = self.atoms.intern(t)
         same.append(ident)
         return ident
 
+    def _shown(self, t: Term) -> Term:
+        """The whnf of `t` as a diagnostic prints it: a meet or join is put in
+        canonical form."""
+        w = self.whnf(t)
+        return self._poly_term(self.int_canon(w)) if isinstance(w, (MeetT, JoinT)) else w
+
     def _poly_term(self, poly: lattice.Poly) -> Term:
-        if poly == lattice.ZERO:
-            return ENDPOINTS[0]
-        if poly == lattice.ONE:
-            return ENDPOINTS[1]
+        """The canonical term of `poly`: a right-nested join of right-nested
+        meets of atoms, in the order `lattice.monomials` gives."""
+        if poly in (lattice.ZERO, lattice.ONE):
+            return ENDPOINTS[poly == lattice.ONE]
 
-        def monomial(m: tuple[int, ...]) -> Term:
-            parts = [self.atoms.key(a) for a in m]
-            out = parts[-1]
-            for part in reversed(parts[:-1]):
-                out = MeetT(part, out)
-            return out
+        def nest(former: type, parts: list[Term]) -> Term:
+            return functools.reduce(lambda out, part: former(part, out), parts[-2::-1], parts[-1])
 
-        monos = [monomial(m) for m in lattice.monomials(poly)]
-        out = monos[-1]
-        for m in reversed(monos[:-1]):
-            out = JoinT(m, out)
-        return out
-
-    def int_canon(self, t: Term) -> Term:
-        """Canonical-form representative of an interval-typed term."""
-        return self._poly_term(self._collect_poly(t))
+        return nest(JoinT, [nest(MeetT, [self.atoms.key(a) for a in m])
+                            for m in lattice.monomials(poly)])
 
     # -- conversion -------------------------------------------------------------
 
@@ -325,28 +321,27 @@ class Checker:
         except ModeError:  # cells between different words
             return False
 
-    def conv(self, t: Term, u: Term, ty: Term) -> bool:
-        if isinstance(self.whnf(ty), IntT):
-            return self._collect_poly(t) == self._collect_poly(u)
-        return self.conv_str(t, u)
+    def conv(self, t: Term, u: Term) -> bool:
+        """Definitional equality: syntactic equality, else `conv_str`."""
+        return syn_eq(t, u) or self.conv_str(t, u)
 
     def conv_str(self, t: Term, u: Term) -> bool:
-        # syntactic equality first, before and after unfolding
-        if syn_eq(t, u):
-            return True
+        """Definitional equality of two terms of one type, by their whnfs."""
         while True:
             tw, uw = self.whnf(t), self.whnf(u)
             if (tw is not t or uw is not u) and syn_eq(tw, uw):
                 return True
+            if isinstance(tw, (MeetT, JoinT)) or isinstance(uw, (MeetT, JoinT)):
+                return self.int_canon(tw) == self.int_canon(uw)
             # eta for functions and pairs
             if isinstance(tw, Lam) and not isinstance(uw, Lam):
-                return self.conv_str(tw.body, App(shift(uw, 1), Var(0)))
+                return self.conv(tw.body, App(shift(uw, 1), Var(0)))
             if isinstance(uw, Lam) and not isinstance(tw, Lam):
-                return self.conv_str(App(shift(tw, 1), Var(0)), uw.body)
+                return self.conv(App(shift(tw, 1), Var(0)), uw.body)
             if isinstance(tw, Pair) and not isinstance(uw, Pair):
-                return self.conv_str(tw.fst, Fst(uw)) and self.conv_str(tw.snd, Snd(uw))
+                return self.conv(tw.fst, Fst(uw)) and self.conv(tw.snd, Snd(uw))
             if isinstance(uw, Pair) and not isinstance(tw, Pair):
-                return self.conv_str(Fst(tw), uw.fst) and self.conv_str(Snd(tw), uw.snd)
+                return self.conv(Fst(tw), uw.fst) and self.conv(Snd(tw), uw.snd)
             if type(tw) is not type(uw):
                 return False
             if isinstance(tw, Var):
@@ -355,7 +350,7 @@ class Checker:
                 return False
             kids = [(getattr(tw, n), getattr(uw, n)) for n, _, _ in _rows(tw)]
             if len(kids) != 1:
-                return all(self.conv_str(va, vb) for va, vb in kids)
+                return all(self.conv(va, vb) for va, vb in kids)
             # tw and uw differ syntactically only in their one subterm: compare
             # it without the syntactic test, so that a `Suc` chain costs linear
             # time and no recursion
@@ -730,12 +725,12 @@ class Checker:
                 bc = self.check(ctx, b, subst(tyw.cod, ac))
                 return Pair(ac, bc)
             case syntax.SRefl():
-                if not self.conv(tyw.lhs, tyw.rhs, tyw.ty):
+                if not self.conv(tyw.lhs, tyw.rhs):
                     self.err(
                         "E-CONV",
                         "refl requires definitionally equal sides",
-                        expected=lambda: self.whnf(tyw.lhs),
-                        actual=lambda: self.whnf(tyw.rhs),
+                        expected=lambda: self._shown(tyw.lhs),
+                        actual=lambda: self._shown(tyw.rhs),
                         ctx=ctx,
                     )
                 return Refl()
@@ -778,9 +773,9 @@ class Checker:
 
     def _check_via_infer(self, ctx: Ctx, s: syntax.STerm, ty: Term) -> Term:
         tc, ity = self.infer(ctx, s)
-        # `conv_str` unfolds both sides itself when they differ syntactically;
-        # the whnfs here serve only the diagnostic
-        if self.conv_str(ity, ty):
+        # `conv` unfolds both sides itself when they differ syntactically; the
+        # whnfs here serve only the diagnostic
+        if self.conv(ity, ty):
             return tc
         tyw, ityw = self.whnf(ty), self.whnf(ity)
         if isinstance(ityw, Univ) and isinstance(tyw, Univ):

@@ -97,14 +97,16 @@ def _scan(text: str):
     """(offset, line number, stripped line, entry head) of each line of `text`.
 
     The head is (kind, name) on a line that starts a `def` or `axiom` entry,
-    and None elsewhere; an entry runs to the next line that starts one.
+    and None elsewhere, also on such a line with no name, which the parser
+    rejects; an entry runs to the next line that starts one.
     """
     offset = 0
     for lineno, line in enumerate(text.splitlines(keepends=True), start=1):
         stripped, head = line.strip(), None
         if stripped.startswith(("def ", "axiom ")):
             kind, rest = stripped.split(None, 1)
-            head = kind, rest.split(":", 1)[0].strip().split()[0]
+            name = rest.split(":", 1)[0].split()
+            head = (kind, name[0]) if name else None
         yield offset, lineno, stripped, head
         offset += len(line)
 

@@ -269,6 +269,47 @@ def test_undecodable_prelude_manifest_or_library_names_its_path(capsys, tmp_path
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("hom.ttt | pass | | hom-types", "hom.ttt | pass | hom-types",
+     "malformed manifest line: 'hom.ttt | pass | hom-types,"),
+    ("E-CONV:3:6", "E-CONV:x:y", "malformed expectation 'E-CONV:x:y', not CODE:LINE:COLUMN"),
+    ("segal.ttt | pass | simplices.ttt", "segal.ttt | pass | simplices.ttt,none.ttt",
+     "segal.ttt depends on none.ttt, which has no entry"),
+    ("simplices.ttt | pass | |", "simplices.ttt | pass | segal.ttt |",
+     "dependency cycle: simplices.ttt -> segal.ttt -> simplices.ttt"),
+], ids=["fields", "expectation", "unknown-dependency", "cycle"])
+def test_malformed_manifest_is_a_usage_error(capsys, tmp_path, old, new, message):
+    library = tmp_path / "library"
+    shutil.copytree(STDLIB, library)
+    manifest = library / "manifest.txt"
+    text = manifest.read_text()
+    assert old in text
+    manifest.write_text(text.replace(old, new))
+    code, out, err = run_cli(["corpus", "run", "--stdlib", str(library)], capsys)
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    assert err.startswith(f"error: {manifest}: {message}")
+
+
+def test_an_entry_head_without_a_name_is_the_files_parse_error(capsys, tmp_path):
+    """`def : Nat := zero` is no entry of a prelude or of a dependency, so
+    the checker reports the file's own E-PARSE at its colon."""
+    nameless = "def : Nat := zero\n"
+    prelude = tmp_path / "prelude.ttt"
+    prelude.write_text(nameless)
+    code, out, err = run_cli(["corpus", "prelude", "--prelude", str(prelude)], capsys)
+    assert (code, err) == (1, "")
+    assert out.rstrip().endswith(f"{prelude}:1:5: E-PARSE: expected a definition name but found ':'")
+    library = tmp_path / "library"
+    shutil.copytree(STDLIB, library)
+    (library / "simplices.ttt").write_text(nameless)
+    code, out, err = run_cli(["corpus", "run", "--stdlib", str(library), "--json"], capsys)
+    assert (code, err) == (1, "")
+    diags = json_diagnostics("\n".join(l for l in out.splitlines() if l.startswith("{")))
+    assert {"file": "simplices.ttt", "code": "E-PARSE", "line": 1, "column": 5}.items() <= (
+        diags[0].items())
+    assert "got dependency simplices.ttt failed" in out
+
+
 def test_check_multiple_files_deterministic_order(capsys):
     bad = os.path.join(STDLIB, "neg", "universe-cycle.ttt")
     bad2 = os.path.join(STDLIB, "neg", "unbound-axiom.ttt")

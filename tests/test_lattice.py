@@ -6,7 +6,7 @@ import random
 import pytest
 
 from trikernel import core, lattice
-from trikernel.kernel import print_core
+from trikernel.kernel import Checker, print_core
 from trikernel.lattice import (
     ONE,
     ZERO,
@@ -134,16 +134,43 @@ def test_eq_matches_oracle_exhaustive_two_atoms_depth3():
 
 
 def test_eq_matches_oracle_random_10000_pairs():
+    """Canonical equality agrees with the Boolean oracle, and so does the
+    checker on every 50th pair and on that pair's first side against an
+    equal rewriting of it, each spelled under a neutral head, `f (a) = f (b)`
+    at `f : Int -> Nat`, and through a definition, `A = b` with `def A : Int
+    := a`."""
     rng = random.Random(20260808)
     atoms = ["x", "y", "z", "w"]
-    disagreements = 0
-    for _ in range(10_000):
+    axioms = "".join(f"axiom {v} : Int\n" for v in atoms) + "axiom f : Int -> Nat\n"
+
+    def commuted(e):
+        if isinstance(e, (Meet, Join)):
+            return type(e)(commuted(e.rhs), commuted(e.lhs))
+        return e
+
+    def checks(a, b):
+        verdicts = set()
+        for program in (f"check refl : f ({print_core(a)}) = f ({print_core(b)})\n",
+                        f"def A : Int := {print_core(a)}\ncheck refl : A = {print_core(b)}\n"):
+            verdicts.add(Checker().check_source(axioms + program) == [])
+        assert len(verdicts) == 1, (a, b)
+        return verdicts.pop()
+
+    extra = random.Random(1)  # leaves the stream of the 10,000 pairs as it was
+    disagreements = kernel_pairs = 0
+    for k in range(10_000):
         a = random_expr(rng, atoms, 4)
         b = random_expr(rng, atoms, 4)
         table = AtomTable()
         if (canon(a, table) == canon(b, table)) != oracle_eq(a, b):
             disagreements += 1
-    assert disagreements == 0
+        if k % 50 == 0:
+            absorbed = Join(commuted(a), Meet(a, random_expr(extra, atoms, 2)))
+            for lhs, rhs in ((a, b), (a, absorbed)):
+                kernel_pairs += 1
+                if checks(lhs, rhs) != oracle_eq(lhs, rhs):
+                    disagreements += 1
+    assert (disagreements, kernel_pairs) == (0, 400)
 
 
 def test_phoa_examples():

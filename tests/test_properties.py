@@ -106,7 +106,7 @@ def test_subject_reduction_head_steps_on_corpus_bodies():
         entry = CHECKER.globals[name]
         reduced = CHECKER.whnf(entry.body)
         # one head expansion step preserves convertibility at the type
-        assert CHECKER.conv(entry.body, reduced, entry.ty), name
+        assert CHECKER.conv(entry.body, reduced), name
 
 
 def test_apply_cell_identity_on_generated_terms():
