@@ -3,7 +3,8 @@
 Modal types never store trailing path factors: ``<w.p| A>`` is represented as
 ``<w| (i : Int) -> A>`` (the path lock is the interval binder), and ``<1| A>``
 collapses to ``A``.  The smart builders enforce this, so conversion can stay
-structural.
+structural.  Whether a binder binds an interval variable is decided in one
+place, `binds_interval`: it is unannotated and its domain is ``IntT`` itself.
 """
 
 from __future__ import annotations
@@ -220,19 +221,25 @@ def mk_mkmod(word: Word, body: Term) -> Term:
 # ---------------------------------------------------------------------------
 
 
+def binds_interval(word: Word, dom: Term) -> bool:
+    """Whether a binder of annotation `word` and domain `dom` binds an interval
+    variable, which is a path lock: the one decision, read by the binding
+    table, the context and the path-modal introduction.  Nothing is unfolded:
+    the elaborator stores a Pi domain that unfolds to ``Int`` as ``IntT``."""
+    return not word and type(dom) is IntT
+
+
 # Each term former with a subterm: its (field, binders, locks) rows, in field
 # order.  `binders` counts the variables the child binds beyond the term's
 # scope; `locks` is the word the 2-cell action whiskers by on entering the
 # child: a modal binder's word, the frame of a ``LetMod`` scrutinee, and ``p``
-# for the codomain of a Pi that binds an interval variable, which is what the
-# checker's context marks: an unannotated binder whose domain is ``Int`` (the
-# elaborator stores every interval domain as ``IntT``).  The formers whose
-# binders or locks depend on the node give a function of the node.
+# for the codomain of a Pi that `binds_interval`.  The formers whose binders
+# or locks depend on the node give a function of the node.
 _ARG = (("arg", 0, ()),)
 _LHS_RHS = (("lhs", 0, ()), ("rhs", 0, ()))
 _ROWS = {
     Pi: lambda t: (("dom", 0, t.word),
-                   ("cod", 1, ("p",) if not t.word and type(t.dom) is IntT else ())),
+                   ("cod", 1, ("p",) if binds_interval(t.word, t.dom) else ())),
     Lam: (("body", 1, ()),),
     App: (("fn", 0, ()), ("arg", 0, ())),
     Sigma: (("dom", 0, ()), ("cod", 1, ())),
@@ -427,7 +434,11 @@ class CDecl:
     name: str
     word: Word  # annotation modality
     ty: Term  # indices relative to the prefix context
-    is_interval: bool = False
+
+    @property
+    def is_interval(self) -> bool:
+        """An interval hypothesis, which acts as a path lock."""
+        return binds_interval(self.word, self.ty)
 
 
 @record(frozen=True)
@@ -448,17 +459,18 @@ class Ctx:
         self.levels = levels
         self.last_lock = last_lock
 
-    def extend(self, name: str, word: Word, ty: Term, is_interval: bool = False) -> "Ctx":
-        return Ctx(self.entries + (CDecl(name, normalize(word), ty, is_interval),),
+    def extend(self, name: str, word: Word, ty: Term) -> "Ctx":
+        return Ctx(self.entries + (CDecl(name, normalize(word), ty),),
                    self.levels + (len(self.entries),), self.last_lock)
 
     def lock(self, word: Word) -> "Ctx":
-        """Push a composite lock generator by generator; p becomes i : Int."""
+        """Push a composite lock generator by generator; p becomes the
+        interval hypothesis i : Int."""
         entries, levels, last_lock = self.entries, self.levels, self.last_lock
         for gen in normalize(word):
             if gen == "p":
                 levels = levels + (len(entries),)
-                entries = entries + (CDecl("i", (), INT, True),)
+                entries = entries + (CDecl("i", (), INT),)
             else:
                 last_lock = len(entries)
                 entries = entries + (CLock(gen),)
@@ -482,20 +494,12 @@ class Ctx:
         """Type of Var(ix), shifted into the current context."""
         return shift(self.decl_at(ix).ty, ix + 1)
 
-    def trailing(self, ix: int) -> list[tuple[str, bool]]:
-        """Lock generators to the right of Var(ix)'s declaration.
-
-        Each item is (generator, droppable): interval hypotheses act as path
-        locks but may also be crossed by ordinary weakening, so they are
-        droppable when matching 2-cell boundaries.
-        """
-        out: list[tuple[str, bool]] = []
-        for entry in self.entries[self._position(ix) + 1 :]:
-            if isinstance(entry, CLock):
-                out.append((entry.gen, False))
-            elif entry.is_interval:
-                out.append(("p", True))
-        return out
+    def trailing(self, ix: int) -> Word:
+        """The lock word to the right of Var(ix)'s declaration, unnormalised:
+        a lock's generator, and p for each interval hypothesis."""
+        return tuple(entry.gen if type(entry) is CLock else "p"
+                     for entry in self.entries[self._position(ix) + 1 :]
+                     if type(entry) is CLock or entry.is_interval)
 
     def names(self) -> list[str]:
         return [self.entries[pos].name for pos in self.levels]

@@ -59,12 +59,11 @@ class ManifestEntry:
 class Manifest:
     entries: list[ManifestEntry]
     substitution: list[str] = []
+    # by file: its entry and its transitive dependencies (`_dep_closures`)
+    files: dict[str, tuple[ManifestEntry, list[str]]] = {}
 
     def entry(self, name: str) -> ManifestEntry:
-        for e in self.entries:
-            if e.file == name:
-                return e
-        raise KeyError(name)
+        return self.files[name][0]
 
     def anchor_set(self) -> set[str]:
         out: set[str] = set()
@@ -141,29 +140,36 @@ def parse_manifest(text: str) -> Manifest:
                 anchors=[a for a in anchors.split(",") if a],
             )
         )
-    _check_deps(entries)
-    return Manifest(entries, substitution)
+    by_file: dict[str, ManifestEntry] = {}
+    for e in entries:
+        by_file.setdefault(e.file, e)
+    closures = _dep_closures(by_file)
+    return Manifest(entries, substitution, {f: (e, closures[f]) for f, e in by_file.items()})
 
 
-def _check_deps(entries: list[ManifestEntry]) -> None:
-    """Raise a ManifestError if a dependency names no entry or the
+def _dep_closures(by_file: dict[str, ManifestEntry]) -> dict[str, list[str]]:
+    """Each file's transitive dependencies, each after its own, in the order
+    a depth-first walk from the file first meets them, by one post-order walk
+    over the graph; a ManifestError if a dependency names no entry or the
     dependencies form a cycle."""
-    deps = {e.file: e.deps for e in entries}
-    done: set[str] = set()
+    closures: dict[str, list[str]] = {}
 
     def visit(name: str, path: list[str]) -> None:
         if name in path:
             cycle = " -> ".join(path[path.index(name):] + [name])
             raise ManifestError(f"dependency cycle: {cycle}")
-        if name not in done:
-            for d in deps[name]:
-                if d not in deps:
+        if name not in closures:
+            closure: dict[str, None] = {}  # ordered, each once
+            for d in by_file[name].deps:
+                if d not in by_file:
                     raise ManifestError(f"{name} depends on {d}, which has no entry")
                 visit(d, path + [name])
-            done.add(name)
+                closure.update(dict.fromkeys(closures[d] + [d]))
+            closures[name] = list(closure)
 
-    for name in deps:
+    for name in by_file:
         visit(name, [])
+    return closures
 
 
 def load_manifest(stdlib_dir: Optional[str] = None) -> Manifest:
@@ -172,21 +178,6 @@ def load_manifest(stdlib_dir: Optional[str] = None) -> Manifest:
         return parse_manifest(read_text(path))
     except ManifestError as exc:
         raise ManifestError(f"{path}: {exc}") from None
-
-
-def _transitive_deps(manifest: Manifest, entry: ManifestEntry) -> list[str]:
-    seen: list[str] = []
-
-    def visit(name: str):
-        dep_entry = manifest.entry(name)
-        for d in dep_entry.deps:
-            visit(d)
-        if name not in seen:
-            seen.append(name)
-
-    for d in entry.deps:
-        visit(d)
-    return seen
 
 
 def check_file(
@@ -204,8 +195,7 @@ def check_file(
     named `prelude_path` (or TTT_PRELUDE) all of them are checked whole.
     """
     base = stdlib_dir or default_stdlib_dir()
-    entry = manifest.entry(name)
-    deps = _transitive_deps(manifest, entry)
+    entry, deps = manifest.files[name]
     *dep_texts, text = [read_text(os.path.join(base, file)) for file in deps + [name]]
     checker = Checker()
     # slices dep_texts in place, with the prelude, when the prelude is sliced

@@ -5,6 +5,8 @@ the same constructor as an interval hypothesis ``i : Int``, which makes
 interval instantiation ordinary substitution and lets ordinary weakening
 cross interval binders.  Variable access across locks is mediated by 2-cells
 from the declaration's annotation to the composite of the trailing locks.
+A binder is an interval hypothesis when `core.binds_interval` says so; the
+elaborator stores an interval domain of a Pi as ``Int`` itself, unfolded once.
 
 Conversion decides the interval's lattice laws: where either side unfolds
 to a meet or join, both sides are folded to their canonical polynomials
@@ -63,6 +65,7 @@ from .core import (
     Zero,
     _rows,
     apply_cell,
+    binds_interval,
     constants,
     free_in,
     instantiate,
@@ -81,6 +84,7 @@ from .modality import (
     SEARCH_DEPTH,
     ModeError,
     TwoCell,
+    Word,
     cell_eq,
     cell_normalize,
     cell_search,
@@ -388,11 +392,11 @@ class Checker:
             case Univ(level):
                 return Univ(level + 1)
             case Pi(word, dom, cod):
-                ctx2 = ctx.extend("_", word, dom, self.is_interval_type(dom, word))
+                ctx2 = ctx.extend("_", word, dom)
                 return Univ(max(self.universe_of(ctx.lock(word), dom),
                                 self.universe_of(ctx2, cod)))
             case Sigma(dom, cod):
-                ctx2 = ctx.extend("_", (), dom, self.is_interval_type(dom, ()))
+                ctx2 = ctx.extend("_", (), dom)
                 return Univ(max(self.universe_of(ctx, dom), self.universe_of(ctx2, cod)))
             case IdT(inner, _, _):
                 return Univ(self.universe_of(ctx, inner))
@@ -410,9 +414,6 @@ class Checker:
         if isinstance(tyty, Univ):
             return tyty.level
         self.err("E-CONV", "expected a type", actual=self.whnf(ty), ctx=ctx)
-
-    def is_interval_type(self, ty: Term, word) -> bool:
-        return word == () and isinstance(self.whnf(ty), IntT)
 
     def _principal(self, ctx: Ctx, former: type, ty: Term) -> Term:
         """Weak-head normal form of `ty`, the type of the principal argument of
@@ -446,20 +447,16 @@ class Checker:
 
     # -- modal variable access ----------------------------------------------------
 
-    def _lock_candidates(self, trailing: list[tuple[str, bool]]):
-        """Composites of the trailing locks, each droppable p kept or dropped.
-
-        Yields (subset-of-dropped-positions, word), largest subsets first, so
-        ordinary weakening across interval binders is preferred.
-        """
-        droppable = [i for i, (_, d) in enumerate(trailing) if d]
+    def _lock_candidates(self, trailing: Word):
+        """The normal words of the lock word `trailing` with each p kept or
+        dropped (an interval hypothesis may also be crossed by ordinary
+        weakening), most dropped first, so that weakening is preferred."""
+        droppable = [i for i, g in enumerate(trailing) if g == "p"]
         seen = set()
         for r in range(len(droppable), -1, -1):
             for combo in itertools.combinations(droppable, r):
                 dropped = set(combo)
-                word = normalize(
-                    tuple(g for i, (g, _) in enumerate(trailing) if i not in dropped)
-                )
+                word = normalize(tuple(g for i, g in enumerate(trailing) if i not in dropped))
                 if word not in seen:
                     seen.add(word)
                     yield word
@@ -592,17 +589,16 @@ class Checker:
                         "bind an interval variable instead",
                     )
                 dc, l1 = self.elab_type(ctx.lock(word), dom)
-                # an interval domain is stored as `Int` itself, so that the
-                # binding table whiskers the codomain by p as the context does
-                is_interval = self.is_interval_type(dc, word)
-                if is_interval:
+                # an interval domain is stored as `Int` itself, the one form
+                # that `binds_interval` reads
+                if binds_interval(word, self.whnf(dc)):
                     dc = INT
-                ctx2 = ctx.extend(name, word, dc, is_interval)
+                ctx2 = ctx.extend(name, word, dc)
                 cc, l2 = self.elab_type(ctx2, cod)
                 return Pi(word, dc, cc), Univ(max(l1, l2))
             case syntax.SSigma(name, dom, cod):
                 dc, l1 = self.elab_type(ctx, dom)
-                ctx2 = ctx.extend(name, (), dc, self.is_interval_type(dc, ()))
+                ctx2 = ctx.extend(name, (), dc)
                 cc, l2 = self.elab_type(ctx2, cod)
                 return Sigma(dc, cc), Univ(max(l1, l2))
             case syntax.SApp():
@@ -702,7 +698,7 @@ class Checker:
             if not isinstance(body, syntax.SLam):
                 arity = "two-argument " if len(domains) == 2 else ""
                 self.err("E-CONV", f"the {what} motive must be a literal {arity}function")
-            ctx = ctx.extend(body.name, (), dom, self.is_interval_type(dom, ()))
+            ctx = ctx.extend(body.name, (), dom)
             body = body.body
         return self.elab_type(ctx, body)[0]
 
@@ -715,9 +711,7 @@ class Checker:
             self.err("E-CONV", form[1], expected=tyw, ctx=ctx)
         match s:
             case syntax.SLam(name, body):
-                ctx2 = ctx.extend(
-                    name, tyw.word, tyw.dom, self.is_interval_type(tyw.dom, tyw.word)
-                )
+                ctx2 = ctx.extend(name, tyw.word, tyw.dom)
                 bc = self.check(ctx2, body, tyw.cod)
                 return Lam(bc)
             case syntax.SPair(a, b):
@@ -758,7 +752,7 @@ class Checker:
                     cur = cur.ty
                 for _ in range(k):
                     cur = self.whnf(cur)
-                    if not (isinstance(cur, Pi) and isinstance(self.whnf(cur.dom), IntT)):
+                    if not (isinstance(cur, Pi) and binds_interval(cur.word, cur.dom)):
                         self.err(
                             "E-CONV",
                             "path-modal introduction against a non-path type",
@@ -831,9 +825,7 @@ class Checker:
                 actual=styw,
                 ctx=ctx,
             )
-        annotation = compose(frame, word)
-        return ctx.extend(name, annotation, inner_ty,
-                          self.is_interval_type(inner_ty, annotation))
+        return ctx.extend(name, compose(frame, word), inner_ty)
 
     def _letmod_type(self, bty: Term) -> Term:
         """Type of a let-mod whose body has type `bty`, which may not mention

@@ -28,8 +28,6 @@ GENERATORS = ("g", "s", "o", "p", "a")
 
 Word = tuple[str, ...]
 
-ID: Word = ()
-
 # Base equation set, oriented left to right.
 BASE_RULES: dict[Word, Word] = {
     ("g", "g"): ("g",),

@@ -75,7 +75,8 @@ _PUNCT_KIND = dict(_PUNCT)
 
 
 class Tokens:
-    """A token stream as parallel lists, EOF last."""
+    """A token stream as parallel lists, EOF last; perfbench's tracer counts
+    tokens by its length."""
 
     def __init__(self) -> None:
         self.kinds, self.texts, self.spans = [], [], []  # str, str, Span

@@ -92,6 +92,21 @@ def test_empty_manifest_passes_trivially():
     assert manifest.entries == []
 
 
+def test_manifest_orders_each_files_dependencies_depth_first():
+    from trikernel.corpus import parse_manifest
+
+    lines = ["a | pass | |", "b | pass | |", "c | pass | b |", "d | pass | a,c |",
+             "e | pass | c,a |", "f | pass | e,d |"]
+    manifest = parse_manifest("\n".join(lines))
+    assert {name: deps for name, (_, deps) in manifest.files.items()} == {
+        "a": [], "b": [], "c": ["b"], "d": ["a", "b", "c"], "e": ["b", "c", "a"],
+        "f": ["b", "c", "a", "e", "d"],
+    }
+    assert manifest.entry("d").deps == ["a", "c"]
+    with pytest.raises(KeyError):
+        manifest.entry("g")
+
+
 def test_mutation_sanity_triangle_orientation():
     """Flipping any meet/join in the triangle region must break the file."""
     text = read_corpus_file("simplices.ttt")

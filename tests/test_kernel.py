@@ -534,7 +534,7 @@ def test_conv_at_int_compares_canonical_forms_without_recursion():
 def test_access_under_interval_binders_stops_at_first_candidate(monkeypatch):
     ctx = Ctx().extend("A", (), Univ(0)).extend("a", (), Var(0))
     for _ in range(12):
-        ctx = ctx.extend("i", (), IntT(), True)
+        ctx = ctx.extend("i", (), IntT())
     calls = []
     real = kernel.normalize
     monkeypatch.setattr(kernel, "normalize", lambda w: calls.append(w) or real(w))
@@ -884,8 +884,8 @@ def _scan_access_cell(checker, ctx, ix, explicit):
     the 2-cell, ``None`` for the identity, or the diagnostic code."""
     pos = _scan_position(ctx, ix)
     annotation = normalize(ctx.entries[pos].word)
-    trailing = [(e.gen, False) if isinstance(e, CLock) else ("p", True)
-                for e in ctx.entries[pos + 1 :] if isinstance(e, CLock) or e.is_interval]
+    trailing = tuple(e.gen if isinstance(e, CLock) else "p"
+                     for e in ctx.entries[pos + 1 :] if isinstance(e, CLock) or e.is_interval)
     candidates = list(checker._lock_candidates(trailing))
     if explicit is not None:
         if explicit.src != annotation or explicit.dst not in candidates:
@@ -972,7 +972,7 @@ def test_constant_time_variable_use_matches_enumeration_under_interval_binders(m
             rng.shuffle(steps)
             for step in steps:
                 if step == "i":
-                    ctx = (ctx.extend("i", (), IntT(), True) if rng.random() < 0.5
+                    ctx = (ctx.extend("i", (), IntT()) if rng.random() < 0.5
                            else ctx.lock(("p",)))
                 elif step in "xy":
                     ctx = ctx.extend(step, rng.choice(words), Var(ctx.find("A")))
@@ -1062,9 +1062,24 @@ def test_an_explicit_identity_cell_is_no_annotation():
 @pytest.mark.parametrize("source", [
     "def f : (A : U 0) -> (a : A) -> <p| A> := fun A a => mod{p}(a)",
     "def f : (A : U 0 @ g) -> (a : A @ g) -> <g.p| A> := fun A a => mod{g.p}(a)",
+    # an interval domain through a definition still binds an interval
+    "def Iv : U 0 := Int\ndef f : (A : U 0) -> (a : A) -> (i : Iv) -> A := fun A a => mod{p}(a)",
 ])
 def test_path_modal_introduction(source):
     run_ok(source)
+
+
+@pytest.mark.parametrize("source, column, expected", [
+    ("def t : (A : U 0) -> (a : A) -> (i : Int @ g) -> A := fun A a => mod{p}(a)",
+     66, "(_ : Int @ g) -> A"),
+    ("def u : (i : Int @ g) -> Int := mod{p}(i)", 33, "(_ : Int @ g) -> Int"),
+])
+def test_path_modal_introduction_against_a_modal_binder_of_type_int(source, column, expected):
+    # `i : Int @ g` is a g-modal hypothesis, not an interval variable, so
+    # there is no path lock to introduce
+    (d,) = Checker().check_source(source)
+    assert (d.code, d.line, d.column, d.message, d.expected) == (
+        "E-CONV", 1, column, "path-modal introduction against a non-path type", expected)
 
 
 def test_path_modal_introduction_of_an_ill_typed_body():
