@@ -41,8 +41,8 @@ REQUIRED_ANCHORS = frozenset(
 
 
 class ManifestError(ValueError):
-    """A manifest that does not describe a corpus: a malformed line, an
-    unknown dependency or a dependency cycle."""
+    """A manifest that does not describe a corpus: a malformed line, a file
+    listed twice, an unknown dependency or a dependency cycle."""
 
 
 @record
@@ -142,7 +142,8 @@ def parse_manifest(text: str) -> Manifest:
         )
     by_file: dict[str, ManifestEntry] = {}
     for e in entries:
-        by_file.setdefault(e.file, e)
+        if by_file.setdefault(e.file, e) is not e:
+            raise ManifestError(f"{e.file} is listed twice")
     closures = _dep_closures(by_file)
     return Manifest(entries, substitution, {f: (e, closures[f]) for f, e in by_file.items()})
 

@@ -576,10 +576,8 @@ class Checker:
             case syntax.SSucc(arg):
                 ac = self.check(ctx, arg, NAT)
                 return Suc(ac), NAT
-            case syntax.SMeet(lhs, rhs) | syntax.SJoin(lhs, rhs):
-                lc = self.check(ctx, lhs, INT)
-                rc = self.check(ctx, rhs, INT)
-                return _CORE_FORMERS[type(s)](lc, rc), INT
+            case syntax.SMeet() | syntax.SJoin():
+                return self._elab_lattice(ctx, s), INT
             case syntax.SPi(name, word, dom, cod):
                 word = normalize(word)
                 if "p" in word:
@@ -787,6 +785,31 @@ class Checker:
             actual=ityw,
             ctx=ctx,
         )
+
+    def _elab_lattice(self, ctx: Ctx, s: syntax.STerm) -> Term:
+        """The core term of the meet/join tree `s`, its operands checked
+        against `Int` left first on an explicit stack, so that a chain of any
+        length elaborates: a variable of a type convertible with `Int` is
+        looked up once, and any other operand is checked as usual."""
+        todo: list = [s]  # subtrees still to elaborate, and formers awaiting operands
+        done: list[Term] = []
+        while todo:
+            top = todo.pop()
+            kind = type(top)
+            if kind is syntax.SMeet or kind is syntax.SJoin:
+                todo += (_CORE_FORMERS[kind], top.rhs, top.lhs)
+            elif kind is syntax.SVar:
+                try:
+                    tc, ty = self._lookup(ctx, top.name, None)
+                except KernelError as exc:
+                    _locate(exc, top.span)
+                    raise
+                done.append(tc if self.conv(ty, INT) else self.check(ctx, top, INT))
+            elif isinstance(top, syntax.STerm):
+                done.append(self.check(ctx, top, INT))
+            else:  # a former, whose two operands are the last two terms
+                done[-2:] = [top(*done[-2:])]
+        return done[0]
 
     def _elab_letmod(self, ctx: Ctx, s: syntax.SLetMod, expected: Optional[Term]):
         word = normalize(s.word)

@@ -151,9 +151,9 @@ def canon(expr: Expr, table: Optional[AtomTable] = None,
     """Canonical antichain form of `expr`.
 
     Bounds, meets and joins fold here, left operand first, on an explicit
-    stack; every other subterm is a leaf whose form `atom` gives.  By default
-    a leaf must be a constant, and its name is interned into `table` (or a
-    fresh table).
+    stack, told apart by their exact class; every other subterm is a leaf
+    whose form `atom` gives.  By default a leaf must be a constant, and its
+    name is interned into `table` (or a fresh table).
     """
     if atom is None:
         atom = partial(_named_atom, table if table is not None else AtomTable())
@@ -161,20 +161,20 @@ def canon(expr: Expr, table: Optional[AtomTable] = None,
     forms: list[Poly] = []
     while todo:
         top = todo.pop()
-        match top:
-            case Bot():
-                forms.append(ZERO)
-            case Top():
-                forms.append(ONE)
-            case Meet(l, r):
-                todo += (poly_meet, r, l)
-            case Join(l, r):
-                todo += (poly_join, r, l)
-            case Expr():
-                forms.append(atom(top))
-            case fold:  # its two operands are the last two forms
-                rhs = forms.pop()
-                forms[-1] = fold(forms[-1], rhs)
+        former = type(top)
+        if former is Meet:
+            todo += (poly_meet, top.rhs, top.lhs)
+        elif former is Join:
+            todo += (poly_join, top.rhs, top.lhs)
+        elif former is Bot:
+            forms.append(ZERO)
+        elif former is Top:
+            forms.append(ONE)
+        elif isinstance(top, Expr):
+            forms.append(atom(top))
+        else:  # a fold, whose two operands are the last two forms
+            rhs = forms.pop()
+            forms[-1] = top(forms[-1], rhs)
     return forms[0]
 
 

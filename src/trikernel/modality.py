@@ -148,23 +148,6 @@ class TwoCell:
     def is_identity(self) -> bool:
         return not self.steps
 
-    def validate(self) -> None:
-        cur = normalize(self.src)
-        for step in self.steps:
-            lo, hi = step.boundaries()
-            if lo != cur:
-                raise ModeError(
-                    "E-2CELL-BOUNDARY",
-                    f"step source {format_word(lo)} does not meet {format_word(cur)}",
-                )
-            cur = hi
-        if cur != normalize(self.dst):
-            raise ModeError(
-                "E-2CELL-BOUNDARY",
-                f"cell target {format_word(normalize(self.dst))} "
-                f"does not meet {format_word(cur)}",
-            )
-
     def describe(self) -> str:
         if not self.steps:
             return f"id({format_word(self.src)})"

@@ -725,12 +725,3 @@ def _anonymous(dom: STerm, prec: int) -> str:
     # the domain of a `->` or `*` that binds nothing: `((x : A))`, not a binder
     return f"({print_term(dom)})" if type(dom) is SAnnot else print_term(dom, prec)
 
-
-def print_decl(d: Decl) -> str:
-    if d.kind == "def":
-        return f"def {d.name} : {print_term(d.ty)} := {print_term(d.body)}"
-    if d.kind == "axiom":
-        return f"axiom {d.name} : {print_term(d.ty)}"
-    if d.kind == "check":
-        return f"check {print_term(d.body)} : {print_term(d.ty)}"
-    return f'fail-check "{d.expect_code}" {print_term(d.body)} : {print_term(d.ty)}'

@@ -290,6 +290,15 @@ def test_malformed_manifest_is_a_usage_error(capsys, tmp_path, old, new, message
     assert err.startswith(f"error: {manifest}: {message}")
 
 
+def test_a_file_listed_twice_in_the_manifest_is_a_usage_error(capsys, tmp_path):
+    library = tmp_path / "library"
+    shutil.copytree(STDLIB, library)
+    manifest = library / "manifest.txt"
+    manifest.write_text(manifest.read_text() + "hom.ttt | E-CONV | |\n")
+    code, out, err = run_cli(["corpus", "run", "--stdlib", str(library)], capsys)
+    assert (code, out, err) == (2, "", f"error: {manifest}: hom.ttt is listed twice\n")
+
+
 def test_an_entry_head_without_a_name_is_the_files_parse_error(capsys, tmp_path):
     """`def : Nat := zero` is no entry of a prelude or of a dependency, so
     the checker reports the file's own E-PARSE at its colon."""

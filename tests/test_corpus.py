@@ -34,7 +34,9 @@ from trikernel.core import (
 from trikernel.kernel import Checker, print_core
 from trikernel.modality import ModeError, generator_cell
 from trikernel.prelude import load_prelude, parse_metadata, read_prelude
-from trikernel.syntax import parse_module, parse_term, print_decl
+from trikernel.syntax import parse_module, parse_term
+
+from support import print_decl
 
 STDLIB = default_stdlib_dir()
 
@@ -105,6 +107,15 @@ def test_manifest_orders_each_files_dependencies_depth_first():
     assert manifest.entry("d").deps == ["a", "c"]
     with pytest.raises(KeyError):
         manifest.entry("g")
+
+
+def test_a_file_listed_twice_is_a_manifest_error():
+    from trikernel.corpus import ManifestError, parse_manifest
+
+    with pytest.raises(ManifestError, match="^a is listed twice$"):
+        parse_manifest("a | pass | |\na | E-CONV | |")
+    with pytest.raises(ManifestError, match="^b is listed twice$"):
+        parse_manifest("a | pass | |\nb | pass | a |\nb | pass | a |")
 
 
 def test_mutation_sanity_triangle_orientation():

@@ -29,6 +29,8 @@ from trikernel.modality import (
     _unreachable,
 )
 
+from support import validate
+
 
 def all_words(max_len):
     for n in range(max_len + 1):
@@ -117,7 +119,7 @@ def test_whisker_left_unit_cell():
     cell = cell_whisker(("s",), generator_cell("eta_gs"))
     assert cell.src == ("s",)
     assert cell.dst == ("s",)
-    cell.validate()
+    validate(cell)
     # and it is erased by the idempotence rules
     assert cell_normalize(cell).is_identity()
 
@@ -223,14 +225,14 @@ def test_cell_normalize_preserves_boundaries():
     )
     norm = cell_normalize(cell)
     assert (norm.src, norm.dst) == (cell.src, cell.dst)
-    norm.validate()
+    validate(norm)
 
 
 def test_search_g_to_identity_finds_eps0():
     cell = cell_search(("g",), ())
     assert cell is not None
     assert [s.gen for s in cell.steps] == ["eps0"]
-    cell.validate()
+    validate(cell)
 
 
 def test_search_identity_to_sg_finds_eta():
@@ -238,7 +240,7 @@ def test_search_identity_to_sg_finds_eta():
     assert cell is not None
     assert [s.gen for s in cell.steps] == ["eta_gs"]
     assert cell.dst == ("s",)  # s.g normalizes to s
-    cell.validate()
+    validate(cell)
 
 
 def test_search_s_to_identity_fails_depth_6():
@@ -255,7 +257,7 @@ def test_search_soundness_random_pairs(monkeypatch):
         for dst in words:
             cell = cell_search(src, dst)
             if cell is not None:
-                cell.validate()
+                validate(cell)
                 assert cell.src == normalize(src)
                 assert cell.dst == normalize(dst)
 
@@ -288,4 +290,4 @@ def test_refuted_pairs_are_beyond_the_bounded_search():
 
 def test_cell_from_steps_boundary_mismatch():
     with pytest.raises(ModeError):
-        TwoCell(("g",), ("a", "p"), (Step((), "eta_pa", ()),)).validate()
+        validate(TwoCell(("g",), ("a", "p"), (Step((), "eta_pa", ()),)))

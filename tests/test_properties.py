@@ -38,6 +38,8 @@ from trikernel.modality import (
 from trikernel.prelude import load_prelude
 from trikernel.syntax import parse_term
 
+from support import validate
+
 
 def loaded_checker():
     checker = Checker()
@@ -194,10 +196,10 @@ def test_cell_search_results_normalize_and_validate():
         for dst in words:
             found = cell_search(src, dst)
             if found is not None:
-                found.validate()
+                validate(found)
                 norm = cell_normalize(found)
                 assert (norm.src, norm.dst) == (found.src, found.dst)
-                norm.validate()
+                validate(norm)
 
 
 def test_shift_subst_inverse_on_samples():

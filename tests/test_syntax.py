@@ -48,9 +48,10 @@ from trikernel.syntax import (
     SVar,
     parse_module,
     parse_term,
-    print_decl,
     print_term,
 )
+
+from support import print_decl
 
 
 def test_parse_idfun_def():
