@@ -5,6 +5,8 @@ Modal types never store trailing path factors: ``<w.p| A>`` is represented as
 collapses to ``A``.  The smart builders enforce this, so conversion can stay
 structural.  Whether a binder binds an interval variable is decided in one
 place, `binds_interval`: it is unannotated and its domain is ``IntT`` itself.
+`_ROWS` is the one table of term structure: shifting, substitution, the
+2-cell action, syntactic equality and conversion all walk it.
 """
 
 from __future__ import annotations
@@ -494,12 +496,19 @@ class Ctx:
         """Type of Var(ix), shifted into the current context."""
         return shift(self.decl_at(ix).ty, ix + 1)
 
-    def trailing(self, ix: int) -> Word:
-        """The lock word to the right of Var(ix)'s declaration, unnormalised:
-        a lock's generator, and p for each interval hypothesis."""
-        return tuple(entry.gen if type(entry) is CLock else "p"
-                     for entry in self.entries[self._position(ix) + 1 :]
-                     if type(entry) is CLock or entry.is_interval)
+    def lock_words(self, ix: int) -> list[Word]:
+        """The normal words Var(ix) may be used at, fewest p's first: the
+        locks to its right composed, each interval hypothesis kept as a p or
+        dropped (weakening crosses it).  No rewrite rule mentions p, so a kept
+        p leaves a word normal, and of equal prefixes only the first is kept."""
+        words: list[Word] = [()]
+        for entry in self.entries[self._position(ix) + 1 :]:
+            if type(entry) is CLock:
+                words = [normalize(w + (entry.gen,)) for w in words]
+            elif entry.is_interval:
+                words = [x for w in words for x in (w, w + ("p",))]
+            words = list(dict.fromkeys(words))
+        return sorted(words, key=npee)
 
     def names(self) -> list[str]:
         return [self.entries[pos].name for pos in self.levels]

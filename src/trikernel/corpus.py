@@ -126,9 +126,9 @@ def parse_manifest(text: str) -> Manifest:
         code = line_no = col_no = None
         if expect != "pass":
             code, *where = expect.split(":")
+            if not code or len(where) not in (0, 2) or not all(w.isdecimal() for w in where):
+                raise ManifestError(f"malformed expectation {expect!r}, not CODE:LINE:COLUMN")
             if where:
-                if len(where) != 2 or not all(w.isdecimal() for w in where):
-                    raise ManifestError(f"malformed expectation {expect!r}, not CODE:LINE:COLUMN")
                 line_no, col_no = map(int, where)
         entries.append(
             ManifestEntry(

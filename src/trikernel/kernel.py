@@ -3,10 +3,11 @@
 Contexts interleave declarations and single-generator locks; a path lock is
 the same constructor as an interval hypothesis ``i : Int``, which makes
 interval instantiation ordinary substitution and lets ordinary weakening
-cross interval binders.  Variable access across locks is mediated by 2-cells
-from the declaration's annotation to the composite of the trailing locks.
-A binder is an interval hypothesis when `core.binds_interval` says so; the
-elaborator stores an interval domain of a Pi as ``Int`` itself, unfolded once.
+cross interval binders.  Variable access across locks is mediated by a
+2-cell from the declaration's annotation to the first word of
+`Ctx.lock_words` that one reaches.  A binder is an interval hypothesis when
+`core.binds_interval` says so; the elaborator stores an interval domain of a
+Pi as ``Int`` itself, unfolded once.
 
 Conversion decides the interval's lattice laws: where either side unfolds
 to a meet or join, both sides are folded to their canonical polynomials
@@ -17,7 +18,6 @@ type, also under a neutral head such as `f (i /\\ j)`.
 from __future__ import annotations
 
 import functools
-import itertools
 from typing import Callable, NoReturn, Optional
 
 from . import lattice, syntax
@@ -447,38 +447,17 @@ class Checker:
 
     # -- modal variable access ----------------------------------------------------
 
-    def _lock_candidates(self, trailing: Word):
-        """The normal words of the lock word `trailing` with each p kept or
-        dropped (an interval hypothesis may also be crossed by ordinary
-        weakening), most dropped first, so that weakening is preferred."""
-        droppable = [i for i, g in enumerate(trailing) if g == "p"]
-        seen = set()
-        for r in range(len(droppable), -1, -1):
-            for combo in itertools.combinations(droppable, r):
-                dropped = set(combo)
-                word = normalize(tuple(g for i, g in enumerate(trailing) if i not in dropped))
-                if word not in seen:
-                    seen.add(word)
-                    yield word
-
-    def access_cell(
-        self,
-        ctx: Ctx,
-        ix: int,
-        explicit: Optional[TwoCell],
-        name: str,
-    ) -> Optional[TwoCell]:
+    def access_cell(self, ctx: Ctx, ix: int, explicit: Optional[TwoCell],
+                    name: str) -> Optional[TwoCell]:
         """2-cell mediating the use of Var(ix) under the trailing locks; None
         when it is an identity, so an annotation is never an identity cell."""
         pos = ctx._position(ix)
         annotation = ctx.entries[pos].word  # normalised by `Ctx.extend`
         if explicit is None and not annotation and ctx.last_lock < pos:
-            return None  # only droppable p's follow: the first candidate is 1
-        candidates = []
-        for word in self._lock_candidates(ctx.trailing(ix)):
-            if explicit is None and word == annotation:
-                return None  # identity access
-            candidates.append(word)
+            return None  # only droppable p's follow: the first word is 1
+        words = ctx.lock_words(ix)
+        if explicit is None and annotation in words:
+            return None  # identity access
         if explicit is not None:
             src, dst = explicit.src, explicit.dst
             if src != annotation:
@@ -487,15 +466,15 @@ class Checker:
                     f"cell on {name!r} starts at {format_word(src)} but the "
                     f"variable is annotated {format_word(annotation)}",
                 )
-            if dst not in candidates:
+            if dst not in words:
                 self.err(
                     "E-2CELL-BOUNDARY",
                     f"cell on {name!r} ends at {format_word(dst)} but the "
-                    f"locks compose to {format_word(candidates[-1])}",
+                    f"locks compose to {format_word(words[-1])}",
                 )
             found = explicit
         else:
-            for target in candidates:
+            for target in words:
                 found = cell_search(annotation, target)
                 if found is not None:
                     break
@@ -503,9 +482,9 @@ class Checker:
                 self.err(
                     "E-MODALITY",
                     f"variable {name!r} is annotated {format_word(annotation)} but sits "
-                    f"under locks {format_word(candidates[-1])} and no mediating 2-cell "
+                    f"under locks {format_word(words[-1])} and no mediating 2-cell "
                     f"was found to any word tried: "
-                    f"{', '.join(map(format_word, candidates))} (depth {SEARCH_DEPTH})",
+                    f"{', '.join(map(format_word, words))} (depth {SEARCH_DEPTH})",
                 )
         found = cell_normalize(found)
         return None if found.is_identity() else found

@@ -11,6 +11,8 @@ Expressions are the kernel's interval terms under their lattice names:
 `Atom`, `Bot`, `Top`, `Meet` and `Join` are `core.Const`, `I0`, `I1`, `MeetT`
 and `JoinT`.  Atoms are arbitrary hashable keys interned into an append-only
 table so that open kernel terms of interval type can serve as atoms.
+`canon` folds on an explicit stack, so thousands of monomials need no deep
+recursion; `Checker.int_canon` is `canon` with the kernel's rule at a leaf.
 """
 
 from __future__ import annotations

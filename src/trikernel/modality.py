@@ -264,24 +264,17 @@ def _cancels_triangle(s1: Step, s2: Step) -> bool:
 
 
 def cell_normalize(cell: TwoCell) -> TwoCell:
-    """Erase identity steps and triangle-cancelling adjacent pairs."""
-    steps = list(cell.steps)
-    changed = True
-    while changed:
-        changed = False
-        kept = [s for s in steps if not _step_is_identity(s)]
-        if len(kept) != len(steps):
-            steps = kept
-            changed = True
-        i = 0
-        while i + 1 < len(steps):
-            if _cancels_triangle(steps[i], steps[i + 1]):
-                del steps[i : i + 2]
-                changed = True
-                i = max(i - 1, 0)
-            else:
-                i += 1
-    return TwoCell(normalize(cell.src), normalize(cell.dst), tuple(steps))
+    """Erase identity steps and triangle-cancelling adjacent pairs in one pass,
+    the kept steps on a stack: erasing a step makes no other an identity."""
+    kept: list[Step] = []
+    for step in cell.steps:
+        if _step_is_identity(step):
+            continue
+        if kept and _cancels_triangle(kept[-1], step):
+            kept.pop()
+        else:
+            kept.append(step)
+    return TwoCell(normalize(cell.src), normalize(cell.dst), tuple(kept))
 
 
 def cell_eq(c1: TwoCell, c2: TwoCell) -> bool:

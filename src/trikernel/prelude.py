@@ -2,7 +2,9 @@
 
 The prelude file carries marker comments (#tier, #covers, #statement-only)
 that attach to the next declaration; verification re-checks every entry and
-confirms the ten named principles are each covered exactly once.
+confirms the ten named principles are each covered exactly once.  A file
+can be checked with only the slice of the prelude and its dependencies that
+it reaches.
 """
 
 from __future__ import annotations

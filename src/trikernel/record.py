@@ -1,4 +1,5 @@
-"""`record`: value classes with a generated constructor, equality and hash.
+"""`record`: value classes with a generated constructor, equality and hash,
+and a repr.  A record's subclasses are records.
 
 One ``exec`` per class, run on the class's first construction, and no
 imports: the standard library's class generator does more bookkeeping per

@@ -13,6 +13,10 @@ Precedence, loosest to tightest:
 
 ``(x : A)`` parses as an annotation atom and is reinterpreted as a binder
 when an arrow or star follows (``((x : A))`` is not), so nothing backtracks.
+The Pratt parser reads the lexer's token lists by index; AST nodes are
+mutable records whose equality ignores spans.  The keyword formers' three
+tables give the keyword set, the parser's keyword atoms and the printer's
+cases.  Braced words and 2-cells are parsed by `modality`.
 """
 
 from __future__ import annotations

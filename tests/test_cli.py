@@ -290,6 +290,18 @@ def test_malformed_manifest_is_a_usage_error(capsys, tmp_path, old, new, message
     assert err.startswith(f"error: {manifest}: {message}")
 
 
+def test_an_empty_expectation_in_the_manifest_is_a_usage_error(capsys, tmp_path):
+    library = tmp_path / "library"
+    shutil.copytree(STDLIB, library)
+    manifest = library / "manifest.txt"
+    text = manifest.read_text()
+    assert "\nhom.ttt | pass |" in text
+    manifest.write_text(text.replace("\nhom.ttt | pass |", "\nhom.ttt |  |"))
+    code, out, err = run_cli(["corpus", "run", "--stdlib", str(library)], capsys)
+    assert (code, out, err) == (
+        2, "", f"error: {manifest}: malformed expectation '', not CODE:LINE:COLUMN\n")
+
+
 def test_a_file_listed_twice_in_the_manifest_is_a_usage_error(capsys, tmp_path):
     library = tmp_path / "library"
     shutil.copytree(STDLIB, library)

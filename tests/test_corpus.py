@@ -118,6 +118,14 @@ def test_a_file_listed_twice_is_a_manifest_error():
         parse_manifest("a | pass | |\nb | pass | a |\nb | pass | a |")
 
 
+def test_an_expectation_without_a_code_is_a_manifest_error():
+    from trikernel.corpus import ManifestError, parse_manifest
+
+    for expect in ("", ":3:4"):
+        with pytest.raises(ManifestError, match=f"^malformed expectation {expect!r}, "):
+            parse_manifest(f"a | {expect} | |")
+
+
 def test_mutation_sanity_triangle_orientation():
     """Flipping any meet/join in the triangle region must break the file."""
     text = read_corpus_file("simplices.ttt")

@@ -1,5 +1,6 @@
 """Kernel behavior: typing, conversion, modal discipline, 2-cell action."""
 
+import itertools
 import random
 import time
 from importlib import resources
@@ -66,6 +67,8 @@ from trikernel.modality import (
 from trikernel.prelude import load_prelude
 from trikernel.record import fields
 from trikernel.syntax import parse_module, parse_term
+
+from support import lock_candidates
 
 
 def run(text):
@@ -886,7 +889,7 @@ def _scan_access_cell(checker, ctx, ix, explicit):
     annotation = normalize(ctx.entries[pos].word)
     trailing = tuple(e.gen if isinstance(e, CLock) else "p"
                      for e in ctx.entries[pos + 1 :] if isinstance(e, CLock) or e.is_interval)
-    candidates = list(checker._lock_candidates(trailing))
+    candidates = lock_candidates(trailing)
     if explicit is not None:
         if explicit.src != annotation or explicit.dst not in candidates:
             return "E-2CELL-BOUNDARY"
@@ -986,6 +989,47 @@ def test_constant_time_variable_use_matches_enumeration_under_interval_binders(m
                     pass
     cells = len(outcomes) - outcomes.count(None) - outcomes.count("E-MODALITY")
     assert outcomes.count(None) > 200 and outcomes.count("E-MODALITY") > 100 and cells > 50
+
+
+def _lock_words_by_generator(word):
+    """`Ctx.lock_words` of a variable declared before the locks `word`,
+    pushed one generator at a time, since `Ctx.lock` normalises its word."""
+    ctx = Ctx().extend("x", (), Univ(0))
+    for gen in word:
+        ctx = ctx.lock((gen,))
+    return ctx.lock_words(word.count("p"))
+
+
+def test_lock_words_match_the_subset_enumeration():
+    gens = ("g", "s", "o", "p", "a")
+    short = [w for n in range(7) for w in itertools.product(gens, repeat=n)]
+    rng = random.Random(27)
+    long = [tuple(rng.choice(gens) for _ in range(rng.randint(0, 11))) for _ in range(20_000)]
+    assert len(short) == 19_531
+    for word in short + long:
+        assert _lock_words_by_generator(word) == lock_candidates(word), word
+
+
+def test_lock_words_under_many_interval_binders_are_linear():
+    assert _lock_words_by_generator(("p",) * 16) == [("p",) * k for k in range(17)]
+    binders = " -> ".join(f"(i{k} : Int)" for k in range(16))
+    names = " ".join(f"i{k}" for k in range(16))
+    start = time.perf_counter()
+    run_ok(f"axiom A : U 0\ndef t : (x : A @ g) -> {binders} -> A := fun x {names} => x")
+    assert time.perf_counter() - start < 0.1
+
+
+def test_a_mixed_lock_word_tries_its_words_fewest_p_first():
+    diag = run_fail(
+        "def bad : (A : U 0) -> (x : A @ s) -> <g| (i : Int) -> <o| (j : Int) -> A>> := "
+        "fun A x => mod{g}(fun i => mod{o}(fun j => x))",
+        "E-MODALITY",
+    )
+    assert (diag.line, diag.column) == (1, 73)
+    assert diag.message == (
+        "variable 'A' is annotated 1 but sits under locks g.p.o.p and no mediating "
+        "2-cell was found to any word tried: g, g.p, g.p.o, g.p.o.p (depth 8)"
+    )
 
 
 # Every shape diagnostic of the elaborator: (source, code, line, column,

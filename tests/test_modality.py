@@ -1,6 +1,7 @@
 """Mode theory engine tests: word normal forms, 2-cells, search."""
 
 import itertools
+import random
 
 import pytest
 
@@ -29,7 +30,7 @@ from trikernel.modality import (
     _unreachable,
 )
 
-from support import validate
+from support import fixpoint_normalize, validate
 
 
 def all_words(max_len):
@@ -226,6 +227,32 @@ def test_cell_normalize_preserves_boundaries():
     norm = cell_normalize(cell)
     assert (norm.src, norm.dst) == (cell.src, cell.dst)
     validate(norm)
+
+
+def test_one_pass_normal_form_matches_the_fixpoint_loop():
+    """`cell_normalize` against the round-after-round reference, on random
+    step lists over a small alphabet of whiskers (boundaries unchecked:
+    both read only the steps)."""
+    rng = random.Random(27)
+    whiskers = [(), ("g",), ("s",), ("p",), ("a",), ("g", "s")]
+    gens = list(modality.GENERATOR_CELLS)
+    cancelled = 0
+    for _ in range(40_000):
+        steps = tuple(Step(rng.choice(whiskers), rng.choice(gens), rng.choice(whiskers))
+                      for _ in range(rng.randint(0, 8)))
+        cell = TwoCell(("g", "s"), ("g", "s"), steps)
+        want = fixpoint_normalize(cell)
+        assert cell_normalize(cell) == want
+        kept = [st for st in steps if not modality._step_is_identity(st)]
+        cancelled += len(want.steps) < len(kept)
+    assert cancelled > 20
+
+
+def test_counit_right_whiskered_by_its_own_pair_is_an_identity():
+    # eps_gs * g.s : g.s.g.s => g.s undoes the comultiplication of the
+    # idempotent comonad g.s, so the rule for a right whisker g.s erases it
+    cell = TwoCell(("g", "s", "g", "s"), ("g", "s"), (Step((), "eps_gs", ("g", "s")),))
+    assert cell_normalize(cell).steps == ()
 
 
 def test_search_g_to_identity_finds_eps0():
