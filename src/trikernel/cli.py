@@ -88,9 +88,8 @@ def cmd_lattice(args) -> int:
             print(lattice.format_poly(poly, table))
             return EXIT_OK
         if args.lattice_command == "eq":
-            lhs = lattice.canon(lattice.parse_expr(args.lhs), table)
-            rhs = lattice.canon(lattice.parse_expr(args.rhs), table)
-            print("true" if lhs == rhs else "false")
+            lhs, rhs = lattice.parse_expr(args.lhs), lattice.parse_expr(args.rhs)
+            print("true" if lattice.equal(lhs, rhs, table) else "false")
             return EXIT_OK
         if args.lattice_command == "leq":
             lhs = lattice.canon(lattice.parse_expr(args.lhs), table)

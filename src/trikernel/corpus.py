@@ -127,7 +127,8 @@ def parse_manifest(text: str) -> Manifest:
         if expect != "pass":
             code, *where = expect.split(":")
             if not code or len(where) not in (0, 2) or not all(w.isdecimal() for w in where):
-                raise ManifestError(f"malformed expectation {expect!r}, not CODE:LINE:COLUMN")
+                raise ManifestError(
+                    f"malformed expectation {expect!r}, not pass, CODE or CODE:LINE:COLUMN")
             if where:
                 line_no, col_no = map(int, where)
         entries.append(

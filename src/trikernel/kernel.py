@@ -10,9 +10,11 @@ cross interval binders.  Variable access across locks is mediated by a
 Pi as ``Int`` itself, unfolded once.
 
 Conversion decides the interval's lattice laws: where either side unfolds
-to a meet or join, both sides are folded to their canonical polynomials
-(`Checker.int_canon`) and compared, so the laws hold definitionally at every
-type, also under a neutral head such as `f (i /\\ j)`.
+to a meet or join, both sides are folded once (`lattice.decide`) and, over
+at most `lattice.TABLE_ATOMS` atoms, compared as truth tables; beyond that,
+and to print a failing side, as canonical polynomials (`Checker.int_canon`).
+So the laws hold definitionally at every type, also under a neutral head
+such as `f (i /\\ j)`.
 """
 
 from __future__ import annotations
@@ -261,16 +263,16 @@ class Checker:
     # -- interval canonical forms ---------------------------------------------
 
     def int_canon(self, t: Term) -> lattice.Poly:
-        """Canonical polynomial of an interval-typed term, the one lattice fold."""
-        return lattice.canon(t, atom=self._leaf_poly)
+        """Canonical polynomial of an interval-typed term."""
+        return lattice.canon(t, atom=self._leaf)
 
-    def _leaf_poly(self, t: Term) -> lattice.Poly:
-        """Form of a leaf of the fold: its whnf folded again if that is a
-        bound, meet or join, and otherwise an interned atom."""
+    def _leaf(self, t: Term) -> int | Term:
+        """A leaf of a lattice fold: its whnf, folded in its place, if that is
+        a bound, meet or join, and otherwise its interned atom id."""
         w = self.whnf(t)
         if isinstance(w, (I0, I1, MeetT, JoinT)):
-            return self.int_canon(w)
-        return lattice.poly_atom(self._atom(w))
+            return w
+        return self._atom(w)
 
     def _atom(self, t: Term) -> int:
         """Id of a whnf'd interval atom, shared by the atoms convertible with it.
@@ -336,7 +338,8 @@ class Checker:
             if (tw is not t or uw is not u) and syn_eq(tw, uw):
                 return True
             if isinstance(tw, (MeetT, JoinT)) or isinstance(uw, (MeetT, JoinT)):
-                return self.int_canon(tw) == self.int_canon(uw)
+                same = lattice.decide(tw, uw, self._leaf)
+                return self.int_canon(tw) == self.int_canon(uw) if same is None else same
             # eta for functions and pairs
             if isinstance(tw, Lam) and not isinstance(uw, Lam):
                 return self.conv(tw.body, App(shift(uw, 1), Var(0)))

@@ -1,25 +1,28 @@
 """Free bounded distributive lattice over interval atoms.
 
-Canonical forms are irredundant disjunctive normal forms: an antichain of
-monomials, each monomial a set of atoms joined by meet and stored as an int
-bitmask over atom ids.  Two expressions are equal in the free bounded
-distributive lattice exactly when their canonical forms coincide, which the
-tests cross-check against the Boolean two-element oracle of
-`tests/lattice_oracle.py`.
+Two expressions are equal in the free bounded distributive lattice exactly
+when they agree at every point of {0,1}^k, k their atoms.  `decide` folds
+both sides into postfix programs and, over at most `TABLE_ATOMS` atoms,
+evaluates each as one 2^k-bit truth table.  Beyond that, and for printing,
+canonical forms are compared: irredundant disjunctive normal forms, an
+antichain of monomials, each monomial a set of atoms joined by meet and
+stored as an int bitmask over atom ids.  The tests cross-check both against
+the Boolean two-element oracle of `tests/lattice_oracle.py`.
 
 Expressions are the kernel's interval terms under their lattice names:
 `Atom`, `Bot`, `Top`, `Meet` and `Join` are `core.Const`, `I0`, `I1`, `MeetT`
 and `JoinT`.  Atoms are arbitrary hashable keys interned into an append-only
-table so that open kernel terms of interval type can serve as atoms.
-`canon` folds on an explicit stack, so thousands of monomials need no deep
-recursion; `Checker.int_canon` is `canon` with the kernel's rule at a leaf.
+table so that open kernel terms of interval type can serve as atoms.  Both
+folds run on an explicit stack, left operand first, so thousands of atoms or
+monomials need no deep recursion; the kernel gives them its rule at a leaf.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import partial
-from typing import Callable, Hashable, Iterable, Iterator, Optional
+import operator
+from functools import cache, partial
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from . import syntax
 from .core import Const as Atom, I0 as Bot, I1 as Top, JoinT as Join, MeetT as Meet
@@ -34,6 +37,13 @@ ZERO: Poly = ()
 ONE: Poly = (0,)
 
 COUNT_BUDGET = 5
+
+# Up to this many distinct atoms, `decide` compares truth tables: over k
+# atoms a side is one 2^k-bit integer, built with one `&` or `|` per node,
+# and at 16 atoms that is 8 KiB.  Beyond it the canonical forms are compared,
+# whose size follows the terms rather than the atoms: a meet chain of 3,000
+# atoms has one monomial but would need a 2^3000-bit table.
+TABLE_ATOMS = 16
 
 
 class LatticeSizeError(ValueError):
@@ -148,42 +158,117 @@ def poly_join(p: Poly, q: Poly) -> Poly:
     return tuple(sorted([m for m in p if not any(n & m == n for n in q)] + q))
 
 
-def canon(expr: Expr, table: Optional[AtomTable] = None,
-          atom: Optional[Callable[[Expr], Poly]] = None) -> Poly:
-    """Canonical antichain form of `expr`.
+# The operators of a postfix program; its other entries are atom slots.
+_MEET, _JOIN, _BOT, _TOP = -1, -2, -3, -4
 
-    Bounds, meets and joins fold here, left operand first, on an explicit
-    stack, told apart by their exact class; every other subterm is a leaf
-    whose form `atom` gives.  By default a leaf must be a constant, and its
-    name is interned into `table` (or a fresh table).
+
+def _postfix(expr: Expr, atom: Callable[[Expr], int | Expr],
+             slots: dict[int, int], ops: list[int]) -> None:
+    """Append `expr` to `ops` in postfix, left operand first.
+
+    Bounds, meets and joins are told apart by their exact class; `atom` gives
+    every other subterm either its atom id or a bound, meet or join to fold
+    in its place.  A leaf's entry is the slot of its atom id, numbered in
+    `slots` in order of first use.
     """
-    if atom is None:
-        atom = partial(_named_atom, table if table is not None else AtomTable())
-    todo: list = [expr]  # subterms still to fold, and folds awaiting operands
-    forms: list[Poly] = []
+    todo: list = [expr]  # subterms still to fold, and operators after them
     while todo:
         top = todo.pop()
         former = type(top)
         if former is Meet:
-            todo += (poly_meet, top.rhs, top.lhs)
+            todo += (_MEET, top.rhs, top.lhs)
         elif former is Join:
-            todo += (poly_join, top.rhs, top.lhs)
+            todo += (_JOIN, top.rhs, top.lhs)
+        elif former is int:
+            ops.append(top)
         elif former is Bot:
-            forms.append(ZERO)
+            ops.append(_BOT)
         elif former is Top:
-            forms.append(ONE)
-        elif isinstance(top, Expr):
-            forms.append(atom(top))
-        else:  # a fold, whose two operands are the last two forms
-            rhs = forms.pop()
-            forms[-1] = top(forms[-1], rhs)
-    return forms[0]
+            ops.append(_TOP)
+        else:
+            leaf = atom(top)
+            if type(leaf) is int:
+                ops.append(slots.setdefault(leaf, len(slots)))
+            else:
+                todo.append(leaf)
 
 
-def _named_atom(table: AtomTable, expr: Expr) -> Poly:
+def _evaluate(ops: list[int], atoms: Sequence, meet: Callable, join: Callable,
+              bottom, top):
+    """The value of a postfix program, `atoms[i]` at slot i."""
+    values: list = []
+    for op in ops:
+        if op >= 0:
+            values.append(atoms[op])
+        elif op == _MEET:
+            rhs = values.pop()
+            values[-1] = meet(values[-1], rhs)
+        elif op == _JOIN:
+            rhs = values.pop()
+            values[-1] = join(values[-1], rhs)
+        else:
+            values.append(bottom if op == _BOT else top)
+    return values[0]
+
+
+def canon(expr: Expr, table: Optional[AtomTable] = None,
+          atom: Optional[Callable[[Expr], int | Expr]] = None) -> Poly:
+    """Canonical antichain form of `expr`, with `atom` at a leaf as
+    `_postfix` says.  By default a leaf must be a constant, and its name is
+    interned into `table` (or a fresh table)."""
+    if atom is None:
+        atom = partial(_named_atom, table if table is not None else AtomTable())
+    slots: dict[int, int] = {}
+    ops: list[int] = []
+    _postfix(expr, atom, slots, ops)
+    return _evaluate(ops, [poly_atom(ident) for ident in slots], poly_meet, poly_join, ZERO, ONE)
+
+
+def _named_atom(table: AtomTable, expr: Expr) -> int:
     if isinstance(expr, Atom):
-        return poly_atom(table.intern(expr.name))
+        return table.intern(expr.name)
     raise TypeError(f"not a lattice expression: {expr!r}")
+
+
+@cache
+def atom_tables(k: int) -> tuple[int, ...]:
+    """The truth tables of slots 0..k-1 over the 2^k points: bit n of table i
+    is bit i of n.  Each is a repeated byte pattern read as one integer."""
+    size = max(1, (1 << k) >> 3)  # bytes
+    mask = (1 << (1 << k)) - 1
+    tables = []
+    for i in range(k):
+        if i < 3:
+            pattern = bytes((0b10101010, 0b11001100, 0b11110000)[i:i + 1]) * size
+        else:
+            run = 1 << (i - 3)
+            pattern = (bytes(run) + b"\xff" * run) * (size // (2 * run))
+        tables.append(int.from_bytes(pattern, "little") & mask)
+    return tuple(tables)
+
+
+def decide(lhs: Expr, rhs: Expr, atom: Callable[[Expr], int | Expr]) -> Optional[bool]:
+    """Whether `lhs` and `rhs` are equal, by their truth tables, or None when
+    they mention more than `TABLE_ATOMS` atoms.  Both sides fold as `canon`
+    folds them, `lhs` first, so atoms intern in the same order."""
+    slots: dict[int, int] = {}
+    left, right = [], []
+    _postfix(lhs, atom, slots, left)
+    _postfix(rhs, atom, slots, right)
+    k = len(slots)
+    if k > TABLE_ATOMS:
+        return None
+    tables, ones = atom_tables(k), (1 << (1 << k)) - 1
+    return (_evaluate(left, tables, operator.and_, operator.or_, 0, ones)
+            == _evaluate(right, tables, operator.and_, operator.or_, 0, ones))
+
+
+def equal(lhs: Expr, rhs: Expr, table: Optional[AtomTable] = None) -> bool:
+    """Equality in the free lattice, decided as conversion decides it: by
+    `decide`, else by canonical forms."""
+    atom = partial(_named_atom, table if table is not None else AtomTable())
+    same = decide(lhs, rhs, atom)
+    return canon(lhs, atom=atom) == canon(rhs, atom=atom) if same is None else same
 
 
 def leq(p: Poly, q: Poly) -> bool:

@@ -90,6 +90,11 @@ def test_lattice_eq(capsys):
     assert code == 0 and out.strip() == "true"
 
 
+@pytest.mark.parametrize("expr, bound", [("x /\\ 0", "0"), ("x \\/ 1", "1")])
+def test_lattice_nf_prints_a_bare_bound(capsys, expr, bound):
+    assert run_cli(["lattice", "nf", expr], capsys) == (0, bound + "\n", "")
+
+
 def test_lattice_leq(capsys):
     code, out, _ = run_cli(["lattice", "leq", "x/\\y", "x\\/y"], capsys)
     assert code == 0 and out.strip() == "true"
@@ -135,6 +140,12 @@ def test_check_positive_file(capsys):
     code, out, _ = run_cli(["check", os.path.join(STDLIB, "hom.ttt")], capsys)
     assert code == 0
     assert out == ""
+
+
+def test_check_negative_file_renders_the_diagnostic(capsys):
+    path = os.path.join(STDLIB, "neg", "int-bool-confusion.ttt")
+    assert run_cli(["check", path], capsys) == (
+        1, f"{path}:3:6: E-CONV: type mismatch\n  expected: Int\n  actual:   Bool\n", "")
 
 
 def test_check_negative_file_json(capsys):
@@ -272,7 +283,7 @@ def test_undecodable_prelude_manifest_or_library_names_its_path(capsys, tmp_path
 @pytest.mark.parametrize("old, new, message", [
     ("hom.ttt | pass | | hom-types", "hom.ttt | pass | hom-types",
      "malformed manifest line: 'hom.ttt | pass | hom-types,"),
-    ("E-CONV:3:6", "E-CONV:x:y", "malformed expectation 'E-CONV:x:y', not CODE:LINE:COLUMN"),
+    ("E-CONV:3:6", "E-CONV:x:y", "malformed expectation 'E-CONV:x:y', not pass, CODE or CODE:LINE:COLUMN"),
     ("segal.ttt | pass | simplices.ttt", "segal.ttt | pass | simplices.ttt,none.ttt",
      "segal.ttt depends on none.ttt, which has no entry"),
     ("simplices.ttt | pass | |", "simplices.ttt | pass | segal.ttt |",
@@ -299,7 +310,8 @@ def test_an_empty_expectation_in_the_manifest_is_a_usage_error(capsys, tmp_path)
     manifest.write_text(text.replace("\nhom.ttt | pass |", "\nhom.ttt |  |"))
     code, out, err = run_cli(["corpus", "run", "--stdlib", str(library)], capsys)
     assert (code, out, err) == (
-        2, "", f"error: {manifest}: malformed expectation '', not CODE:LINE:COLUMN\n")
+        2, "", f"error: {manifest}: malformed expectation '', not pass, CODE or "
+        "CODE:LINE:COLUMN\n")
 
 
 def test_a_file_listed_twice_in_the_manifest_is_a_usage_error(capsys, tmp_path):

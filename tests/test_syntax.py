@@ -256,6 +256,14 @@ def test_parenthesised_annotation_is_not_a_binder():
         parse_term("((x : A @ g)) -> B")
 
 
+def test_annotated_head_that_is_not_a_variable_spine_is_not_a_binder():
+    x, a, b = SVar("x"), SVar("A"), SVar("B")
+    assert parse_term("(f (g x) : A) -> B") == SPi(
+        "_", (), SAnnot(SApp(SVar("f"), SApp(SVar("g"), x)), a), b)
+    assert parse_term("(zero x : A) -> B") == SPi(
+        "_", (), SAnnot(SApp(SConstT("zero"), x), a), b)
+
+
 def test_roundtrip_random_asts():
     rng = random.Random(1187)
     for _ in range(400):
