@@ -12,9 +12,10 @@ import sys
 from typing import Optional
 
 from . import corpus as corpus_mod
-from . import lattice
-from .diagnostics import Diagnostic
-from .kernel import Checker
+from . import syntax
+from .core import INT, Ctx
+from .diagnostics import Diagnostic, KernelError
+from .kernel import Checker, GlobalDef, print_core
 from .modality import SEARCH_DEPTH, ModeError, cell_search, format_word, normalize, parse_word
 from .prelude import load_prelude, verify_prelude
 
@@ -81,35 +82,22 @@ def cmd_mode(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    table = lattice.AtomTable()
+    """Check each expression against `Int` with no prelude, every word of the
+    texts an axiom `NAME : Int`; `nf` prints the form that E-CONV prints."""
+    texts = [args.expr] if args.lattice_command == "nf" else [args.lhs, args.rhs]
+    checker = Checker()
+    for name in {w for text in texts for w in syntax.WORD.findall(text)} - syntax.KEYWORDS:
+        checker.globals[name] = GlobalDef(name, "axiom", INT, None)
     try:
+        terms = [checker.check(Ctx(), syntax.parse_term(text), INT) for text in texts]
         if args.lattice_command == "nf":
-            poly = lattice.canon(lattice.parse_expr(args.expr), table)
-            print(lattice.format_poly(poly, table))
-            return EXIT_OK
-        if args.lattice_command == "eq":
-            lhs, rhs = lattice.parse_expr(args.lhs), lattice.parse_expr(args.rhs)
-            print("true" if lattice.equal(lhs, rhs, table) else "false")
-            return EXIT_OK
-        if args.lattice_command == "leq":
-            lhs = lattice.canon(lattice.parse_expr(args.lhs), table)
-            rhs = lattice.canon(lattice.parse_expr(args.rhs), table)
-            print("true" if lattice.leq(lhs, rhs) else "false")
-            return EXIT_OK
-        if args.lattice_command == "phoa":
-            poly = lattice.canon(lattice.parse_expr(args.expr), table)
-            atom = table.intern(args.atom)
-            p0, p1 = lattice.phoa_endpoints(poly, atom)
-            print(f"({lattice.format_poly(p0, table)}, {lattice.format_poly(p1, table)})")
-            return EXIT_OK
-        print(lattice.count_free(args.n))
+            print(print_core(checker._shown(terms[0])))
+        else:
+            print("true" if checker.conv(*terms) else "false")
         return EXIT_OK
-    except lattice.LatticeParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except KernelError as exc:
+        print(f"error: {exc.diagnostic.code}: {exc.diagnostic.message}", file=sys.stderr)
         return EXIT_USAGE
-    except lattice.LatticeSizeError as exc:
-        print(f"error: E-LATTICE-SIZE: {exc.message}", file=sys.stderr)
-        return EXIT_DIAGNOSTICS
     except RecursionError:
         print("error: E-DEPTH: expression is nested too deeply (recursion limit)", file=sys.stderr)
         return EXIT_DIAGNOSTICS
@@ -131,14 +119,6 @@ def cmd_corpus(args) -> int:
     report = verify_prelude(args.prelude)
     print(report.render())
     return EXIT_OK if report.ok else EXIT_DIAGNOSTICS
-
-
-def natural(text: str) -> int:
-    """An argument that is an integer, 0 or more."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be 0 or more, not {value}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -173,17 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eq.add_argument("lhs")
     p_eq.add_argument("rhs")
     p_eq.set_defaults(func=cmd_lattice)
-    p_leq = lat_sub.add_parser("leq", help="decide the lattice order")
-    p_leq.add_argument("lhs")
-    p_leq.add_argument("rhs")
-    p_leq.set_defaults(func=cmd_lattice)
-    p_phoa = lat_sub.add_parser("phoa", help="endpoint decomposition at an atom")
-    p_phoa.add_argument("expr")
-    p_phoa.add_argument("atom")
-    p_phoa.set_defaults(func=cmd_lattice)
-    p_count = lat_sub.add_parser("count", help="count canonical forms over n atoms")
-    p_count.add_argument("n", type=natural)
-    p_count.set_defaults(func=cmd_lattice)
 
     p_corpus = sub.add_parser("corpus", help="run the checked corpus")
     corpus_sub = p_corpus.add_subparsers(dest="corpus_command")

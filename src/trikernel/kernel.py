@@ -1002,7 +1002,14 @@ def readback(t: Term, names: list[str]) -> syntax.STerm:
         return fresh("x", scope) if free_in(body) else "_"
 
     def go(u: Term, scope: list[str]) -> syntax.STerm:
-        surface = _SURFACE.get(type(u))
+        former = type(u)
+        surface = _SURFACE.get(former)
+        if former is MeetT or former is JoinT:  # a right-nested spine, in a loop
+            lhss = []
+            while type(u) is former:
+                lhss.append(go(u.lhs, scope))
+                u = u.rhs
+            return functools.reduce(lambda out, lhs: surface(lhs, out), reversed(lhss), go(u, scope))
         if surface is not None:
             return surface(*(go(getattr(u, f), scope) for f in u.__match_args__))
         if type(u) in _CONSTANT_OF:

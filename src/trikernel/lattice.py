@@ -21,13 +21,11 @@ from __future__ import annotations
 
 import itertools
 import operator
-from functools import cache, partial
-from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
+from functools import cache
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
-from . import syntax
 from .core import Const as Atom, I0 as Bot, I1 as Top, JoinT as Join, MeetT as Meet
 from .core import Term as Expr
-from .diagnostics import KernelError
 
 # A canonical polynomial: an ascending tuple of monomials, each an int whose
 # bit i is atom id i.  The monomial 0 (no atoms) is 1; the empty tuple is 0.
@@ -36,23 +34,12 @@ Poly = tuple[int, ...]
 ZERO: Poly = ()
 ONE: Poly = (0,)
 
-COUNT_BUDGET = 5
-
 # Up to this many distinct atoms, `decide` compares truth tables: over k
 # atoms a side is one 2^k-bit integer, built with one `&` or `|` per node,
 # and at 16 atoms that is 8 KiB.  Beyond it the canonical forms are compared,
 # whose size follows the terms rather than the atoms: a meet chain of 3,000
 # atoms has one monomial but would need a 2^3000-bit table.
 TABLE_ATOMS = 16
-
-
-class LatticeSizeError(ValueError):
-    """Raised when a brute-force budget is exceeded (code E-LATTICE-SIZE)."""
-
-    def __init__(self, message: str):
-        super().__init__(message)
-        self.code = "E-LATTICE-SIZE"
-        self.message = message
 
 
 class AtomTable:
@@ -79,43 +66,6 @@ class AtomTable:
 
     def key(self, ident: int) -> Hashable:
         return self._keys[ident]
-
-
-# ---------------------------------------------------------------------------
-# Expressions: the kernel's interval terms
-# ---------------------------------------------------------------------------
-
-
-class LatticeParseError(ValueError):
-    pass
-
-
-def parse_expr(text: str) -> Expr:
-    """Parse ``x /\\ (y \\/ z)`` with the term grammar of `syntax`.
-
-    Atoms are the grammar's identifiers, so keywords are not atoms; ``0`` and
-    ``1`` are the bounds.
-    """
-    try:
-        term = syntax.parse_term(text)
-    except KernelError as exc:
-        raise LatticeParseError(exc.diagnostic.message) from None
-    return _from_sterm(term)
-
-
-def _from_sterm(t: syntax.STerm) -> Expr:
-    match t:
-        case syntax.SVar(name):
-            return Atom(name)
-        case syntax.SNum(0):
-            return Bot()
-        case syntax.SNum(1):
-            return Top()
-        case syntax.SMeet(l, r):
-            return Meet(_from_sterm(l), _from_sterm(r))
-        case syntax.SJoin(l, r):
-            return Join(_from_sterm(l), _from_sterm(r))
-    raise LatticeParseError(f"not a lattice expression: {syntax.print_term(t)}")
 
 
 # ---------------------------------------------------------------------------
@@ -211,23 +161,13 @@ def _evaluate(ops: list[int], atoms: Sequence, meet: Callable, join: Callable,
     return values[0]
 
 
-def canon(expr: Expr, table: Optional[AtomTable] = None,
-          atom: Optional[Callable[[Expr], int | Expr]] = None) -> Poly:
+def canon(expr: Expr, atom: Callable[[Expr], int | Expr]) -> Poly:
     """Canonical antichain form of `expr`, with `atom` at a leaf as
-    `_postfix` says.  By default a leaf must be a constant, and its name is
-    interned into `table` (or a fresh table)."""
-    if atom is None:
-        atom = partial(_named_atom, table if table is not None else AtomTable())
+    `_postfix` says."""
     slots: dict[int, int] = {}
     ops: list[int] = []
     _postfix(expr, atom, slots, ops)
     return _evaluate(ops, [poly_atom(ident) for ident in slots], poly_meet, poly_join, ZERO, ONE)
-
-
-def _named_atom(table: AtomTable, expr: Expr) -> int:
-    if isinstance(expr, Atom):
-        return table.intern(expr.name)
-    raise TypeError(f"not a lattice expression: {expr!r}")
 
 
 @cache
@@ -261,85 +201,3 @@ def decide(lhs: Expr, rhs: Expr, atom: Callable[[Expr], int | Expr]) -> Optional
     tables, ones = atom_tables(k), (1 << (1 << k)) - 1
     return (_evaluate(left, tables, operator.and_, operator.or_, 0, ones)
             == _evaluate(right, tables, operator.and_, operator.or_, 0, ones))
-
-
-def equal(lhs: Expr, rhs: Expr, table: Optional[AtomTable] = None) -> bool:
-    """Equality in the free lattice, decided as conversion decides it: by
-    `decide`, else by canonical forms."""
-    atom = partial(_named_atom, table if table is not None else AtomTable())
-    same = decide(lhs, rhs, atom)
-    return canon(lhs, atom=atom) == canon(rhs, atom=atom) if same is None else same
-
-
-def leq(p: Poly, q: Poly) -> bool:
-    """Lattice order: p <= q iff every monomial of p contains one of q."""
-    return all(any(n & m == n for n in q) for m in p)
-
-
-def subst(p: Poly, mapping: dict[int, Poly]) -> Poly:
-    """Substitute polynomials for atoms; unmapped atoms stay themselves."""
-    out = ZERO
-    for m in p:
-        term = ONE
-        for atom in monomial_atoms(m):
-            term = poly_meet(term, mapping.get(atom, poly_atom(atom)))
-        out = poly_join(out, term)
-    return out
-
-
-def phoa_endpoints(p: Poly, x: int) -> tuple[Poly, Poly]:
-    """Endpoint decomposition at atom x: (p[x:=0], p[x:=1]).
-
-    Satisfies leq(p0, p1) and p = p0 \\/ (x /\\ p1).
-    """
-    p0 = subst(p, {x: ZERO})
-    p1 = subst(p, {x: ONE})
-    return p0, p1
-
-
-# ---------------------------------------------------------------------------
-# Enumeration
-# ---------------------------------------------------------------------------
-
-
-def enumerate_canonical(n: int) -> Iterator[Poly]:
-    """All canonical forms over atoms 0..n-1 (antichains of subsets).
-
-    Each antichain is built once, its monomials in ascending order: a mask
-    contains only smaller masks, so a candidate is tested only for containing
-    one already chosen.
-    """
-
-    def extend(prefix: list[int], start: int) -> Iterator[Poly]:
-        yield tuple(prefix)
-        for m in range(start, 1 << n):
-            if not any(k & m == k for k in prefix):
-                prefix.append(m)
-                yield from extend(prefix, m + 1)
-                prefix.pop()
-
-    return extend([], 0)
-
-
-def count_free(n: int) -> int:
-    """Number of distinct canonical forms over n atoms.
-
-    Equals the number of monotone Boolean functions of n variables.
-    """
-    if n > COUNT_BUDGET:
-        raise LatticeSizeError(f"count_free({n}) exceeds budget {COUNT_BUDGET}")
-    if n < 0:
-        raise LatticeSizeError("count_free needs n >= 0")
-    return sum(1 for _ in enumerate_canonical(n))
-
-
-def format_poly(p: Poly, table: AtomTable) -> str:
-    """Render a canonical form; atom ids resolve through `table`."""
-    if p == ZERO:
-        return "0"
-    if p == ONE:
-        return "1"
-    parts = [" /\\ ".join(str(table.key(a)) for a in m) for m in monomials(p)]
-    if len(parts) == 1:
-        return parts[0]
-    return " \\/ ".join(f"({q})" if " /\\ " in q else q for q in parts)

@@ -687,15 +687,18 @@ def print_term(t: STerm, prec: int = 0) -> str:
             return "refl"
         case SNum(value):
             return str(value)
-        case SMeet(lhs, rhs):
-            return par(
-                f"{print_term(lhs, _PREC_APP)} /\\ {print_term(rhs, _PREC_APP)}", _PREC_MEET
-            )
-        case SJoin(lhs, rhs):
-            return par(
-                f"{print_term(lhs, _PREC_MEET)} \\/ {print_term(rhs, _PREC_MEET)}",
-                _PREC_JOIN,
-            )
+        case SMeet() | SJoin():
+            # each operand binds tighter than the operator, so every link of
+            # a right-nested spine of one former is parenthesized; in a loop
+            former = type(t)
+            own, sep = (_PREC_MEET, " /\\ ") if former is SMeet else (_PREC_JOIN, " \\/ ")
+            parts = []
+            while type(t) is former:
+                parts.append(print_term(t.lhs, own + 1))
+                t = t.rhs
+            parts.append(print_term(t, own + 1))
+            opened = "".join(part + sep + "(" for part in parts[:-2])
+            return par(opened + sep.join(parts[-2:]) + ")" * (len(parts) - 2), own)
         case SConstT(name):
             return name
         case SModify(word, body):

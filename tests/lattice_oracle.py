@@ -1,24 +1,26 @@
 """Brute-force oracles that the tests compare `trikernel.lattice` against:
 evaluation and equality in the two-element lattice, the endpoint
 reconstruction, De Morgan duals, a count of monotone Boolean functions, and
-the maps of a finitely presented algebra to the interval.
+the maps of a finitely presented algebra to the interval.  Also the test
+helpers around them: expressions read from text, a leaf rule that names
+atoms, and every canonical form over n atoms.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Hashable, Sequence
+from typing import Callable, Hashable, Iterator, Sequence
 
+from trikernel import syntax
 from trikernel.core import constants
 from trikernel.lattice import (
     ONE,
     ZERO,
     Atom,
+    AtomTable,
     Bot,
     Expr,
     Join,
-    LatticeParseError,
-    LatticeSizeError,
     Meet,
     Poly,
     Top,
@@ -31,6 +33,66 @@ from trikernel.record import record
 
 ORACLE_ATOM_BUDGET = 20
 HOM_GENERATOR_BUDGET = 4
+
+
+class BudgetError(ValueError):
+    """A brute force would exceed its budget."""
+
+
+class ParseError(ValueError):
+    """A text or term that is not a lattice expression."""
+
+
+def parse(text: str) -> Expr:
+    """The expression written `text` in the term grammar: identifiers are
+    atoms, and `0` and `1` the bounds."""
+
+    def convert(t: syntax.STerm) -> Expr:
+        match t:
+            case syntax.SVar(name):
+                return Atom(name)
+            case syntax.SNum(0):
+                return Bot()
+            case syntax.SNum(1):
+                return Top()
+            case syntax.SMeet(l, r):
+                return Meet(convert(l), convert(r))
+            case syntax.SJoin(l, r):
+                return Join(convert(l), convert(r))
+        raise ParseError(f"not a lattice expression: {syntax.print_term(t)}")
+
+    return convert(syntax.parse_term(text))
+
+
+def named(table: AtomTable) -> Callable[[Expr], int]:
+    """The leaf rule of `lattice.canon` and `lattice.decide` for a closed
+    expression: a constant's name, interned in `table`."""
+
+    def atom(expr: Expr) -> int:
+        if isinstance(expr, Atom):
+            return table.intern(expr.name)
+        raise ParseError(f"not a lattice expression: {expr!r}")
+
+    return atom
+
+
+def antichains(n: int) -> Iterator[Poly]:
+    """Every canonical form over atoms 0..n-1: the antichains of subsets.
+
+    Each is built once, its monomials in ascending order: a mask contains
+    only smaller masks, so a candidate is tested only for containing one
+    already chosen.
+    """
+
+    def extend(prefix: list[int], start: int) -> Iterator[Poly]:
+        yield tuple(prefix)
+        for m in range(start, 1 << n):
+            if not any(k & m == k for k in prefix):
+                prefix.append(m)
+                yield from extend(prefix, m + 1)
+                prefix.pop()
+
+    return extend([], 0)
 
 
 def eval_expr(expr: Expr, assignment: dict[Hashable, bool]) -> bool:
@@ -62,7 +124,7 @@ def oracle_eq(a: Expr | Poly, b: Expr | Poly) -> bool:
     """Brute-force equality over all two-element-lattice assignments.
 
     Independent of `canon`: expressions are evaluated directly.  Raises
-    LatticeSizeError beyond the atom budget.
+    BudgetError beyond the atom budget.
     """
     if isinstance(a, Expr) and isinstance(b, Expr):
         names, evaluate = constants(a) | constants(b), eval_expr
@@ -71,7 +133,7 @@ def oracle_eq(a: Expr | Poly, b: Expr | Poly) -> bool:
     else:
         names, evaluate = poly_atoms(a) | poly_atoms(b), eval_poly
     if len(names) > ORACLE_ATOM_BUDGET:
-        raise LatticeSizeError(
+        raise BudgetError(
             f"oracle over {len(names)} atoms exceeds budget {ORACLE_ATOM_BUDGET}"
         )
     for bits in itertools.product((False, True), repeat=len(names)):
@@ -104,7 +166,7 @@ def count_monotone_functions(n: int) -> int:
     never drops when a single input bit flips on.  Feasible up to n = 4.
     """
     if n > 4:
-        raise LatticeSizeError(f"monotone brute force infeasible for n = {n}")
+        raise BudgetError(f"monotone brute force infeasible for n = {n}")
     pairs = [
         (pt, pt | (1 << b))
         for b in range(n)
@@ -134,13 +196,13 @@ def fp_algebra_homs(presentation: Presentation) -> list[tuple[int, ...]]:
     """
     gens = list(presentation.generators)
     if len(gens) > HOM_GENERATOR_BUDGET:
-        raise LatticeSizeError(
+        raise BudgetError(
             f"{len(gens)} generators exceed budget {HOM_GENERATOR_BUDGET}"
         )
     for lhs, rhs in presentation.relations:
         extra = (constants(lhs) | constants(rhs)) - set(gens)
         if extra:
-            raise LatticeParseError(f"relation mentions unknown generators {sorted(map(str, extra))!r}")
+            raise ParseError(f"relation mentions unknown generators {sorted(map(str, extra))!r}")
     out: list[tuple[int, ...]] = []
     for bits in itertools.product((0, 1), repeat=len(gens)):
         env = {g: bool(b) for g, b in zip(gens, bits)}

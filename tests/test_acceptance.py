@@ -22,15 +22,13 @@ from trikernel.lattice import (
     Meet,
     Join,
     canon,
-    count_free,
-    enumerate_canonical,
-    leq,
-    phoa_endpoints,
+    decide,
+    monomial_atoms,
 )
 from trikernel.modality import BASE_RULES, GENERATORS, RULES, normalize
 from trikernel.prelude import AXIOM_TAGS, verify_prelude
 
-from lattice_oracle import count_monotone_functions, eval_expr, oracle_eq, phoa_reconstruct
+from lattice_oracle import antichains, count_monotone_functions, eval_expr, named, oracle_eq
 
 
 def report(line):
@@ -94,7 +92,7 @@ def test_lattice_oracle_equivalence():
     by_canon = {}
     by_truth = {}
     for idx, e in enumerate(exprs):
-        by_canon.setdefault(canon(e, table), set()).add(idx)
+        by_canon.setdefault(canon(e, named(table)), set()).add(idx)
         by_truth.setdefault(tuple(eval_expr(e, a) for a in assignments), set()).add(idx)
     assert {frozenset(v) for v in by_canon.values()} == {
         frozenset(v) for v in by_truth.values()
@@ -106,7 +104,7 @@ def test_lattice_oracle_equivalence():
         a = _random_expr(rng, ["x", "y", "z", "w"], 4)
         b = _random_expr(rng, ["x", "y", "z", "w"], 4)
         t = AtomTable()
-        if (canon(a, t) == canon(b, t)) != oracle_eq(a, b):
+        if (canon(a, named(t)) == canon(b, named(t))) != oracle_eq(a, b):
             disagreements += 1
     assert disagreements == 0
     report(f"ok: lattice equality matches the Boolean oracle on all "
@@ -115,10 +113,19 @@ def test_lattice_oracle_equivalence():
 
 
 def test_free_lattice_counts():
+    # the canonical forms over n atoms, read as the kernel's interval terms:
+    # each is its own canonical form, and conversion tells every two apart
     start = time.monotonic()
     expected = {1: 3, 2: 6, 3: 20, 4: 168}
     for n, value in expected.items():
-        assert count_free(n) == value
+        checker = Checker()
+        for i in range(n):
+            checker.atoms.intern(Atom(f"a{i}"))
+        forms = list(antichains(n))
+        terms = [checker._poly_term(p) for p in forms]
+        assert [checker.int_canon(t) for t in terms] == forms
+        assert all(decide(a, b, checker._leaf) is False for a, b in itertools.combinations(terms, 2))
+        assert len(forms) == value
         assert count_monotone_functions(n) == value
     elapsed = time.monotonic() - start
     assert elapsed < 10.0, f"count sweep took {elapsed:.2f}s"
@@ -126,14 +133,32 @@ def test_free_lattice_counts():
            f"in {elapsed:.2f}s")
 
 
+def _form_text(p, names):
+    """The canonical form `p` as text, atom i written `names[i]`."""
+    if not p:
+        return "0"
+    meets = (" /\\ ".join(names[i] for i in monomial_atoms(m)) or "1" for m in p)
+    return " \\/ ".join(f"({meet})" for meet in meets)
+
+
 def test_phoa_reconstruction_exhaustive():
+    # p x = p 0 \/ (x /\ p 1) and p 0 <= p 1 by refl, for p a function of
+    # the atom x; p 0 = p 1 exactly when p does not mention x
+    names = ["x", "y", "z"]
+    lines = [f"axiom {v} : Int" for v in names]
     forms = 0
-    for p in enumerate_canonical(3):
-        for x in range(3):
-            p0, p1 = phoa_endpoints(p, x)
-            assert leq(p0, p1), (p, x)
-            assert phoa_reconstruct(p0, p1, x) == p, (p, x)
+    for k, p in enumerate(antichains(3)):
+        for i, x in enumerate(names):
+            f = f"p{k}{x}"
+            mentions = any(m >> i & 1 for m in p)
+            lines += [f"def {f} : Int -> Int := fun {x} => {_form_text(p, names)}",
+                      f"check refl : {f} {x} = {f} 0 \\/ ({x} /\\ {f} 1)",
+                      f"check refl : {f} 0 /\\ {f} 1 = {f} 0",
+                      ('fail-check "E-CONV" ' if mentions else "check ") + f"refl : {f} 0 = {f} 1"]
             forms += 1
+    diags = Checker().check_source("\n".join(lines) + "\n", "phoa.ttt")
+    assert diags == [], [d.render() for d in diags]
+    assert forms == 60
     report(f"ok: endpoint decomposition and reconstruction on {forms} "
            f"(form, atom) pairs, 0 failures")
 

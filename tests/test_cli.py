@@ -1,7 +1,11 @@
 """CLI behavior: subcommands, exit codes, JSON diagnostics, schema."""
 
+import ast
+import glob
+import itertools
 import json
 import os
+import random
 import re
 import shlex
 import shutil
@@ -61,15 +65,6 @@ def test_mode_cell_none(capsys):
     assert out.strip() == "none (depth 8)"
 
 
-def test_negative_lattice_count_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as exit_info:
-        main(["lattice", "count", "-1"])
-    assert exit_info.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "error: argument n: must be 0 or more" in captured.err
-
-
 def test_mode_parse_failure(capsys):
     code, _, err = run_cli(["mode", "normalize", "q"], capsys)
     assert code == 2
@@ -95,40 +90,66 @@ def test_lattice_nf_prints_a_bare_bound(capsys, expr, bound):
     assert run_cli(["lattice", "nf", expr], capsys) == (0, bound + "\n", "")
 
 
-def test_lattice_leq(capsys):
-    code, out, _ = run_cli(["lattice", "leq", "x/\\y", "x\\/y"], capsys)
-    assert code == 0 and out.strip() == "true"
-    code, out, _ = run_cli(["lattice", "leq", "x", "y"], capsys)
-    assert code == 0 and out.strip() == "false"
-
-
-def test_lattice_phoa(capsys):
-    code, out, _ = run_cli(["lattice", "phoa", "y \\/ (x /\\ z)", "x"], capsys)
-    assert code == 0
-    assert out.strip() == "(y, y \\/ z)"
-
-
-def test_lattice_count(capsys):
-    code, out, _ = run_cli(["lattice", "count", "3"], capsys)
-    assert code == 0 and out.strip() == "20"
-
-
-def test_lattice_count_budget(capsys):
-    code, _, err = run_cli(["lattice", "count", "9"], capsys)
-    assert code == 1
-    assert "E-LATTICE-SIZE" in err
-
-
 def test_lattice_parse_error(capsys):
-    code, _, err = run_cli(["lattice", "nf", "x /\\ ("], capsys)
+    code, out, err = run_cli(["lattice", "nf", "x /\\ ("], capsys)
     assert code == 2
+    assert out == ""
+    assert err.startswith("error: E-PARSE: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize(
-    "expr",
-    ["(" * 3000 + "x" + ")" * 3000, " /\\ ".join(["x"] * 3000)],
-    ids=["deep-parentheses", "long-meet-chain"],
-)
+@pytest.mark.parametrize("args, code", [
+    (["nf", "x y"], "E-CONV"),
+    (["nf", "succ zero"], "E-CONV"),
+    (["nf", "fun x => x"], "E-CONV"),
+    (["eq", "x", "Int"], "E-CONV"),
+    (["eq", "x", "x^{eps0}"], "E-2CELL-BOUNDARY"),
+], ids=["application", "successor", "function", "type", "cell"])
+def test_lattice_non_lattice_input_is_a_usage_error(capsys, args, code):
+    exit_code, out, err = run_cli(["lattice", *args], capsys)
+    assert (exit_code, out) == (2, "")
+    assert err.startswith(f"error: {code}: ") and err.count("\n") == 1
+
+
+def test_lattice_nf_prints_the_side_that_a_failing_refl_prints(capsys):
+    # every word is an axiom `NAME : Int`, and `nf` prints the side as E-CONV
+    # prints it, against a fresh atom so that the check fails
+    rng = random.Random(29)
+    exprs = ["x \\/ (x /\\ y)", "x /\\ (y \\/ z)", "(x /\\ y /\\ z) \\/ w \\/ (y /\\ w)", "0", "1",
+             "x \\/ y \\/ z \\/ w"]
+    for _ in range(40):
+        expr = rng.choice("xyzw")
+        for _ in range(rng.randrange(8)):
+            op = rng.choice([" /\\ ", " \\/ "])
+            expr = f"({expr}){op}{rng.choice('xyzw01')}" if rng.random() < 0.5 else f"{rng.choice('xyzw')}{op}({expr})"
+        exprs.append(expr)
+    for expr in exprs:
+        code, out, _ = run_cli(["lattice", "nf", expr], capsys)
+        assert code == 0
+        source = "".join(f"axiom {v} : Int\n" for v in "xyzw") + f"axiom fresh : Int\ncheck refl : {expr} = fresh\n"
+        [diag] = Checker().check_source(source)
+        assert (diag.code, diag.expected, diag.actual) == ("E-CONV", out[:-1], "fresh"), expr
+
+
+def test_lattice_nf_of_a_meet_of_ten_joins_prints_every_monomial(capsys):
+    meet = " /\\ ".join(f"(x{k} \\/ y{k})" for k in range(10))
+    code, out, _ = run_cli(["lattice", "nf", meet], capsys)
+    assert code == 0
+    monomials = out.split(" \\/ ")
+    assert len(monomials) == 1024
+    # a right-nested join of right-nested meets, each link parenthesized
+    assert monomials[0] == "x0 /\\ " + "".join(f"(x{k} /\\ " for k in range(1, 9)) + "x9" + ")" * 8
+    assert monomials[-1] == "y0 /\\ " + "".join(f"(y{k} /\\ " for k in range(1, 9)) + "y9" + ")" * (8 + 1022) + "\n"
+    chosen = {tuple(m.strip("()\n").replace("(", "").replace(")", "").split(" /\\ ")) for m in monomials}
+    assert chosen == set(itertools.product(*[(f"x{k}", f"y{k}") for k in range(10)]))
+
+
+def test_lattice_nf_of_a_long_meet_chain(capsys):
+    chain = " /\\ ".join(["x"] * 3000)
+    assert run_cli(["lattice", "nf", chain], capsys) == (0, "x\n", "")
+    assert run_cli(["lattice", "eq", chain, "x /\\ x"], capsys) == (0, "true\n", "")
+
+
+@pytest.mark.parametrize("expr", ["(" * 3000 + "x" + ")" * 3000], ids=["deep-parentheses"])
 def test_lattice_too_deep_input_is_a_depth_error(capsys, expr):
     code, out, err = run_cli(["lattice", "nf", expr], capsys)
     assert code == 1
@@ -476,6 +497,17 @@ def test_shipped_schema_matches_code():
     jsonschema.validate(full, SCHEMA)
 
 
+def test_schema_codes_are_the_codes_the_checker_raises():
+    # every diagnostic code is written as one string literal in the package
+    raised = set()
+    for path in glob.glob(os.path.join(ROOT, "src", "trikernel", "*.py")):
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        raised |= {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                   and isinstance(node.value, str) and re.fullmatch(r"E-[A-Z0-9-]+", node.value)}
+    assert set(SCHEMA["properties"]["code"]["enum"]) == raised
+
+
 def test_console_script_entry():
     result = subprocess.run(
         [sys.executable, "-m", "trikernel.cli", "mode", "normalize", "s.g.g"],
@@ -528,4 +560,4 @@ def test_readme_command_block_parses_and_prints_what_it_shows(capsys):
             code, out, _ = run_cli(argv[1:], capsys)
             assert out.strip() == comment[len(" -> "):].strip(), line
             shown += 1
-    assert shown == 8
+    assert shown == 7

@@ -1,5 +1,6 @@
 """Lattice decision procedure tests, oracle-checked."""
 
+import functools
 import itertools
 import random
 
@@ -15,34 +16,55 @@ from trikernel.lattice import (
     Bot,
     Expr,
     Join,
-    LatticeSizeError,
     Meet,
     Top,
     canon,
-    count_free,
-    enumerate_canonical,
-    format_poly,
-    leq,
     monomial_atoms,
-    parse_expr,
-    phoa_endpoints,
     poly_atom,
     poly_join,
     poly_meet,
-    subst,
 )
 
 from lattice_oracle import (
+    BudgetError,
     Presentation,
+    antichains,
     count_monotone_functions,
     dualize,
     eval_expr,
     fp_algebra_homs,
+    named,
     oracle_eq,
+    parse,
     phoa_reconstruct,
 )
 
 X, Y, Z = Atom("x"), Atom("y"), Atom("z")
+
+
+def leq(p, q):
+    """The lattice order: p <= q exactly when p /\\ q = p."""
+    return poly_meet(p, q) == p
+
+
+def ids(n):
+    """A table in which the atom named i has id i, for i < n."""
+    table = AtomTable()
+    for i in range(n):
+        table.intern(i)
+    return table
+
+
+def form(p, leaf=Atom):
+    """An expression of the canonical form `p`, its atom i written `leaf(i)`."""
+    return functools.reduce(Join, (functools.reduce(Meet, map(leaf, monomial_atoms(m)), Top())
+                                   for m in p), Bot())
+
+
+def endpoints(p, x, table):
+    """`p` at x = 0 and at x = 1, each folded by `canon`."""
+    return tuple(canon(form(p, lambda i: bound if i == x else Atom(i)), named(table))
+                 for bound in (Bot(), Top()))
 
 
 def exprs_of_depth(depth, leaves):
@@ -71,24 +93,24 @@ def random_expr(rng, atoms, depth):
 
 
 def test_canon_distributivity():
-    table = AtomTable()
-    lhs = canon(Meet(X, Join(Y, Z)), table)
-    rhs = canon(Join(Meet(X, Y), Meet(X, Z)), table)
+    atom = named(AtomTable())
+    lhs = canon(Meet(X, Join(Y, Z)), atom)
+    rhs = canon(Join(Meet(X, Y), Meet(X, Z)), atom)
     assert lhs == rhs
 
 
 def test_canon_absorption_and_units():
-    table = AtomTable()
-    assert canon(Join(X, Meet(X, Y)), table) == canon(X, table)
-    assert canon(Meet(Top(), Join(X, Top())), table) == ONE
-    assert canon(Meet(X, Bot()), table) == ZERO
+    atom = named(AtomTable())
+    assert canon(Join(X, Meet(X, Y)), atom) == canon(X, atom)
+    assert canon(Meet(Top(), Join(X, Top())), atom) == ONE
+    assert canon(Meet(X, Bot()), atom) == ZERO
 
 
 def test_eq_leq_examples():
-    table = AtomTable()
-    assert canon(Meet(X, Y), table) == canon(Meet(Y, X), table)
-    assert leq(canon(Meet(X, Y), table), canon(Join(X, Y), table))
-    assert not leq(canon(X, table), canon(Y, table))
+    atom = named(AtomTable())
+    assert canon(Meet(X, Y), atom) == canon(Meet(Y, X), atom)
+    assert leq(canon(Meet(X, Y), atom), canon(Join(X, Y), atom))
+    assert not leq(canon(X, atom), canon(Y, atom))
 
 
 def test_oracle_examples():
@@ -102,7 +124,7 @@ def test_oracle_budget():
     lhs = big[0]
     for a in big[1:]:
         lhs = Meet(lhs, a)
-    with pytest.raises(LatticeSizeError):
+    with pytest.raises(BudgetError):
         oracle_eq(lhs, Bot())
 
 
@@ -124,7 +146,7 @@ def test_eq_matches_oracle_exhaustive_two_atoms_depth3():
     by_canon = {}
     by_truth = {}
     for idx, e in enumerate(exprs):
-        c = canon(e, table)
+        c = canon(e, named(table))
         t = tuple(eval_expr(e, a) for a in assignments)
         by_canon.setdefault(c, set()).add(idx)
         by_truth.setdefault(t, set()).add(idx)
@@ -162,7 +184,7 @@ def test_eq_matches_oracle_random_10000_pairs():
         a = random_expr(rng, atoms, 4)
         b = random_expr(rng, atoms, 4)
         table = AtomTable()
-        if (canon(a, table) == canon(b, table)) != oracle_eq(a, b):
+        if (canon(a, named(table)) == canon(b, named(table))) != oracle_eq(a, b):
             disagreements += 1
         if k % 50 == 0:
             absorbed = Join(commuted(a), Meet(a, random_expr(extra, atoms, 2)))
@@ -174,53 +196,49 @@ def test_eq_matches_oracle_random_10000_pairs():
 
 
 def test_phoa_examples():
-    table = AtomTable()
-    x = table.intern("x")
-    p = canon(X, table)
-    p0, p1 = phoa_endpoints(p, x)
+    table = ids(3)
+    p = poly_atom(0)
+    p0, p1 = endpoints(p, 0, table)
     assert p0 == ZERO and p1 == ONE
-    assert phoa_reconstruct(p0, p1, x) == p
+    assert phoa_reconstruct(p0, p1, 0) == p
 
-    p = canon(Top(), table)
-    assert phoa_endpoints(p, x) == (ONE, ONE)
+    assert endpoints(ONE, 0, table) == (ONE, ONE)
 
-    table2 = AtomTable()
-    x2 = table2.intern("x")
-    y2 = table2.intern("y")
-    z2 = table2.intern("z")
-    p = canon(Join(Y, Meet(X, Z)), table2)
-    p0, p1 = phoa_endpoints(p, x2)
-    assert p0 == poly_atom(y2)
-    assert p1 == poly_join(poly_atom(y2), poly_atom(z2))
-    assert phoa_reconstruct(p0, p1, x2) == p
+    p = canon(Join(Atom(1), Meet(Atom(0), Atom(2))), named(table))
+    p0, p1 = endpoints(p, 0, table)
+    assert p0 == poly_atom(1)
+    assert p1 == poly_join(poly_atom(1), poly_atom(2))
+    assert phoa_reconstruct(p0, p1, 0) == p
 
 
 def test_phoa_reconstruction_exhaustive_three_atoms():
-    for p in enumerate_canonical(3):
+    table = ids(3)
+    for p in antichains(3):
+        assert canon(form(p), named(table)) == p
         for x in range(3):
-            p0, p1 = phoa_endpoints(p, x)
+            p0, p1 = endpoints(p, x, table)
             assert leq(p0, p1)
             assert phoa_reconstruct(p0, p1, x) == p
 
 
 def test_straight_line_homotopy_monotone():
     # substituting x := x /\ t pointwise can only shrink the polynomial
-    t = 10  # fresh atom id outside 0..2
-    for p in enumerate_canonical(3):
-        shrunk = subst(p, {x: poly_meet(poly_atom(x), poly_atom(t)) for x in range(3)})
+    table = ids(3)
+    for p in antichains(3):
+        shrunk = canon(form(p, lambda i: Meet(Atom(i), Atom("t"))), named(table))
         assert leq(shrunk, p)
 
 
 def test_dualize_examples():
-    table = AtomTable()
-    assert dualize(canon(Meet(X, Y), table)) == canon(Join(X, Y), table)
+    atom = named(AtomTable())
+    assert dualize(canon(Meet(X, Y), atom)) == canon(Join(X, Y), atom)
     assert dualize(ZERO) == ONE
-    p = canon(Join(X, Meet(Y, Z)), table)
+    p = canon(Join(X, Meet(Y, Z)), atom)
     assert dualize(dualize(p)) == p
 
 
 def test_dualize_involution_and_antihom_exhaustive():
-    forms = list(enumerate_canonical(2))
+    forms = list(antichains(2))
     for p in forms:
         assert dualize(dualize(p)) == p
         for q in forms:
@@ -229,20 +247,29 @@ def test_dualize_involution_and_antihom_exhaustive():
 
 
 def test_count_free_values():
-    assert count_free(1) == 3
-    assert count_free(2) == 6
-    assert count_free(3) == 20
-    assert count_free(4) == 168
+    # the free lattice on n atoms has one element per canonical form
+    for n, value in {1: 3, 2: 6, 3: 20, 4: 168}.items():
+        table = ids(n)
+        forms = list(antichains(n))
+        assert len(set(forms)) == len(forms) == value
+        assert all(canon(form(p), named(table)) == p for p in forms)
 
 
 def test_count_free_matches_monotone_oracle():
     for n in range(5):
-        assert count_free(n) == count_monotone_functions(n)
+        assert sum(1 for _ in antichains(n)) == count_monotone_functions(n)
 
 
-def test_count_budget():
-    with pytest.raises(LatticeSizeError):
-        count_free(6)
+def test_format_poly():
+    # a canonical form prints, through the atom table, as text that parses
+    # back to the same form
+    checker = Checker()
+    for name in "xyz":
+        checker.atoms.intern(Atom(name))
+    p = canon(Join(Meet(X, Y), Z), checker._atom)
+    assert print_core(checker._poly_term(p)) == "x /\\ y \\/ z"
+    for q in antichains(3):
+        assert canon(parse(print_core(checker._poly_term(q))), checker._atom) == q
 
 
 def test_fp_algebra_homs():
@@ -257,7 +284,7 @@ def test_fp_algebra_homs():
 
 
 def test_fp_algebra_budget():
-    with pytest.raises(LatticeSizeError):
+    with pytest.raises(BudgetError):
         fp_algebra_homs(Presentation(["a", "b", "c", "d", "e"]))
 
 
@@ -267,27 +294,16 @@ def test_parse_and_format_roundtrip():
                        (Meet, core.MeetT), (Join, core.JoinT), (Expr, core.Term)]:
         assert name is term
     text = "x /\\ (y \\/ z)"
-    e = parse_expr(text)
+    e = parse(text)
     assert e == Meet(X, Join(Y, Z))
-    assert parse_expr(print_core(e)) == e
-    assert parse_expr("0 \\/ 1 /\\ x") == Join(Bot(), Meet(Top(), X))
+    assert parse(print_core(e)) == e
+    assert parse("0 \\/ 1 /\\ x") == Join(Bot(), Meet(Top(), X))
     right_nested = Meet(X, Meet(Y, Z))
-    assert parse_expr(print_core(right_nested)) == right_nested
+    assert parse(print_core(right_nested)) == right_nested
     rng = random.Random(20261018)
     for e in [Bot(), Top(), Join(X, Join(Y, Top()))] + [
             random_expr(rng, ["x", "y", "z"], 5) for _ in range(500)]:
-        assert parse_expr(print_core(e)) == e, e
-
-
-def test_format_poly():
-    table = AtomTable()
-    p = canon(Join(Meet(X, Y), Z), table)
-    # deterministic rendering through the atom table
-    rendered = format_poly(p, table)
-    assert parse_expr(rendered) is not None
-    assert canon(parse_expr(rendered), AtomTable()) == canon(
-        parse_expr("(x /\\ y) \\/ z"), AtomTable()
-    )
+        assert parse(print_core(e)) == e, e
 
 
 # Monomials as frozensets of atom ids: the slow path that the bitmask

@@ -11,7 +11,7 @@ from trikernel.core import App, Const, I0, I1, JoinT, MeetT, constants
 from trikernel.kernel import Checker
 from trikernel.lattice import Atom, Bot, Join, Meet, Top
 
-from lattice_oracle import eval_expr, oracle_eq
+from lattice_oracle import eval_expr, named, oracle_eq
 
 _XS = 20
 _HEADER = ("".join(f"axiom x{i} : Int\n" for i in range(_XS))
@@ -189,9 +189,10 @@ def test_equal_agrees_with_canonical_forms():
             rhs = _rewrite(rng, lhs, [_Leaf(a, a) for a in names])
             if rng.random() < 0.5:
                 rhs = _mutate(rng, rhs, [_Leaf(a, a) for a in names])
-            table = lattice.AtomTable()
-            same = lattice.canon(lhs.expr, table) == lattice.canon(rhs.expr, table)
-            assert lattice.equal(lhs.expr, rhs.expr) == same
+            atom = named(lattice.AtomTable())
+            same = lattice.canon(lhs.expr, atom) == lattice.canon(rhs.expr, atom)
+            decided = lattice.decide(lhs.expr, rhs.expr, atom)
+            assert decided == (same if n <= lattice.TABLE_ATOMS else None)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 9, lattice.TABLE_ATOMS])
