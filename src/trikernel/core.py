@@ -6,7 +6,10 @@ collapses to ``A``.  The smart builders enforce this, so conversion can stay
 structural.  Whether a binder binds an interval variable is decided in one
 place, `binds_interval`: it is unannotated and its domain is ``IntT`` itself.
 `_ROWS` is the one table of term structure: shifting, substitution, the
-2-cell action, syntactic equality and conversion all walk it.
+2-cell action, syntactic equality and conversion all walk it.  Beside it the
+walks read two views of `_FIELDS`: `_KIDS`, the subterm fields of each former
+in field order (the fields `_ROWS` lists), and `_LEAVES`, the formers other
+than `Var` that have none, which a walk settles without a call.
 """
 
 from __future__ import annotations
@@ -270,18 +273,27 @@ def _rows(t: Term) -> tuple[tuple[str, int, Word], ...]:
     return rows if type(rows) is tuple else rows(t)
 
 
-# The fields of each term former in order, and those that hold no subterm:
-# words, names, levels, cells.
+# The fields of each term former in order; those that hold no subterm (words,
+# names, levels, cells); those that hold one, which are the fields its `_ROWS`
+# entry lists; and the formers other than `Var` with no subterm.
 _FIELDS = {cls: fields(cls) for cls in Term.__subclasses__()}
 _DATA_FIELDS = {
     cls: tuple(name for name, ann in table.items() if ann != "Term")
     for cls, table in _FIELDS.items()
 }
+_KIDS = {
+    cls: tuple(name for name, ann in table.items() if ann == "Term")
+    for cls, table in _FIELDS.items()
+}
+_LEAVES = frozenset(cls for cls, kids in _KIDS.items() if not kids and cls is not Var)
 
 
 def same_data(a: Term, b: Term) -> bool:
     """Whether two terms of the same former agree on every non-term field."""
-    return all(getattr(a, name) == getattr(b, name) for name in _DATA_FIELDS[type(a)])
+    for name in _DATA_FIELDS[type(a)]:
+        if getattr(a, name) != getattr(b, name):
+            return False
+    return True
 
 
 def syn_eq(a: Term, b: Term) -> bool:
@@ -296,9 +308,14 @@ def syn_eq(a: Term, b: Term) -> bool:
         a, b = todo.pop()
         if a is b:
             continue
-        if type(a) is not type(b) or not same_data(a, b):
+        cls = type(a)
+        if cls is not type(b):
             return False
-        todo.extend((getattr(a, name), getattr(b, name)) for name, _, _ in _rows(a))
+        for name in _DATA_FIELDS[cls]:
+            if getattr(a, name) != getattr(b, name):
+                return False
+        for name in _KIDS[cls]:
+            todo.append((getattr(a, name), getattr(b, name)))
     return True
 
 
@@ -313,20 +330,31 @@ def subterms(t: Term) -> Iterator[tuple[Term, int]]:
 
 def _map(t: Term, fn: Callable[[Var, int, Word], Term], depth: int = 0,
          locks: Word = ()) -> Term:
-    """Rebuild `t` with `fn(var, depth, locks)` in place of every variable."""
+    """Rebuild `t` with `fn(var, depth, locks)` in place of every variable;
+    a leaf child is kept, and a variable child mapped, without a recursive call."""
     cls = type(t)
     if cls is Var:
         return fn(t, depth, locks)
-    rows = _rows(t)
-    if not rows:
+    if cls in _LEAVES:
         return t
-    changes = {}
+    rows = _ROWS[cls]
+    if type(rows) is not tuple:
+        rows = rows(t)
+    changes = None
     for name, binders, word in rows:
         child = getattr(t, name)
-        new = _map(child, fn, depth + binders, locks + word if word else locks)
+        kind = type(child)
+        if kind in _LEAVES:
+            continue
+        if kind is Var:
+            new = fn(child, depth + binders, locks + word if word else locks)
+        else:
+            new = _map(child, fn, depth + binders, locks + word if word else locks)
         if new is not child:
+            if changes is None:
+                changes = {}
             changes[name] = new
-    if not changes:
+    if changes is None:
         return t
     return cls(*[changes[name] if name in changes else getattr(t, name)
                  for name in _FIELDS[cls]])

@@ -105,6 +105,10 @@ def default_stdlib_dir() -> str:
     return str(resources.files("trikernel") / "stdlib")
 
 
+# The most digits an expected line or column may have.
+_POSITION_DIGITS = 9
+
+
 def parse_manifest(text: str) -> Manifest:
     entries: list[ManifestEntry] = []
     substitution: list[str] = []
@@ -130,6 +134,9 @@ def parse_manifest(text: str) -> Manifest:
                 raise ManifestError(
                     f"malformed expectation {expect!r}, not pass, CODE or CODE:LINE:COLUMN")
             if where:
+                if max(map(len, where)) > _POSITION_DIGITS:
+                    raise ManifestError(f"line or column of more than {_POSITION_DIGITS} "
+                                        f"digits in the expectation for {file}")
                 line_no, col_no = map(int, where)
         entries.append(
             ManifestEntry(

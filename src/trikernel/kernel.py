@@ -65,7 +65,7 @@ from .core import (
     Up,
     Var,
     Zero,
-    _rows,
+    _KIDS,
     apply_cell,
     binds_interval,
     constants,
@@ -355,13 +355,16 @@ class Checker:
                 return tw.ix == uw.ix and self.cells_equal(tw.cell, uw.cell)
             if not same_data(tw, uw):
                 return False
-            kids = [(getattr(tw, n), getattr(uw, n)) for n, _, _ in _rows(tw)]
+            kids = _KIDS[type(tw)]
             if len(kids) != 1:
-                return all(self.conv(va, vb) for va, vb in kids)
+                for name in kids:
+                    if not self.conv(getattr(tw, name), getattr(uw, name)):
+                        return False
+                return True
             # tw and uw differ syntactically only in their one subterm: compare
             # it without the syntactic test, so that a `Suc` chain costs linear
             # time and no recursion
-            ((t, u),) = kids
+            t, u = getattr(tw, kids[0]), getattr(uw, kids[0])
 
     # -- type synthesis ----------------------------------------------------------
 

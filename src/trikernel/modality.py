@@ -63,6 +63,8 @@ def check_word(word: Word) -> Word:
 
 def normalize(word: Word) -> Word:
     """Unique normal form of a word under the completed rewrite system."""
+    if not word:
+        return ()
     out = list(check_word(word))
     i = 0
     while i + 1 < len(out):

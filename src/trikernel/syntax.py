@@ -77,6 +77,12 @@ _TOKEN = re.compile(
 _GROUP_KINDS = (None, "KEYWORD", "WORD", "PUNCT", "NUMBER", "STRING", "EOF", "OTHER")
 _PUNCT_KIND = dict(_PUNCT)
 
+# The largest numeral the parser accepts, as a `Nat` literal or a universe
+# level.  A literal elaborates to a chain of that many `Suc`, about 100 bytes
+# each, and 10^6 of them check in about a second.
+MAX_NUMERAL = 10**6
+_NUMERAL_DIGITS = len(str(MAX_NUMERAL))
+
 
 class Tokens:
     """A token stream as parallel lists, EOF last; perfbench's tracer counts
@@ -356,6 +362,17 @@ class Parser:
         """An E-PARSE at the current token."""
         _parse_error(message, self.spans[self.pos], self.file)
 
+    def numeral(self, pos: int) -> int:
+        """The value of the NUMBER token at `pos`, an E-PARSE there if it is
+        over `MAX_NUMERAL`.  Only its last digits are converted as a number,
+        so a long token costs time linear in its length."""
+        text = self.texts[pos]
+        head, tail = text[:-_NUMERAL_DIGITS], text[-_NUMERAL_DIGITS:]
+        if any(int(digit) for digit in head) or int(tail) > MAX_NUMERAL:
+            _parse_error(f"numeral larger than {MAX_NUMERAL}, the largest accepted",
+                         self.spans[pos], self.file)
+        return int(tail)
+
     def parse_word_tokens(self) -> Word:
         start = self.pos
         while self.kinds[self.pos] in ("IDENT", "NUMBER", "DOT"):
@@ -573,7 +590,7 @@ class Parser:
             return inner
         if kind == "NUMBER":
             self.pos = pos + 1
-            return SNum(int(self.texts[pos]), span=self.spans[pos])
+            return SNum(self.numeral(pos), span=self.spans[pos])
         if kind == "KEYWORD" and self.texts[pos] in _KEYWORD_ATOMS:
             return self.parse_keyword_atom()
         if kind == "LT":
@@ -606,7 +623,7 @@ class Parser:
             return CALLS[kw](*args, span=(start, self.spans[end][1]))
         if kw == "U":
             num = self.expect("NUMBER", "a universe level")
-            return SUniv(int(self.texts[num]), span=(start, self.spans[num][1]))
+            return SUniv(self.numeral(num), span=(start, self.spans[num][1]))
         if kw == "refl":
             return SRefl(span=span)
         if kw == "mod":

@@ -1,12 +1,14 @@
 """Helpers that only the tests use: a 2-cell's boundary check, the text of a
 declaration for round-trip tests, and the plain references that the lock
-words of a variable and the normal form of a 2-cell are compared against.
+words of a variable, the normal form of a 2-cell and the term walks are
+compared against.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from trikernel.core import _DATA_FIELDS, _FIELDS, Term, Var, _rows
 from trikernel.modality import (
     ModeError,
     TwoCell,
@@ -81,3 +83,41 @@ def fixpoint_normalize(cell: TwoCell) -> TwoCell:
             else:
                 i += 1
     return TwoCell(normalize(cell.src), normalize(cell.dst), tuple(steps))
+
+
+def reference_same_data(a: Term, b: Term) -> bool:
+    """`core.same_data` by a generator over the data fields."""
+    return all(getattr(a, name) == getattr(b, name) for name in _DATA_FIELDS[type(a)])
+
+
+def reference_syn_eq(a: Term, b: Term) -> bool:
+    """`core.syn_eq` with each node's subterms read from its `_rows`."""
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        if type(a) is not type(b) or not reference_same_data(a, b):
+            return False
+        todo.extend((getattr(a, name), getattr(b, name)) for name, _, _ in _rows(a))
+    return True
+
+
+def reference_map(t: Term, fn, depth: int = 0, locks: tuple[str, ...] = ()) -> Term:
+    """`core._map` with one recursive call per subterm, leaves included."""
+    cls = type(t)
+    if cls is Var:
+        return fn(t, depth, locks)
+    rows = _rows(t)
+    if not rows:
+        return t
+    changes = {}
+    for name, binders, word in rows:
+        child = getattr(t, name)
+        new = reference_map(child, fn, depth + binders, locks + word if word else locks)
+        if new is not child:
+            changes[name] = new
+    if not changes:
+        return t
+    return cls(*[changes[name] if name in changes else getattr(t, name)
+                 for name in _FIELDS[cls]])

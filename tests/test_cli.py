@@ -11,6 +11,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import time
 
 import jsonschema
 import pytest
@@ -196,6 +197,49 @@ def test_check_too_deep_input_json(capsys, tmp_path, text):
     code, out, _ = run_cli(["check", str(path), "--json"], capsys)
     assert code == 1
     assert [obj["code"] for obj in json_diagnostics(out)] == ["E-DEPTH"]
+
+
+_DIGITS = "9" * 5000
+
+
+@pytest.mark.parametrize("text, column", [
+    (f"def n : Nat := {_DIGITS}\n", 16),
+    (f"check U {_DIGITS} : U 0\n", 9),
+    ("def n : Nat := 99999999999999999999999\n", 16),
+], ids=["long-literal", "long-level", "literal-past-memory"])
+def test_check_numeral_over_the_bound_is_a_parse_error(capsys, tmp_path, text, column):
+    path = tmp_path / "numeral.ttt"
+    path.write_text(text, encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(["check", str(path), "--json"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (1, "")
+    [obj] = json_diagnostics(out)
+    assert (obj["code"], obj["line"], obj["column"]) == ("E-PARSE", 1, column)
+    assert obj["message"] == "numeral larger than 1000000, the largest accepted"
+
+
+def test_lattice_numeral_over_the_bound_is_a_usage_error(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(["lattice", "nf", _DIGITS], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (
+        2, "", "error: E-PARSE: numeral larger than 1000000, the largest accepted\n")
+
+
+def test_an_over_long_expected_position_in_the_manifest_is_a_usage_error(capsys, tmp_path):
+    library = tmp_path / "library"
+    shutil.copytree(STDLIB, library)
+    manifest = library / "manifest.txt"
+    text = manifest.read_text()
+    assert "| E-MODALITY:3:17 |" in text
+    manifest.write_text(text.replace("| E-MODALITY:3:17 |", f"| E-MODALITY:{_DIGITS}:17 |"))
+    start = time.perf_counter()
+    code, out, err = run_cli(["corpus", "run", "--stdlib", str(library)], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (
+        2, "", f"error: {manifest}: line or column of more than 9 digits in the "
+        "expectation for neg/escape-s.ttt\n")
 
 
 @pytest.mark.parametrize("text, diagnostic", [

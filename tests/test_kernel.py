@@ -41,6 +41,8 @@ from trikernel.core import (
     Up,
     Var,
     Zero,
+    _KIDS,
+    _LEAVES,
     _ROWS,
     _rows,
     apply_cell,
@@ -383,13 +385,17 @@ def test_apply_cell_whiskers_under_mod():
 
 def test_children_lists_every_term_field_in_order():
     # a former missing from `_rows` would be a leaf to shift, subst,
-    # apply_cell, syntactic equality and conversion
+    # apply_cell, syntactic equality and conversion; `_KIDS` names the same
+    # fields, and `_LEAVES` holds the formers other than `Var` that have none
     data = {"int": 0, "str": "c", "Word": ("o",), "Optional[TwoCell]": None}
     for cls in Term.__subclasses__():
         term = cls(**{name: Var(n) if ann == "Term" else data[ann]
                       for n, (name, ann) in enumerate(fields(cls).items())})
         expected = [(name, getattr(term, name)) for name, ann in fields(cls).items() if ann == "Term"]
         assert [(name, getattr(term, name)) for name, *_ in _rows(term)] == expected, cls
+        assert _KIDS[cls] == tuple(name for name, _ in expected), cls
+    assert _LEAVES == {cls for cls in Term.__subclasses__()
+                       if cls is not Var and "Term" not in fields(cls).values()}
 
 
 def test_binding_table_has_a_row_for_exactly_the_formers_with_subterms():

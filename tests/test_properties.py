@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from trikernel import core
 from trikernel.core import (
     App,
     I0,
@@ -18,17 +19,21 @@ from trikernel.core import (
     Pair,
     Pi,
     Refl,
+    Term,
     Univ,
     Var,
     apply_cell,
     instantiate,
+    same_data,
     shift,
     subst,
     subterms,
+    syn_eq,
 )
 from trikernel.corpus import default_stdlib_dir, load_manifest
 from trikernel.kernel import Checker
 from trikernel.modality import (
+    ModeError,
     cell_normalize,
     cell_search,
     generator_cell,
@@ -36,9 +41,10 @@ from trikernel.modality import (
     normalize,
 )
 from trikernel.prelude import load_prelude
+from trikernel.record import fields
 from trikernel.syntax import parse_term
 
-from support import validate
+from support import reference_map, reference_same_data, reference_syn_eq, validate
 
 
 def loaded_checker():
@@ -54,6 +60,50 @@ def loaded_checker():
 
 
 CHECKER = loaded_checker()
+
+# The non-identity 2-cells that generated variables carry.
+CELLS = [generator_cell(name) for name in ("eps0", "eta_gs", "eps_gs", "eta_pa", "eps_pa")]
+CELLS += [cell_search(("g",), ()), cell_search((), ("s",))]
+
+
+def random_term(rng, depth, free, annotated):
+    """A term over Var 0 .. free - 1 with interval (`Int`) and modal binders;
+    with `annotated`, variables carry 2-cells from `CELLS`."""
+    roll = rng.randrange(8) if depth else 0
+    sub = lambda: random_term(rng, depth - 1, free, annotated)
+    under = lambda: random_term(rng, depth - 1, free + 1, annotated)
+    if roll == 0:
+        cell = rng.choice(CELLS) if annotated and rng.random() < 0.5 else None
+        return Var(rng.randrange(free), cell)
+    if roll == 1:
+        return App(sub(), sub())
+    if roll == 2:
+        return Lam(under())
+    if roll == 3:
+        return Pi((), INT, under())  # an interval binder: its codomain is under p
+    if roll == 4:
+        return Pi(("g",), sub(), under())
+    if roll == 5:
+        return Modify(("g",), sub())
+    if roll == 6:
+        return Pair(sub(), MeetT(sub(), I1()))
+    return rng.choice([I0(), Univ(0), INT])
+
+
+def peeled(t):
+    """`t` under at most three of its leading binders."""
+    for _ in range(3):
+        if isinstance(t, Lam):
+            t = t.body
+        elif isinstance(t, Pi):
+            t = t.cod
+    return t
+
+
+def rebuilt(t):
+    """A copy of `t` that shares no node with it."""
+    return type(t)(*[rebuilt(v) if isinstance(v, Term) else v
+                     for v in (getattr(t, name) for name in fields(type(t)))])
 
 
 def test_conv_reflexive_on_all_corpus_globals():
@@ -220,51 +270,82 @@ def test_instantiate_is_substitution_one_argument_at_a_time():
     application spine use, is the same term as substituting `a` for Var 1
     under the binder of Var 0, then `c` for Var 0."""
     rng = random.Random(41)
-    cells = [generator_cell(name) for name in ("eps0", "eta_gs", "eps_gs", "eta_pa", "eps_pa")]
-    cells += [cell_search(("g",), ()), cell_search((), ("s",))]
-
-    def random_term(depth, free, annotated):
-        """A term over Var 0 .. free - 1 with interval (`Int`) and modal
-        binders; with `annotated`, variables carry 2-cells."""
-        roll = rng.randrange(8) if depth else 0
-        sub = lambda: random_term(depth - 1, free, annotated)
-        under = lambda: random_term(depth - 1, free + 1, annotated)
-        if roll == 0:
-            cell = rng.choice(cells) if annotated and rng.random() < 0.5 else None
-            return Var(rng.randrange(free), cell)
-        if roll == 1:
-            return App(sub(), sub())
-        if roll == 2:
-            return Lam(under())
-        if roll == 3:
-            return Pi((), INT, under())  # an interval binder: its codomain is under p
-        if roll == 4:
-            return Pi(("g",), sub(), under())
-        if roll == 5:
-            return Modify(("g",), sub())
-        if roll == 6:
-            return Pair(sub(), MeetT(sub(), I1()))
-        return rng.choice([I0(), Univ(0), INT])
 
     def one_at_a_time(body, a, c):
         return subst(subst(Lam(body), a).body, c)
 
-    def peeled(t):
-        """`t` under at most three of its leading binders."""
-        for _ in range(3):
-            if isinstance(t, Lam):
-                t = t.body
-            elif isinstance(t, Pi):
-                t = t.cod
-        return t
-
     bodies = [peeled(t) for g in CHECKER.globals.values() for t in (g.ty, g.body)
               if t is not None and isinstance(t, (Lam, Pi))]
-    bodies = rng.sample(bodies, 120) + [random_term(5, 4, True) for _ in range(300)]
+    bodies = rng.sample(bodies, 120) + [random_term(rng, 5, 4, True) for _ in range(300)]
     annotated_uses = 0
     for body in bodies:
         annotated_uses += any(isinstance(u, Var) and u.cell is not None and u.ix - d in (0, 1)
                               for u, d in subterms(body))
-        a, c = random_term(3, 3, False), random_term(3, 3, False)
+        a, c = random_term(rng, 3, 3, False), random_term(rng, 3, 3, False)
         assert instantiate(body, (a, c)) == one_at_a_time(body, a, c)
     assert annotated_uses > 50
+
+
+def test_table_driven_walks_agree_with_the_generic_references():
+    """`syn_eq`, `same_data` and the `_map` under `shift`, `instantiate` and
+    `apply_cell` give what the generic walks of `support` give, and return
+    their input object exactly when those do, on every global of one checker
+    per passing manifest file and on generated terms with annotated
+    variables."""
+    rng = random.Random(43)
+    base = default_stdlib_dir()
+    manifest = load_manifest()
+    terms = []
+    for entry in manifest.entries:
+        if entry.expect_code is not None:
+            continue
+        checker = Checker()
+        assert load_prelude(checker) == []
+        for file in manifest.files[entry.file][1] + [entry.file]:
+            with open(os.path.join(base, file), encoding="utf-8") as handle:
+                assert checker.check_source(handle.read(), file) == []
+        globals_ = [t for g in checker.globals.values() for t in (g.ty, g.body) if t is not None]
+        terms += globals_ + [peeled(t) for t in globals_ if isinstance(t, (Lam, Pi))]
+    assert len(terms) > 11 * 2 * 104
+    terms += [random_term(rng, 5, 4, True) for _ in range(300)]
+    small = [random_term(rng, 3, 3, False) for _ in range(30)]
+
+    walks = []
+    for t in terms:
+        by, cutoff, n = rng.randint(1, 3), rng.randint(0, 2), rng.randint(1, 3)
+        args = tuple(rng.choice(small) for _ in range(n))
+        walks.append((t, lambda t=t, by=by, cutoff=cutoff: shift(t, by, cutoff)))
+        walks.append((t, lambda t=t, args=args: instantiate(t, args)))
+        walks.append((t, lambda t=t, cell=rng.choice(CELLS): apply_cell(t, cell)))
+
+    def outcomes():
+        out = []
+        for t, walk in walks:
+            try:
+                result = walk()
+            except ModeError as exc:  # a cell whiskered onto a mismatched one
+                out.append((False, exc.code))
+            else:
+                out.append((result is t, result))
+        return out
+
+    table_driven = outcomes()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_map", reference_map)
+        reference = outcomes()
+    assert len(table_driven) == len(reference) == 3 * len(terms)
+    changed = 0
+    for (same, new), (ref_same, ref) in zip(table_driven, reference):
+        assert same == ref_same
+        assert new == ref if isinstance(ref, str) else reference_syn_eq(new, ref)
+        changed += not ref_same
+    assert changed > len(terms) // 2
+
+    for t in terms:
+        copy = rebuilt(t)
+        assert copy is not t and syn_eq(t, copy) and reference_syn_eq(t, copy)
+    for _ in range(3000):
+        a, b = rng.choice(terms), rng.choice(terms)
+        assert syn_eq(a, b) == reference_syn_eq(a, b)
+        if type(a) is type(b):
+            assert same_data(a, b) == reference_same_data(a, b)

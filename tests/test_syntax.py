@@ -450,6 +450,21 @@ def test_non_decimal_numeric_character_is_a_parse_error():
     assert parse_term("x²") == SVar("x²")
 
 
+def test_numerals_over_the_bound_are_parse_errors_at_their_token():
+    assert syntax.MAX_NUMERAL == 10**6
+    assert parse_term("1000000") == SNum(10**6)
+    assert parse_term("0" * 5000 + "7") == SNum(7)
+    assert parse_term("٠" * 10 + "٣") == SNum(3)
+    assert parse_term("U 1000000") == SUniv(10**6)
+    for text, span in [("1000001", (0, 7)), ("9" * 5000, (0, 5000)), ("U 1000001", (2, 9)),
+                       ("f 10000000000000000000000 x", (2, 25))]:
+        with pytest.raises(KernelError) as err:
+            parse_term(text)
+        diagnostic = err.value.diagnostic
+        assert (diagnostic.code, diagnostic.span) == ("E-PARSE", span), text
+        assert diagnostic.message == "numeral larger than 1000000, the largest accepted"
+
+
 def _shipped_texts():
     """The prelude and the 17 library files."""
     package = os.path.dirname(syntax.__file__)
