@@ -109,6 +109,11 @@ def default_stdlib_dir() -> str:
 _POSITION_DIGITS = 9
 
 
+def _items(text: str) -> list[str]:
+    """The non-empty items of a comma-separated manifest list, stripped."""
+    return [item for item in map(str.strip, text.split(",")) if item]
+
+
 def parse_manifest(text: str) -> Manifest:
     entries: list[ManifestEntry] = []
     substitution: list[str] = []
@@ -117,9 +122,7 @@ def parse_manifest(text: str) -> Manifest:
         if line.startswith("#"):
             body = line.lstrip("#").strip()
             if body.startswith("!substitution:"):
-                substitution = [
-                    a.strip() for a in body[len("!substitution:"):].split(",") if a.strip()
-                ]
+                substitution = _items(body[len("!substitution:"):])
             continue
         if not line:
             continue
@@ -144,8 +147,8 @@ def parse_manifest(text: str) -> Manifest:
                 expect_code=code,
                 expect_line=line_no,
                 expect_column=col_no,
-                deps=[d for d in deps.split(",") if d],
-                anchors=[a for a in anchors.split(",") if a],
+                deps=_items(deps),
+                anchors=_items(anchors),
             )
         )
     by_file: dict[str, ManifestEntry] = {}

@@ -299,7 +299,6 @@ def _expansions(word: Word) -> Iterator[tuple[Step, Word]]:
 
 SEARCH_DEPTH = 8
 _SEARCH_SLACK = 4
-_search_cache: dict[tuple[Word, Word], Optional[TwoCell]] = {}
 
 
 def _unreachable(start: Word, goal: Word) -> bool:
@@ -327,9 +326,6 @@ def cell_search(src: Word, dst: Word) -> Optional[TwoCell]:
         return identity_cell(start)
     if _unreachable(start, goal):
         return None
-    key = (start, goal)
-    if key in _search_cache:
-        return _search_cache[key]
     max_len = max(len(start), len(goal)) + _SEARCH_SLACK
     seen = {start}
     queue: deque[tuple[Word, tuple[Step, ...]]] = deque([(start, ())])
@@ -345,5 +341,4 @@ def cell_search(src: Word, dst: Word) -> Optional[TwoCell]:
             if len(nxt) <= max_len and nxt not in seen:
                 seen.add(nxt)
                 queue.append((nxt, path + (step,)))
-    _search_cache[key] = found
     return found

@@ -13,7 +13,10 @@ Precedence, loosest to tightest:
 
 ``(x : A)`` parses as an annotation atom and is reinterpreted as a binder
 when an arrow or star follows (``((x : A))`` is not), so nothing backtracks.
-The Pratt parser reads the lexer's token lists by index; AST nodes are
+One Pratt loop, `Parser.parse_term(floor)`, reads every level of this
+scale from one table of token levels (`_OPERATORS`); an argument, a prefix
+operand and each operand of an operator is a recursive call at a tighter
+floor.  The parser reads the lexer's token lists by index; AST nodes are
 mutable records whose equality ignores spans.  The keyword formers' three
 tables give the keyword set, the parser's keyword atoms and the printer's
 cases.  Braced words and 2-cells are parsed by `modality`.
@@ -329,9 +332,14 @@ class SurfaceModule:
 # ---------------------------------------------------------------------------
 
 # The one precedence scale, loosest first, of the parser and the printer,
-# and the level of each infix operator below `->`.
+# and the level of each token that continues a term: an operator, or the
+# start of an argument (a keyword only if it is one of `_KEYWORD_ATOMS`).
 _PREC_ARROW, _PREC_SIGMA, _PREC_EQ, _PREC_JOIN, _PREC_MEET, _PREC_APP, _PREC_ATOM = range(7)
-_INFIX = {"STAR": _PREC_SIGMA, "EQUALS": _PREC_EQ, "JOIN": _PREC_JOIN, "MEET": _PREC_MEET}
+_OPERATORS = {
+    "ARROW": _PREC_ARROW, "STAR": _PREC_SIGMA, "EQUALS": _PREC_EQ, "JOIN": _PREC_JOIN,
+    "MEET": _PREC_MEET, "HAT": _PREC_ATOM, "DOT": _PREC_ATOM,
+    **dict.fromkeys(("IDENT", "NUMBER", "LPAREN", "LT", "KEYWORD"), _PREC_APP),
+}
 
 
 class Parser:
@@ -427,14 +435,65 @@ class Parser:
 
     # -- terms --------------------------------------------------------------
 
-    def parse_term(self) -> STerm:
-        if self.kinds[self.pos] == "KEYWORD":
-            kw = self.texts[self.pos]
+    def parse_term(self, floor: int = _PREC_ARROW) -> STerm:
+        """The longest term whose operators all bind at least as tight as `floor`.
+
+        One Pratt loop reads every operator of `_OPERATORS` and application.
+        An operator applies while `floor <= level <= ceiling`: the ceiling
+        starts at `_PREC_ATOM`, is `_PREC_SIGMA` after `=` (only `*` or `->`
+        may follow an equation), `_PREC_ARROW` after the right-associative
+        `*` and `->`, and the operator's own level after a left-associative
+        one.  `fun` and `let` start only a term at `_PREC_ARROW`.
+        """
+        kinds, texts = self.kinds, self.texts
+        if floor == _PREC_ARROW and kinds[self.pos] == "KEYWORD":
+            kw = texts[self.pos]
             if kw == "fun":
                 return self.parse_lambda()
             if kw == "let":
                 return self.parse_letmod()
-        return self.parse_arrow()
+        lhs, ceiling = self.parse_atom(), _PREC_ATOM
+        while floor <= (level := _OPERATORS.get(kind := kinds[self.pos], -1)) <= ceiling and (
+                kind != "KEYWORD" or texts[self.pos] in _KEYWORD_ATOMS):
+            if level == _PREC_APP:  # the token starts an argument
+                arg = self.parse_term(_PREC_ATOM)
+                lhs, ceiling = SApp(lhs, arg, span=(lhs.span[0], arg.span[1])), level
+                continue
+            self.pos += 1
+            if kind == "HAT":
+                cell = self.braced("a 2-cell in braces", parse_cell)
+                lhs = SCellApp(lhs, cell, span=(lhs.span[0], self.spans[self.pos - 1][1]))
+            elif kind == "DOT":
+                idx = self.parse_atom()
+                lhs = SInst(lhs, idx, span=(lhs.span[0], idx.span[1]))
+            elif level <= _PREC_SIGMA:  # `->` and `*`, right associative
+                names = self._binder(lhs)
+                rhs = self.parse_term(level)
+                span, arrow = (lhs.span[0], rhs.span[1]), level == _PREC_ARROW
+                if names is not None and (arrow or not lhs.word):
+                    out = rhs
+                    for name in reversed(names):
+                        out = (SPi(name, lhs.word, lhs.ty, out, span=span) if arrow
+                               else SSigma(name, lhs.ty, out, span=span))
+                    lhs = out
+                elif not arrow:
+                    lhs = SSigma("_", lhs, rhs, span=span)
+                elif type(lhs) is SAnnot and lhs.word:
+                    _parse_error("modal annotation on a non-binder", lhs.span, self.file)
+                else:
+                    lhs = SPi("_", (), lhs, rhs, span=span)
+                ceiling = _PREC_ARROW
+            else:  # `=`, `\/` and `/\`: the right operand binds tighter
+                rhs = self.parse_term(level + 1)
+                span = (lhs.span[0], rhs.span[1])
+                if level == _PREC_EQ:
+                    lhs, ceiling = SEq(lhs, rhs, span=span), _PREC_SIGMA
+                else:
+                    lhs = (SJoin if level == _PREC_JOIN else SMeet)(lhs, rhs, span=span)
+                    ceiling = level
+        if floor == _PREC_ARROW and type(lhs) is SAnnot and lhs.word:
+            _parse_error("modal annotation outside a binder", lhs.span, self.file)
+        return lhs
 
     def parse_lambda(self) -> STerm:
         start = self.spans[self.expect_kw("fun")][0]
@@ -469,9 +528,12 @@ class Parser:
         body = self.parse_term()
         return SLetMod(word, name, frame, scrut, body, span=(start, body.span[1]))
 
-    def _binder_names(self, term: STerm) -> Optional[list[str]]:
+    def _binder(self, lhs: STerm) -> Optional[list[str]]:
+        """The names that `lhs` binds before `->` or `*`: `(x y : A)`, not `((x y : A))`."""
+        if type(lhs) is not SAnnot or lhs is self.wrapped:
+            return None
         names: list[str] = []
-        cur = term
+        cur = lhs.term
         while isinstance(cur, SApp):
             if not isinstance(cur.arg, SVar):
                 return None
@@ -482,82 +544,6 @@ class Parser:
         names.append(cur.name)
         names.reverse()
         return names
-
-    def _binder(self, lhs: STerm) -> Optional[list[str]]:
-        """The names that `lhs` binds before `->` or `*`: `(x y : A)`, not `((x y : A))`."""
-        if type(lhs) is not SAnnot or lhs is self.wrapped:
-            return None
-        return self._binder_names(lhs.term)
-
-    def parse_arrow(self) -> STerm:
-        lhs = self.parse_infix()
-        if self.kinds[self.pos] == "ARROW":
-            self.pos += 1
-            names = self._binder(lhs)
-            cod = self.parse_term()
-            if names is not None:
-                out = cod
-                for name in reversed(names):
-                    out = SPi(name, lhs.word, lhs.ty, out, span=(lhs.span[0], cod.span[1]))
-                return out
-            if isinstance(lhs, SAnnot) and lhs.word:
-                _parse_error("modal annotation on a non-binder", lhs.span, self.file)
-            return SPi("_", (), lhs, cod, span=(lhs.span[0], cod.span[1]))
-        if isinstance(lhs, SAnnot) and lhs.word:
-            _parse_error("modal annotation outside a binder", lhs.span, self.file)
-        return lhs
-
-    def parse_infix(self, floor: int = _PREC_SIGMA) -> STerm:
-        """The operators of `_INFIX` that bind at least as tight as `floor`.
-
-        `*` is right associative, `=` non-associative (a second `=` is left to
-        the caller), and the lattice operators are left associative.
-        """
-        lhs = self.parse_app()
-        kinds, ceiling = self.kinds, _PREC_MEET
-        while floor <= (prec := _INFIX.get(kinds[self.pos], 0)) <= ceiling:
-            self.pos += 1
-            if prec == _PREC_SIGMA:  # `*` takes every operator after it
-                names = self._binder(lhs)
-                rhs = self.parse_infix(prec)
-                span = (lhs.span[0], rhs.span[1])
-                if names is None or lhs.word:
-                    return SSigma("_", lhs, rhs, span=span)
-                out = rhs
-                for name in reversed(names):
-                    out = SSigma(name, lhs.ty, out, span=span)
-                return out
-            rhs = self.parse_infix(prec + 1)
-            span = (lhs.span[0], rhs.span[1])
-            if prec == _PREC_EQ:  # only `*` may follow an equation
-                lhs, ceiling = SEq(lhs, rhs, span=span), _PREC_SIGMA
-            else:
-                lhs = (SJoin if prec == _PREC_JOIN else SMeet)(lhs, rhs, span=span)
-        return lhs
-
-    def parse_app(self) -> STerm:
-        head = self.parse_postfix()
-        kinds, texts = self.kinds, self.texts
-        while (kind := kinds[self.pos]) in ("IDENT", "NUMBER", "LPAREN", "LT") or (
-                kind == "KEYWORD" and texts[self.pos] in _KEYWORD_ATOMS):
-            arg = self.parse_postfix()
-            head = SApp(head, arg, span=(head.span[0], arg.span[1]))
-        return head
-
-    def parse_postfix(self) -> STerm:
-        term = self.parse_atom()
-        while True:
-            kind = self.kinds[self.pos]
-            if kind == "HAT":
-                self.pos += 1
-                cell = self.braced("a 2-cell in braces", parse_cell)
-                term = SCellApp(term, cell, span=(term.span[0], self.spans[self.pos - 1][1]))
-            elif kind == "DOT":
-                self.pos += 1
-                idx = self.parse_atom()
-                term = SInst(term, idx, span=(term.span[0], idx.span[1]))
-            else:
-                return term
 
     def parse_atom(self) -> STerm:
         pos = self.pos
@@ -608,7 +594,7 @@ class Parser:
         if kw in CONSTANTS:
             return SConstT(kw, span=span)
         if kw in PREFIX:
-            arg = self.parse_postfix()
+            arg = self.parse_term(_PREC_ATOM)
             return PREFIX[kw](arg, span=(start, arg.span[1]))
         if kw in CALLS:
             self.expect("LPAREN", f"'(' after {kw}")

@@ -150,6 +150,15 @@ def test_lattice_nf_of_a_long_meet_chain(capsys):
     assert run_cli(["lattice", "eq", chain, "x /\\ x"], capsys) == (0, "true\n", "")
 
 
+def test_lattice_eq_reads_back_the_normal_form_of_a_meet_of_eight_joins(capsys):
+    # the normal form is a join of 256 monomials, each link parenthesized,
+    # so reading it back nests 255 parentheses
+    meet = " /\\ ".join(f"(x{k} \\/ y{k})" for k in range(8))
+    code, nf, _ = run_cli(["lattice", "nf", meet], capsys)
+    assert code == 0 and nf.count(" \\/ ") == 255
+    assert run_cli(["lattice", "eq", meet, nf.strip()], capsys) == (0, "true\n", "")
+
+
 @pytest.mark.parametrize("expr", ["(" * 3000 + "x" + ")" * 3000], ids=["deep-parentheses"])
 def test_lattice_too_deep_input_is_a_depth_error(capsys, expr):
     code, out, err = run_cli(["lattice", "nf", expr], capsys)

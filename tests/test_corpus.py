@@ -109,6 +109,19 @@ def test_manifest_orders_each_files_dependencies_depth_first():
         manifest.entry("g")
 
 
+def test_comma_lists_read_alike_with_or_without_blanks():
+    from trikernel.corpus import parse_manifest
+
+    tight = parse_manifest("a | pass | | x\nb | pass | | \nc | pass | a,b | x,y\n# !substitution: x,y")
+    spaced = parse_manifest(
+        "a | pass | | x\nb | pass | | \nc | pass | a, b | x, y\n# !substitution: x , y")
+    assert spaced == tight
+    assert spaced.entry("c").deps == ["a", "b"]
+    assert spaced.entry("c").anchors == ["x", "y"]
+    assert spaced.substitution == ["x", "y"]
+    assert spaced.files["c"][1] == ["a", "b"]
+
+
 def test_a_file_listed_twice_is_a_manifest_error():
     from trikernel.corpus import ManifestError, parse_manifest
 

@@ -638,7 +638,6 @@ def test_an_unreachable_lock_word_is_refuted_without_search(monkeypatch):
     expansions = []
     real = modality._expansions
     monkeypatch.setattr(modality, "_expansions", lambda w: expansions.append(w) or real(w))
-    monkeypatch.setattr(modality, "_search_cache", {})
     binders = " -> ".join(f"(i{k} : Int)" for k in range(8))
     names = " ".join(f"i{k}" for k in range(8))
     diag = run_fail(
@@ -664,6 +663,11 @@ def test_too_deep_input_is_a_depth_diagnostic():
             "def t : k 3000 = f := refl\n")
     diag = run_fail(text, "E-DEPTH")
     assert text[diag.span[0] : diag.span[1]] == "def t : k 3000 = f := refl"
+
+
+def test_a_right_nested_parenthesised_join_of_250_levels_checks():
+    join = "x \\/ (" * 249 + "x" + ")" * 249
+    assert Checker().check_source(f"axiom x : Int\ncheck {join} : Int\n") == []
 
 
 def test_beta_substitutes_every_argument_at_depth_zero():
@@ -968,10 +972,8 @@ def test_constant_time_variable_use_matches_enumeration_under_interval_binders(m
     outcomes = []
     _guard_access_cell(monkeypatch, outcomes)
     # a failed 2-cell search at the default depth 8 takes up to seconds on
-    # these long lock words; the fast path does not depend on the depth, and
-    # a fresh cache keeps the shallow results from later tests
+    # these long lock words; the fast path does not depend on the depth
     monkeypatch.setattr(modality, "SEARCH_DEPTH", 3)
-    monkeypatch.setattr(modality, "_search_cache", {})
     checker = Checker()
     rng = random.Random(11)
     words = [(), ("g",), ("s",), ("g", "s"), ("s", "g")]

@@ -275,10 +275,8 @@ def test_search_s_to_identity_fails_depth_6():
 
 
 def test_search_soundness_random_pairs(monkeypatch):
-    # a shallow search keeps the test fast; a fresh cache keeps its results
-    # from later tests
+    # a shallow search keeps the test fast
     monkeypatch.setattr(modality, "SEARCH_DEPTH", 4)
-    monkeypatch.setattr(modality, "_search_cache", {})
     words = [w for w in all_words(2)]
     for src in words:
         for dst in words:

@@ -51,7 +51,7 @@ from trikernel.syntax import (
     print_term,
 )
 
-from support import print_decl
+from support import LevelParser, print_decl
 
 
 def test_parse_idfun_def():
@@ -526,52 +526,6 @@ def test_token_alternatives_order_does_not_change_the_stream(monkeypatch):
     assert _token_outcome("fail-check") != new[texts.index("fail-check")]
 
 
-class _LevelParser(syntax.Parser):
-    """The parser with one method per infix level, as before `parse_infix`."""
-
-    def parse_infix(self, floor=1):
-        return self.parse_sigma()
-
-    def parse_sigma(self):
-        lhs = self.parse_equality()
-        if self.kinds[self.pos] == "STAR":
-            self.pos += 1
-            rhs = self.parse_sigma()
-            if isinstance(lhs, SAnnot) and not lhs.word:
-                names = self._binder_names(lhs.term)
-                if names is not None:
-                    out = rhs
-                    for name in reversed(names):
-                        out = SSigma(name, lhs.ty, out, span=(lhs.span[0], rhs.span[1]))
-                    return out
-            return SSigma("_", lhs, rhs, span=(lhs.span[0], rhs.span[1]))
-        return lhs
-
-    def parse_equality(self):
-        lhs = self.parse_join()
-        if self.kinds[self.pos] == "EQUALS":
-            self.pos += 1
-            rhs = self.parse_join()
-            return SEq(lhs, rhs, span=(lhs.span[0], rhs.span[1]))
-        return lhs
-
-    def parse_join(self):
-        lhs = self.parse_meet()
-        while self.kinds[self.pos] == "JOIN":
-            self.pos += 1
-            rhs = self.parse_meet()
-            lhs = SJoin(lhs, rhs, span=(lhs.span[0], rhs.span[1]))
-        return lhs
-
-    def parse_meet(self):
-        lhs = self.parse_app()
-        while self.kinds[self.pos] == "MEET":
-            self.pos += 1
-            rhs = self.parse_app()
-            lhs = SMeet(lhs, rhs, span=(lhs.span[0], rhs.span[1]))
-        return lhs
-
-
 def _with_spans(t):
     """`t` as nested tuples that include every span, which `==` ignores."""
     if isinstance(t, (syntax.STerm, Decl)):
@@ -598,7 +552,7 @@ def test_precedence_loop_matches_level_methods_on_shipped_files():
     failing = []
     for path, text in _shipped_texts():
         new = _parse_outcome(syntax.Parser, text, True)
-        assert new == _parse_outcome(_LevelParser, text, True), path
+        assert new == _parse_outcome(LevelParser, text, True), path
         if new[0] == "E-PARSE":
             failing.append(os.path.basename(path))
     assert failing == ["parse-error.ttt"]
@@ -607,7 +561,7 @@ def test_precedence_loop_matches_level_methods_on_shipped_files():
 def test_precedence_loop_matches_level_methods_on_benchmark_texts():
     for text in _benchmark_texts():
         new = _parse_outcome(syntax.Parser, text, True)
-        assert new == _parse_outcome(_LevelParser, text, True), text
+        assert new == _parse_outcome(LevelParser, text, True), text
 
 
 def _random_infix_text(rng):
@@ -630,9 +584,36 @@ def test_precedence_loop_matches_level_methods_on_random_infix_terms():
     for _ in range(4000):
         text = _random_infix_text(rng)
         new = _parse_outcome(syntax.Parser, text, False)
-        assert new == _parse_outcome(_LevelParser, text, False), text
+        assert new == _parse_outcome(LevelParser, text, False), text
         errors += new[0] == "E-PARSE"
     assert 200 <= errors <= 1000
+
+
+_SOUP_ATOMS = ["x", "f", "A", "0", "7", "refl", "U 0", "Int", "zero", "true", "(x : A)",
+               "(x y : A @ g)", "((x : A))"]
+_SOUP_PIECES = _SOUP_ATOMS + [
+    "fun x =>", "fun x y =>", "let mod{g}(z) =", "let mod{s}(z) =[g]", "in", "^{eps0}",
+    "^{eta_gs}", ".", "succ", "fst", "snd", "Lift", "up", "down", "J(", "natrec(", "boolrec(",
+    "mod{g}(", "coe{eps0}(", "<g|", ">", "(", ")", ",", ":", "@ g", "->", "*", "=", "\\/",
+    "/\\", "i", "j"]
+
+
+def _token_soup(rng):
+    """Up to 12 pieces, each an atom or, more often, any piece: binders,
+    postfix forms, keyword atoms, brackets and operators in any order."""
+    return " ".join(rng.choice(_SOUP_PIECES if rng.random() < 0.6 else _SOUP_ATOMS)
+                    for _ in range(rng.randint(1, 12)))
+
+
+def test_precedence_loop_matches_level_methods_on_token_soup():
+    rng = random.Random(5)
+    errors = 0
+    for _ in range(4000):
+        text = _token_soup(rng)
+        new = _parse_outcome(syntax.Parser, text, False)
+        assert new == _parse_outcome(LevelParser, text, False), text
+        errors += new[0] == "E-PARSE"
+    assert 1500 <= errors <= 3000
 
 
 class ScanLineMap:
