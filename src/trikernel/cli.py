@@ -87,7 +87,7 @@ def cmd_lattice(args) -> int:
     texts = [args.expr] if args.lattice_command == "nf" else [args.lhs, args.rhs]
     checker = Checker()
     for name in {w for text in texts for w in syntax.WORD.findall(text)} - syntax.KEYWORDS:
-        checker.globals[name] = GlobalDef(name, "axiom", INT, None)
+        checker.globals[name] = GlobalDef(INT, None)
     try:
         terms = [checker.check(Ctx(), syntax.parse_term(text), INT) for text in texts]
         if args.lattice_command == "nf":

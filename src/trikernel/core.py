@@ -427,7 +427,8 @@ def apply_cell(t: Term, cell: TwoCell) -> Term:
     The action commutes with every term former; entering a child whiskers the
     cell on the right by the child's locks in `_ROWS` (a modal binder's
     word, p for an interval binder).  Annotations accumulate at variables (and
-    only there); no further computation rules are assumed.
+    only there) as normal composites, an identity stored as None; no further
+    computation rules are assumed.
     """
     if cell.is_identity():
         return t
@@ -437,19 +438,19 @@ def apply_cell(t: Term, cell: TwoCell) -> Term:
             return v
         shifted = cell_whisker(locks, cell, side="right") if locks else cell
         existing = v.cell
-        if existing is None:
-            return Var(v.ix, shifted)
-        # the variable's accumulated cell ends at some composite of locks; the
-        # incoming cell acts across an inner boundary, so left-whisker it by
-        # the outer prefix that realigns it
-        if normalize(existing.dst) != normalize(shifted.src):
-            target = normalize(existing.dst)
-            for k in range(len(target) + 1):
-                candidate = cell_whisker(target[:k], shifted, side="left")
-                if candidate.src == target:
-                    shifted = candidate
-                    break
-        return Var(v.ix, cell_vcomp(existing, shifted))
+        if existing is not None:
+            # the variable's accumulated cell ends at some composite of locks;
+            # the incoming cell acts across an inner boundary, so left-whisker
+            # it by the outer prefix that realigns it
+            target = existing.dst
+            if target != shifted.src:
+                for k in range(len(target) + 1):
+                    candidate = cell_whisker(target[:k], shifted, side="left")
+                    if candidate.src == target:
+                        shifted = candidate
+                        break
+            shifted = cell_vcomp(existing, shifted)
+        return Var(v.ix, None if shifted.is_identity() else shifted)
 
     return _map(t, push)
 
@@ -495,9 +496,12 @@ class Ctx:
 
     def lock(self, word: Word) -> "Ctx":
         """Push a composite lock generator by generator; p becomes the
-        interval hypothesis i : Int."""
+        interval hypothesis i : Int.  The empty word returns the receiver."""
+        word = normalize(word)
+        if not word:
+            return self
         entries, levels, last_lock = self.entries, self.levels, self.last_lock
-        for gen in normalize(word):
+        for gen in word:
             if gen == "p":
                 levels = levels + (len(entries),)
                 entries = entries + (CDecl("i", (), INT),)

@@ -9,12 +9,13 @@ cross interval binders.  Variable access across locks is mediated by a
 `core.binds_interval` says so; the elaborator stores an interval domain of a
 Pi as ``Int`` itself, unfolded once.
 
-Conversion decides the interval's lattice laws: where either side unfolds
-to a meet or join, both sides are folded once (`lattice.decide`) and, over
-at most `lattice.TABLE_ATOMS` atoms, compared as truth tables; beyond that,
-and to print a failing side, as canonical polynomials (`Checker.int_canon`).
-So the laws hold definitionally at every type, also under a neutral head
-such as `f (i /\\ j)`.
+Conversion compares forms that are canonical when built.  A variable's
+2-cell is normal when made, so syntactic equality decides two variables.
+Where either side unfolds to a meet or join, both sides are folded once
+(`lattice.decide`): as truth tables over at most `lattice.TABLE_ATOMS`
+atoms, as canonical polynomials beyond.  So the lattice laws hold
+definitionally at every type, also under a neutral head such as
+`f (i /\\ j)`.  A failing side prints in canonical form (`Checker.int_canon`).
 """
 
 from __future__ import annotations
@@ -87,13 +88,10 @@ from .modality import (
     ModeError,
     TwoCell,
     Word,
-    cell_eq,
-    cell_normalize,
     cell_search,
     cell_vcomp,
     compose,
     format_word,
-    identity_cell,
     normalize,
 )
 from .record import record
@@ -101,8 +99,6 @@ from .record import record
 
 @record
 class GlobalDef:
-    name: str
-    kind: str  # "axiom" | "def"
     ty: Term
     body: Optional[Term]
 
@@ -164,8 +160,7 @@ class Checker:
     declaration being checked."""
 
     def __init__(self) -> None:
-        self.globals: dict[str, GlobalDef] = {}
-        self.global_order: list[str] = []
+        self.globals: dict[str, GlobalDef] = {}  # in order of definition
         self.atoms = lattice.AtomTable()
         self._atoms_by_former: dict[type, list[int]] = {}
 
@@ -314,19 +309,6 @@ class Checker:
 
     # -- conversion -------------------------------------------------------------
 
-    def cells_equal(self, c1: Optional[TwoCell], c2: Optional[TwoCell]) -> bool:
-        """Whether two variable annotations are one 2-cell; None is an identity."""
-        if c1 is None:
-            if c2 is None:
-                return True
-            c1 = identity_cell(c2.src)
-        elif c2 is None:
-            c2 = identity_cell(c1.src)
-        try:
-            return cell_eq(c1, c2)
-        except ModeError:  # cells between different words
-            return False
-
     def conv(self, t: Term, u: Term) -> bool:
         """Definitional equality: syntactic equality, else `conv_str`."""
         return syn_eq(t, u) or self.conv_str(t, u)
@@ -338,8 +320,7 @@ class Checker:
             if (tw is not t or uw is not u) and syn_eq(tw, uw):
                 return True
             if isinstance(tw, (MeetT, JoinT)) or isinstance(uw, (MeetT, JoinT)):
-                same = lattice.decide(tw, uw, self._leaf)
-                return self.int_canon(tw) == self.int_canon(uw) if same is None else same
+                return lattice.decide(tw, uw, self._leaf)
             # eta for functions and pairs
             if isinstance(tw, Lam) and not isinstance(uw, Lam):
                 return self.conv(tw.body, App(shift(uw, 1), Var(0)))
@@ -351,8 +332,6 @@ class Checker:
                 return self.conv(Fst(tw), uw.fst) and self.conv(Snd(tw), uw.snd)
             if type(tw) is not type(uw):
                 return False
-            if isinstance(tw, Var):
-                return tw.ix == uw.ix and self.cells_equal(tw.cell, uw.cell)
             if not same_data(tw, uw):
                 return False
             kids = _KIDS[type(tw)]
@@ -492,7 +471,6 @@ class Checker:
                     f"was found to any word tried: "
                     f"{', '.join(map(format_word, words))} (depth {SEARCH_DEPTH})",
                 )
-        found = cell_normalize(found)
         return None if found.is_identity() else found
 
     # -- surface cell elaboration ----------------------------------------------
@@ -901,8 +879,7 @@ class Checker:
                 span=decl.span,
             )
         if defines:
-            self.globals[decl.name] = GlobalDef(decl.name, decl.kind, tyc, bodyc)
-            self.global_order.append(decl.name)
+            self.globals[decl.name] = GlobalDef(tyc, bodyc)
 
     def run_module(self, module: syntax.SurfaceModule) -> list[Diagnostic]:
         for decl in module.decls:

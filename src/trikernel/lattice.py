@@ -1,13 +1,15 @@
 """Free bounded distributive lattice over interval atoms.
 
 Two expressions are equal in the free bounded distributive lattice exactly
-when they agree at every point of {0,1}^k, k their atoms.  `decide` folds
-both sides into postfix programs and, over at most `TABLE_ATOMS` atoms,
-evaluates each as one 2^k-bit truth table.  Beyond that, and for printing,
-canonical forms are compared: irredundant disjunctive normal forms, an
+when they agree at every point of {0,1}^k, k their atoms, and exactly when
+their canonical forms are one: irredundant disjunctive normal forms, an
 antichain of monomials, each monomial a set of atoms joined by meet and
-stored as an int bitmask over atom ids.  The tests cross-check both against
-the Boolean two-element oracle of `tests/lattice_oracle.py`.
+stored as an int bitmask.  `decide` folds both sides once into postfix
+programs and evaluates each, over at most `TABLE_ATOMS` atoms as one
+2^k-bit truth table, beyond that as a canonical form over its slots.
+`canon` gives the canonical form over atom ids that a diagnostic prints.
+The tests cross-check both against the Boolean two-element oracle of
+`tests/lattice_oracle.py`.
 
 Expressions are the kernel's interval terms under their lattice names:
 `Atom`, `Bot`, `Top`, `Meet` and `Join` are `core.Const`, `I0`, `I1`, `MeetT`
@@ -36,9 +38,9 @@ ONE: Poly = (0,)
 
 # Up to this many distinct atoms, `decide` compares truth tables: over k
 # atoms a side is one 2^k-bit integer, built with one `&` or `|` per node,
-# and at 16 atoms that is 8 KiB.  Beyond it the canonical forms are compared,
-# whose size follows the terms rather than the atoms: a meet chain of 3,000
-# atoms has one monomial but would need a 2^3000-bit table.
+# and at 16 atoms that is 8 KiB.  Beyond it `decide` compares canonical
+# forms, whose size follows the terms rather than the atoms: a meet chain of
+# 3,000 atoms has one monomial but would need a 2^3000-bit table.
 TABLE_ATOMS = 16
 
 
@@ -187,17 +189,18 @@ def atom_tables(k: int) -> tuple[int, ...]:
     return tuple(tables)
 
 
-def decide(lhs: Expr, rhs: Expr, atom: Callable[[Expr], int | Expr]) -> Optional[bool]:
-    """Whether `lhs` and `rhs` are equal, by their truth tables, or None when
-    they mention more than `TABLE_ATOMS` atoms.  Both sides fold as `canon`
-    folds them, `lhs` first, so atoms intern in the same order."""
+def decide(lhs: Expr, rhs: Expr, atom: Callable[[Expr], int | Expr]) -> bool:
+    """Whether `lhs` and `rhs` are equal.  Both sides fold once, as `canon`
+    folds them, `lhs` first, so atoms intern in the same order; over their k
+    shared slots each is evaluated as a truth table or, beyond
+    `TABLE_ATOMS`, as a canonical form."""
     slots: dict[int, int] = {}
     left, right = [], []
     _postfix(lhs, atom, slots, left)
     _postfix(rhs, atom, slots, right)
     k = len(slots)
     if k > TABLE_ATOMS:
-        return None
-    tables, ones = atom_tables(k), (1 << (1 << k)) - 1
-    return (_evaluate(left, tables, operator.and_, operator.or_, 0, ones)
-            == _evaluate(right, tables, operator.and_, operator.or_, 0, ones))
+        algebra = [poly_atom(slot) for slot in range(k)], poly_meet, poly_join, ZERO, ONE
+    else:
+        algebra = atom_tables(k), operator.and_, operator.or_, 0, (1 << (1 << k)) - 1
+    return _evaluate(left, *algebra) == _evaluate(right, *algebra)

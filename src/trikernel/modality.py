@@ -10,8 +10,9 @@ The theory has five modality generators:
 
 Words are stored outermost-first: the composite ``n . m`` (n after m) is the
 tuple ``(n, m)``.  Equality of words is decided by a confluent string rewriting
-system; equality of 2-cells by a terminating (sound, not complete) rewriting
-of pasting diagrams built from the adjunction units/counits.
+system.  A 2-cell is a pasting of whiskered units and counits; every builder
+returns it in the normal form of `cell_normalize` (a terminating rewriting,
+sound but not complete), so equality of 2-cells is syntactic equality.
 
 This module alone reads and writes the notation of words (``g.a``) and of
 2-cells (``g*eta_gs*s ; eps0``, ``id(w)``).
@@ -174,7 +175,7 @@ def generator_cell(name: str, left: Word = (), right: Word = ()) -> TwoCell:
         raise ModeError("E-PARSE", f"unknown 2-cell generator {name!r}")
     step = Step(normalize(left), name, normalize(right))
     lo, hi = step.boundaries()
-    return TwoCell(lo, hi, (step,))
+    return cell_normalize(TwoCell(lo, hi, (step,)))
 
 
 def parse_cell(text: str) -> tuple[TwoCell, ...]:
@@ -207,24 +208,25 @@ def format_cell(factors: tuple[TwoCell, ...]) -> str:
 
 
 def cell_vcomp(c1: TwoCell, c2: TwoCell) -> TwoCell:
-    """Vertical composite: c1 first, then c2."""
+    """Vertical composite, normal: c1 first, then c2."""
     if normalize(c1.dst) != normalize(c2.src):
         raise ModeError(
             "E-2CELL-BOUNDARY",
             f"cannot compose {format_word(c1.dst)} with {format_word(c2.src)}",
         )
-    return TwoCell(normalize(c1.src), normalize(c2.dst), c1.steps + c2.steps)
+    return cell_normalize(TwoCell(c1.src, c2.dst, c1.steps + c2.steps))
 
 
 def cell_whisker(word: Word, cell: TwoCell, side: str = "left") -> TwoCell:
-    """Whisker a cell by a word on the given side."""
+    """Whisker a cell by a word on the given side, in normal form: a whisker
+    can make a step an identity."""
     w = normalize(word)
     if side == "left":
         steps = tuple(Step(normalize(w + s.left), s.gen, s.right) for s in cell.steps)
-        return TwoCell(compose(w, cell.src), compose(w, cell.dst), steps)
+        return cell_normalize(TwoCell(w + cell.src, w + cell.dst, steps))
     if side == "right":
         steps = tuple(Step(s.left, s.gen, normalize(s.right + w)) for s in cell.steps)
-        return TwoCell(compose(cell.src, w), compose(cell.dst, w), steps)
+        return cell_normalize(TwoCell(cell.src + w, cell.dst + w, steps))
     raise ModeError("E-PARSE", f"whisker side must be left or right, not {side!r}")
 
 
@@ -279,14 +281,6 @@ def cell_normalize(cell: TwoCell) -> TwoCell:
     return TwoCell(normalize(cell.src), normalize(cell.dst), tuple(kept))
 
 
-def cell_eq(c1: TwoCell, c2: TwoCell) -> bool:
-    """Syntactic equality of normal forms. Requires matching boundaries."""
-    n1, n2 = cell_normalize(c1), cell_normalize(c2)
-    if (n1.src, n1.dst) != (n2.src, n2.dst):
-        raise ModeError("E-2CELL-BOUNDARY", "cell_eq on cells with different boundaries")
-    return n1.steps == n2.steps
-
-
 def _expansions(word: Word) -> Iterator[tuple[Step, Word]]:
     for gen in ("eps0", "eps_gs", "eta_gs", "eps_pa", "eta_pa"):
         src, dst = GENERATOR_CELLS[gen]
@@ -315,7 +309,9 @@ def _unreachable(start: Word, goal: Word) -> bool:
 def cell_search(src: Word, dst: Word) -> Optional[TwoCell]:
     """Breadth-first search for a pasting src => dst.
 
-    Returns a witness cell, or None if none exists within the bounds: at
+    Returns a witness cell, or None if none exists within the bounds.  A
+    witness is normal as found: a breadth-first path never revisits a word,
+    so it has no identity step and no cancelling pair.  The bounds are at
     most `SEARCH_DEPTH` whiskered generator applications, through words at
     most `_SEARCH_SLACK` letters longer than the longer endpoint.  Absence
     within the bounds is not a proof of nonexistence.  A pair that

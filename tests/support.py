@@ -1,7 +1,7 @@
 """Helpers that only the tests use: a 2-cell's boundary check, the text of a
-declaration for round-trip tests, and the plain references that the lock
-words of a variable, the normal form of a 2-cell, the term walks and the
-term parser are compared against.
+declaration for round-trip tests, 2-cell equality on cells of any form, and
+the plain references that the lock words of a variable, the normal form of a
+2-cell, the term walks and the term parser are compared against.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from trikernel.modality import (
     TwoCell,
     _cancels_triangle,
     _step_is_identity,
+    cell_normalize,
     format_word,
     normalize,
 )
@@ -89,6 +90,15 @@ def lock_candidates(trailing: tuple[str, ...]) -> list[tuple[str, ...]]:
             dropped = set(combo)
             seen.setdefault(normalize(tuple(g for i, g in enumerate(trailing) if i not in dropped)))
     return list(seen)
+
+
+def cell_eq(c1: TwoCell, c2: TwoCell) -> bool:
+    """2-cell equality as syntactic equality of normal forms; cells between
+    different words raise."""
+    n1, n2 = cell_normalize(c1), cell_normalize(c2)
+    if (n1.src, n1.dst) != (n2.src, n2.dst):
+        raise ModeError("E-2CELL-BOUNDARY", "cell_eq on cells with different boundaries")
+    return n1.steps == n2.steps
 
 
 def fixpoint_normalize(cell: TwoCell) -> TwoCell:

@@ -58,6 +58,7 @@ from trikernel import corpus, kernel, modality, syntax
 from trikernel.diagnostics import KernelError
 from trikernel.kernel import Checker, print_core
 from trikernel.modality import (
+    TwoCell,
     cell_normalize,
     cell_search,
     cell_whisker,
@@ -70,7 +71,7 @@ from trikernel.prelude import load_prelude
 from trikernel.record import fields
 from trikernel.syntax import parse_module, parse_term
 
-from support import lock_candidates
+from support import cell_eq, lock_candidates
 
 
 def run(text):
@@ -406,7 +407,7 @@ def test_binding_table_has_a_row_for_exactly_the_formers_with_subterms():
 def test_whnf_reduces_a_redex_of_every_redex_former():
     # a former missing from the set would be returned unreduced
     checker = Checker()
-    checker.globals["c"] = kernel.GlobalDef("c", "def", NatT(), Zero())
+    checker.globals["c"] = kernel.GlobalDef(NatT(), Zero())
     step = Lam(Lam(Suc(Var(0))))
     samples = [
         (Const("c"), Zero()),
@@ -872,14 +873,22 @@ def test_modality_error_lists_every_lock_word_tried():
     assert "any word tried: 1, p " in diag.message
 
 
-def test_cells_equal_reads_none_as_the_identity_on_either_side():
-    checker = Checker()
-    triangle = checker.elab_cell(parse_cell("eta_pa*a ; a*eps_pa"))
-    assert (triangle.src, triangle.dst) == (("a",), ("a",))
+def test_cells_equal_up_to_normalisation_are_one_annotation():
+    # a triangle identity is no annotation at all
+    checker = run_ok("def t : (A : U 0 @ a) -> (x : A @ a) -> <a| A> := "
+                     "fun A x => mod{a}(x^{eta_pa*a ; a*eps_pa})")
+    (var,) = [u for u, _ in subterms(checker.globals["t"].body) if isinstance(u, Var)]
+    assert var == Var(0, None)
+    # a cell that is the unit only up to normalisation is built as the unit,
+    # so syntactic equality decides the two variables
+    factors = parse_cell("eta_pa*a ; a*eps_pa ; eta_pa*a")
+    raw = TwoCell(("a",), ("a", "p", "a"), tuple(st for f in factors for st in f.steps))
+    unit, built = checker.elab_cell(parse_cell("eta_pa*a")), checker.elab_cell(factors)
+    assert raw != unit and cell_eq(raw, unit) and built == unit
+    assert syn_eq(Var(0, built), Var(0, unit)) and checker.conv_str(Var(0, built), Var(0, unit))
     eps0 = generator_cell("eps0")
-    for c1, c2, equal in ((None, triangle, True), (None, eps0, False)):
-        assert checker.cells_equal(c1, c2) is equal
-        assert checker.cells_equal(c2, c1) is equal
+    assert not checker.conv(Var(0, None), Var(0, eps0))
+    assert not checker.conv(Var(0, eps0), Var(0, unit))
 
 
 def _scan_position(ctx, ix):
@@ -947,23 +956,32 @@ def _guard_access_cell(monkeypatch, outcomes):
 
 
 def test_constant_time_variable_use_matches_telescope_scan_on_library(monkeypatch):
-    built, outcomes = [], []
+    checked, uses, outcomes = {}, [], []
     real_init = Ctx.__init__
 
     def checked_init(self, *args):
         real_init(self, *args)
         _assert_ctx_matches_scan(self)
-        built.append(len(self.entries))
+        checked[id(self)] = self
 
     monkeypatch.setattr(Ctx, "__init__", checked_init)
     _guard_access_cell(monkeypatch, outcomes)
+    guarded = Checker.access_cell
+
+    def used(self, ctx, ix, explicit, name):
+        uses.append(len(ctx.entries) if checked.get(id(ctx)) is ctx else None)
+        return guarded(self, ctx, ix, explicit, name)
+
+    monkeypatch.setattr(Checker, "access_cell", used)
     manifest = corpus.load_manifest()
     # the whole shipped prelude, not the slice each file reaches, so that
     # every prelude entry drives the guards
     shipped = str(resources.files("trikernel") / "prelude.ttt")
     for entry in manifest.entries:
         assert corpus.check_file(manifest, entry.file, prelude_path=shipped).ok, entry.file
-    assert len(built) > 20_000 and max(built) >= 12
+    # every variable use is in a context that the scan checked
+    assert len(uses) > 10_000 and None not in uses and max(uses) >= 9
+    assert max(len(ctx.entries) for ctx in checked.values()) >= 12
     assert outcomes.count(None) > 10_000 and len(outcomes) - outcomes.count(None) > 200
     assert outcomes.count("E-MODALITY") == 1  # neg/escape-s.ttt
 
@@ -998,6 +1016,12 @@ def test_constant_time_variable_use_matches_enumeration_under_interval_binders(m
                     pass
     cells = len(outcomes) - outcomes.count(None) - outcomes.count("E-MODALITY")
     assert outcomes.count(None) > 200 and outcomes.count("E-MODALITY") > 100 and cells > 50
+
+
+def test_locking_by_the_empty_word_returns_the_context():
+    ctx = Ctx().extend("x", (), Univ(0))
+    assert ctx.lock(()) is ctx and ctx.lock(("o", "o")) is ctx
+    assert ctx.lock(("o",)).entries == ctx.entries + (CLock("o"),)
 
 
 def _lock_words_by_generator(word):

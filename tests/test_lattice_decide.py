@@ -1,6 +1,7 @@
-"""Interval equations decided by truth tables (`lattice.decide`) against
-canonical forms and the Boolean oracle, on both sides of the
-`lattice.TABLE_ATOMS` cut."""
+"""Interval equations decided by `lattice.decide`, by truth tables up to
+`lattice.TABLE_ATOMS` atoms and by canonical forms over their slots beyond,
+against canonical forms over atom ids and the Boolean oracle, on both sides
+of the cut."""
 
 import random
 
@@ -166,22 +167,29 @@ def test_conversion_agrees_with_canonical_forms_and_the_oracle():
 
 @pytest.mark.parametrize("n", [lattice.TABLE_ATOMS, lattice.TABLE_ATOMS + 1])
 def test_canonical_forms_are_built_only_beyond_the_cut(monkeypatch, n):
+    """Conversion folds each side once, by `lattice.decide`, into a truth
+    table or, beyond the cut, a canonical form over its slots; it never asks
+    `int_canon`, which numbers atoms for printing."""
     checker = Checker()
     assert checker.check_source(_HEADER) == []
-    calls = []
+    calls, meets = [], []
     original = Checker.int_canon
     monkeypatch.setattr(Checker, "int_canon", lambda self, t: calls.append(t) or original(self, t))
+    poly_meet = lattice.poly_meet
+    monkeypatch.setattr(lattice, "poly_meet", lambda p, q: meets.append(p) or poly_meet(p, q))
     chain = [Const(f"x{i}") for i in range(n)]
     lhs = rhs = chain[0]
     for a, b in zip(chain[1:], chain[-1:0:-1]):
         lhs, rhs = MeetT(lhs, a), MeetT(b, rhs)
     assert checker.conv(lhs, rhs)
     assert checker.conv_str(MeetT(lhs, I0()), I0())
-    assert len(calls) == (0 if n <= lattice.TABLE_ATOMS else 4)
+    assert calls == []
+    assert len(meets) == (0 if n <= lattice.TABLE_ATOMS else 3 * (n - 1) + 1)
 
 
 def test_equal_agrees_with_canonical_forms():
     rng = random.Random(28)
+    verdicts = set()
     for n in range(1, _XS + 1):
         names = [Atom(f"a{i}") for i in range(n)]
         for _ in range(5):
@@ -191,8 +199,9 @@ def test_equal_agrees_with_canonical_forms():
                 rhs = _mutate(rng, rhs, [_Leaf(a, a) for a in names])
             atom = named(lattice.AtomTable())
             same = lattice.canon(lhs.expr, atom) == lattice.canon(rhs.expr, atom)
-            decided = lattice.decide(lhs.expr, rhs.expr, atom)
-            assert decided == (same if n <= lattice.TABLE_ATOMS else None)
+            assert lattice.decide(lhs.expr, rhs.expr, atom) is same
+            verdicts.add((n <= lattice.TABLE_ATOMS, same))
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 9, lattice.TABLE_ATOMS])

@@ -1,5 +1,6 @@
 """Mode theory engine tests: word normal forms, 2-cells, search."""
 
+import functools
 import itertools
 import random
 
@@ -15,7 +16,6 @@ from trikernel.modality import (
     ModeError,
     Step,
     TwoCell,
-    cell_eq,
     cell_normalize,
     cell_search,
     cell_vcomp,
@@ -30,7 +30,7 @@ from trikernel.modality import (
     _unreachable,
 )
 
-from support import fixpoint_normalize, validate
+from support import cell_eq, fixpoint_normalize, validate
 
 
 def all_words(max_len):
@@ -227,6 +227,43 @@ def test_cell_normalize_preserves_boundaries():
     norm = cell_normalize(cell)
     assert (norm.src, norm.dst) == (cell.src, cell.dst)
     validate(norm)
+
+
+def _raw_whisker(word, cell, side):
+    """`cell_whisker` without the normal form: every step whiskered."""
+    w = normalize(word)
+    if side == "left":
+        steps = tuple(Step(normalize(w + s.left), s.gen, s.right) for s in cell.steps)
+        return TwoCell(compose(w, cell.src), compose(w, cell.dst), steps)
+    steps = tuple(Step(s.left, s.gen, normalize(s.right + w)) for s in cell.steps)
+    return TwoCell(compose(cell.src, w), compose(cell.dst, w), steps)
+
+
+def test_cells_built_piecewise_are_the_normal_form_of_their_raw_composite():
+    """A cell composed one step at a time by `cell_vcomp`, or whiskered after
+    it was made normal, is `cell_normalize` of the raw composite: so the
+    builders' normal forms compare syntactically (random walks of
+    `_expansions` from normal words of length at most 3)."""
+    rng = random.Random(33)
+    expansions = functools.cache(lambda word: list(_expansions(word)))
+    renormalized = 0
+    for _ in range(40_000):
+        word = normalize(tuple(rng.choice(GENERATORS) for _ in range(rng.randint(0, 3))))
+        built, steps, cur = identity_cell(word), [], word
+        for _ in range(rng.randint(1, 4)):
+            if not expansions(cur):
+                break
+            step, cur = rng.choice(expansions(cur))
+            steps.append(step)
+            built = cell_vcomp(built, generator_cell(step.gen, step.left, step.right))
+        raw = TwoCell(word, cur, tuple(steps))
+        want = cell_normalize(raw)
+        assert built == want, raw
+        renormalized += want != raw
+        whisker = tuple(rng.choice(GENERATORS) for _ in range(rng.randint(1, 2)))
+        side = rng.choice(("left", "right"))
+        assert cell_whisker(whisker, built, side) == cell_normalize(_raw_whisker(whisker, raw, side))
+    assert renormalized > 10_000, renormalized
 
 
 def test_one_pass_normal_form_matches_the_fixpoint_loop():

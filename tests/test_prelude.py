@@ -162,7 +162,7 @@ def test_prelude_slice_closes_under_the_words_of_kept_entries():
     assert [e.name for e in parse_metadata(sliced)] == ["A", "B", "C"]
     checker = Checker()
     assert checker.check_source(sliced) == []
-    assert checker.global_order == ["A", "B", "C"]
+    assert list(checker.globals) == ["A", "B", "C"]
 
 
 def read_library_file(name):
@@ -234,7 +234,7 @@ def test_slice_texts_keeps_an_entry_reached_only_through_another_text():
     checker = Checker()
     for cut in sliced:
         assert checker.check_source(cut) == []
-    assert checker.global_order == ["P", "Wrap", "A", "Q", "B"]
+    assert list(checker.globals) == ["P", "Wrap", "A", "Q", "B"]
 
 
 def test_text_before_a_first_entry_is_kept_and_its_words_are_uses():

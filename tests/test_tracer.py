@@ -17,8 +17,9 @@ from tracer import FUNCTIONS, METHODS, Tracer  # noqa: E402
 
 
 # Conversion decides an equation over at most 16 atoms by truth tables, so
-# the canonical-form hooks (`int_canon`, `poly_meet`, `poly_join`) are reached
-# by an equation over 17 atoms and by printing the sides of a failing `refl`.
+# `poly_meet` and `poly_join` are reached through `lattice.decide` by an
+# equation over 17 atoms, and `int_canon` only by printing the sides of a
+# failing `refl`.
 _MEETS = " /\\ ".join(f"x{i}" for i in range(16))
 _CANONICAL_FORMS = ("".join(f"axiom x{i} : Int\n" for i in range(17))
                     + f"def wide : ({_MEETS}) \\/ x16 = x16 \\/ ({_MEETS}) := refl\n"
