@@ -48,13 +48,13 @@ def cmd_check(args) -> int:
             print(f"error: cannot read {path}: {exc}", file=sys.stderr)
             return EXIT_USAGE
     for path, text in texts:
-        checker = Checker()
-        prelude_diags = load_prelude(checker, args.prelude, text)
+        checker, tokens = Checker(), syntax.lex(text)
+        prelude_diags = load_prelude(checker, args.prelude, tokens)
         if prelude_diags:
             collected.extend(prelude_diags)
             exit_code = EXIT_DIAGNOSTICS
             continue
-        diags = checker.check_source(text, path)
+        diags = checker.check_source(text, path, tokens)
         if diags:
             exit_code = EXIT_DIAGNOSTICS
         collected.extend(diags)

@@ -1,8 +1,9 @@
 """Corpus harness: run the checked library against its manifest.
 
 Each file is checked in a fresh checker seeded with the entries of the
-prelude and of its declared dependencies that it reaches, so every file is
-independently re-checkable; an entry that it does not reach is not
+prelude and of its declared dependencies that its identifier tokens reach
+(a word in a comment, in braces or in a string reaches nothing), so every
+file is independently re-checkable; an entry that it does not reach is not
 elaborated, and cannot fail it.  A run checks every dependency whole, as its
 own manifest entry, and the whole prelude once, so an ill-typed entry that
 no file reaches still fails it.
@@ -20,6 +21,7 @@ from .diagnostics import Diagnostic
 from .kernel import Checker
 from .prelude import load_prelude, read_text
 from .record import record
+from .syntax import lex
 
 # Every definitional anchor the corpus must cover.
 REQUIRED_ANCHORS = frozenset(
@@ -201,25 +203,28 @@ def check_file(
     """The verdict on `name`, checked cold after the prelude and its
     transitive dependencies.
 
-    With the shipped prelude, the prelude and each dependency are checked
-    as their slices for `name`'s text (`prelude.slice_texts`), so an entry
-    of a dependency that `name` does not reach is not elaborated; with a
-    named `prelude_path` (or TTT_PRELUDE) all of them are checked whole.
+    `name` is tokenized once: its identifiers seed the slice and its tokens
+    are what it is parsed from; if it does not tokenize, the prelude and the
+    dependencies are checked whole.  With the shipped prelude, the prelude and
+    each dependency are checked as their slices for those identifiers
+    (`prelude.slice_tokens`), so an entry of a dependency that `name` does
+    not reach is not elaborated; with a named `prelude_path` (or
+    TTT_PRELUDE) all of them are checked whole.
     """
     base = stdlib_dir or default_stdlib_dir()
     entry, deps = manifest.files[name]
     *dep_texts, text = [read_text(os.path.join(base, file)) for file in deps + [name]]
-    checker = Checker()
-    # slices dep_texts in place, with the prelude, when the prelude is sliced
-    diags = load_prelude(checker, prelude_path, text, dep_texts)
+    checker, tokens = Checker(), lex(text)
+    kept = list(dep_texts)  # made each dependency's kept tokens, or None for whole
+    diags = load_prelude(checker, prelude_path, tokens, kept)
     if diags:
         return FileResult(name, "prelude ok", "prelude failed", False, diags)
-    for dep, dep_text in zip(deps, dep_texts):
-        dep_diags = checker.check_source(dep_text, dep)
+    for dep, dep_text, dep_tokens in zip(deps, dep_texts, kept):
+        dep_diags = checker.check_source(dep_text, dep, dep_tokens)
         if dep_diags:
             return FileResult(name, "dependencies ok", f"dependency {dep} failed",
                               False, dep_diags)
-    diags = checker.check_source(text, name)
+    diags = checker.check_source(text, name, tokens)
 
     expected = entry.expect_code or "pass"
     if entry.expect_line is not None:

@@ -893,10 +893,12 @@ class Checker:
                 return [_too_deep(module.path, "declaration", decl.span)]
         return []
 
-    def check_source(self, text: str, path: str = "<input>") -> list[Diagnostic]:
-        """Check one source text; its diagnostics carry line and column."""
+    def check_source(self, text: str, path: str = "<input>",
+                     tokens: Optional[syntax.Tokens] = None) -> list[Diagnostic]:
+        """Check one source text, as `tokens` when given (by default all of its
+        tokens); its diagnostics carry line and column."""
         try:
-            module = syntax.parse_module(text, path)
+            module = syntax.parse_module(text, path, tokens)
         except KernelError as exc:
             diags = [exc.diagnostic]
         except RecursionError:

@@ -12,7 +12,9 @@ Words are stored outermost-first: the composite ``n . m`` (n after m) is the
 tuple ``(n, m)``.  Equality of words is decided by a confluent string rewriting
 system.  A 2-cell is a pasting of whiskered units and counits; every builder
 returns it in the normal form of `cell_normalize` (a terminating rewriting,
-sound but not complete), so equality of 2-cells is syntactic equality.
+sound but not complete), boundaries included, so equality of 2-cells is
+syntactic equality, and `cell_vcomp` and `cell_whisker` need not normalise
+the boundaries of the cells they are given.
 
 This module alone reads and writes the notation of words (``g.a``) and of
 2-cells (``g*eta_gs*s ; eps0``, ``id(w)``).
@@ -63,11 +65,17 @@ def check_word(word: Word) -> Word:
 
 
 def normalize(word: Word) -> Word:
-    """Unique normal form of a word under the completed rewrite system."""
+    """Unique normal form of a word under the completed rewrite system; a
+    word that is already normal is returned after one scan."""
     if not word:
         return ()
-    out = list(check_word(word))
+    check_word(word)
     i = 0
+    while i + 1 < len(word) and (word[i], word[i + 1]) not in RULES:
+        i += 1
+    if i + 1 >= len(word):
+        return tuple(word)
+    out = list(word)
     while i + 1 < len(out):
         pair = (out[i], out[i + 1])
         rhs = RULES.get(pair)
@@ -175,7 +183,7 @@ def generator_cell(name: str, left: Word = (), right: Word = ()) -> TwoCell:
         raise ModeError("E-PARSE", f"unknown 2-cell generator {name!r}")
     step = Step(normalize(left), name, normalize(right))
     lo, hi = step.boundaries()
-    return cell_normalize(TwoCell(lo, hi, (step,)))
+    return TwoCell(lo, hi, _erased((step,)))
 
 
 def parse_cell(text: str) -> tuple[TwoCell, ...]:
@@ -208,26 +216,28 @@ def format_cell(factors: tuple[TwoCell, ...]) -> str:
 
 
 def cell_vcomp(c1: TwoCell, c2: TwoCell) -> TwoCell:
-    """Vertical composite, normal: c1 first, then c2."""
-    if normalize(c1.dst) != normalize(c2.src):
+    """Vertical composite of two normal cells, normal: c1 first, then c2."""
+    if c1.dst != c2.src:
         raise ModeError(
             "E-2CELL-BOUNDARY",
             f"cannot compose {format_word(c1.dst)} with {format_word(c2.src)}",
         )
-    return cell_normalize(TwoCell(c1.src, c2.dst, c1.steps + c2.steps))
+    return TwoCell(c1.src, c2.dst, _erased(c2.steps, list(c1.steps)))
 
 
 def cell_whisker(word: Word, cell: TwoCell, side: str = "left") -> TwoCell:
     """Whisker a cell by a word on the given side, in normal form: a whisker
     can make a step an identity."""
+    if side not in ("left", "right"):
+        raise ModeError("E-PARSE", f"whisker side must be left or right, not {side!r}")
     w = normalize(word)
+    if not w:
+        return cell
     if side == "left":
         steps = tuple(Step(normalize(w + s.left), s.gen, s.right) for s in cell.steps)
         return cell_normalize(TwoCell(w + cell.src, w + cell.dst, steps))
-    if side == "right":
-        steps = tuple(Step(s.left, s.gen, normalize(s.right + w)) for s in cell.steps)
-        return cell_normalize(TwoCell(cell.src + w, cell.dst + w, steps))
-    raise ModeError("E-PARSE", f"whisker side must be left or right, not {side!r}")
+    steps = tuple(Step(s.left, s.gen, normalize(s.right + w)) for s in cell.steps)
+    return cell_normalize(TwoCell(cell.src + w, cell.dst + w, steps))
 
 
 def _step_is_identity(step: Step) -> bool:
@@ -268,17 +278,24 @@ def _cancels_triangle(s1: Step, s2: Step) -> bool:
 
 
 def cell_normalize(cell: TwoCell) -> TwoCell:
-    """Erase identity steps and triangle-cancelling adjacent pairs in one pass,
-    the kept steps on a stack: erasing a step makes no other an identity."""
-    kept: list[Step] = []
-    for step in cell.steps:
+    """Erase identity steps and triangle-cancelling adjacent pairs in one pass
+    (`_erased`), and normalise the boundaries."""
+    return TwoCell(normalize(cell.src), normalize(cell.dst), _erased(cell.steps))
+
+
+def _erased(steps: tuple[Step, ...], kept: Optional[list[Step]] = None) -> tuple[Step, ...]:
+    """`steps` after the normal steps `kept`, with identity steps and
+    triangle-cancelling adjacent pairs erased in one pass, the kept steps on
+    a stack: erasing a step makes no other an identity."""
+    kept = [] if kept is None else kept
+    for step in steps:
         if _step_is_identity(step):
             continue
         if kept and _cancels_triangle(kept[-1], step):
             kept.pop()
         else:
             kept.append(step)
-    return TwoCell(normalize(cell.src), normalize(cell.dst), tuple(kept))
+    return tuple(kept)
 
 
 def _expansions(word: Word) -> Iterator[tuple[Step, Word]]:

@@ -4,7 +4,10 @@ The prelude file carries marker comments (#tier, #covers, #statement-only)
 that attach to the next declaration; verification re-checks every entry and
 confirms the ten named principles are each covered exactly once.  A file
 can be checked with only the slice of the prelude and its dependencies that
-it reaches.
+it reaches (`slice_tokens`): the entries its identifier tokens name, closed
+under theirs, so a word in a comment, in braces or in a string keeps no
+entry.  `corpus run` still checks the whole prelude, and every dependency
+whole as its own manifest entry.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Optional
 from .diagnostics import Diagnostic
 from .kernel import Checker
 from .record import record
-from .syntax import WORD
+from .syntax import ENTRY_HEAD, KEYWORDS, Tokens, lex
 
 AXIOM_TAGS = (
     "interval-lattice",
@@ -95,22 +98,16 @@ def read_prelude(path: Optional[str] = None) -> tuple[str, str]:
     return read_text(actual), actual
 
 
-def _scan(text: str):
-    """(offset, line number, stripped line, entry head) of each line of `text`.
+def _heads(text: str) -> list[tuple[int, str, str]]:
+    """(offset of its line, kind, name) of each entry head of `text`, in order.
 
-    The head is (kind, name) on a line that starts a `def` or `axiom` entry,
-    and None elsewhere, also on such a line with no name, which the parser
-    rejects; an entry runs to the next line that starts one.
+    A head is `def` or `axiom` first on its line and then its name, as
+    `syntax.ENTRY_HEAD` reads them; a keyword cannot be a name.  An entry
+    runs to the next head, so a second declaration on a line stays part of
+    that line's entry.
     """
-    offset = 0
-    for lineno, line in enumerate(text.splitlines(keepends=True), start=1):
-        stripped, head = line.strip(), None
-        if stripped.startswith(("def ", "axiom ")):
-            kind, rest = stripped.split(None, 1)
-            name = rest.split(":", 1)[0].split()
-            head = (kind, name[0]) if name else None
-        yield offset, lineno, stripped, head
-        offset += len(line)
+    return [(m.start(), m[1], m[2]) for m in ENTRY_HEAD.finditer("\n" + text)
+            if m[2] not in KEYWORDS]
 
 
 def parse_metadata(text: str) -> list[PreludeEntry]:
@@ -118,7 +115,11 @@ def parse_metadata(text: str) -> list[PreludeEntry]:
     tier: Optional[str] = None
     covers: Optional[str] = None
     statement_only = False
-    for _, lineno, stripped, head in _scan(text):
+    heads = {offset: (kind, name) for offset, kind, name in _heads(text)}
+    offset = 0
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        stripped, head = line.strip(), heads.get(offset)
+        offset += len(line) + 1
         if stripped.startswith("--"):
             body = stripped[2:].strip()
             if body.startswith("#tier:"):
@@ -144,69 +145,82 @@ def parse_metadata(text: str) -> list[PreludeEntry]:
     return entries
 
 
-def slice_texts(texts: list[str], uses: str) -> list[str]:
-    """Each of `texts` with every entry that `uses` cannot reach blanked out.
+def slice_tokens(texts: list[str], uses: set[str]) -> list[Tokens]:
+    """The tokens of each of `texts` that the identifiers `uses` reach.
 
-    One closure runs over the entries of all the texts, keyed by name: an
-    entry is reached when its name is a word of `uses`, of the text before
-    any text's first entry (a top-level `check`, say), or of a reached
-    entry.  Any word counts, so a shadowing binder or a word in a comment
-    only keeps more entries.  Checking an entry reads only the globals it
-    names, so the slices, checked in order, give every name of `uses` the
-    global the whole texts would.  A dropped entry keeps its newlines and
-    has every other character made a space, so offsets, lines and columns
-    stay exact.
+    One closure runs over the entries of all the texts (`_heads`), keyed by
+    name: an entry is reached when its name is one of `uses`, an identifier
+    token of the text before any text's first entry (a top-level `check`,
+    say), or an identifier token of a reached entry.  So a word in a comment,
+    a braced word or a string reaches nothing, and a shadowing binder only
+    keeps more entries.  An entry is tokenized by itself once it is reached,
+    so an open `{` or `"` stops at its end.  Checking an entry reads only the
+    globals it names, so the slices, checked in order, give every name of
+    `uses` the global the whole texts would.
+
+    Each text's kept tokens come in text order, with spans that index the
+    text and EOF at its end; where a kept entry does not tokenize, the
+    stream has none, and the E-PARSE of the first such entry as its `error`.
     """
-    spans: dict[str, list[tuple[int, int, int]]] = {}
-    todo = set(WORD.findall(uses))
+    # the text before a text's first head is an entry named "", always reached
+    entries: dict[str, list[tuple[int, int, int]]] = {}  # by name: (text, start, end)
     for index, text in enumerate(texts):
-        heads = [(offset, head[1]) for offset, _, _, head in _scan(text) if head is not None]
-        todo.update(WORD.findall(text, 0, heads[0][0] if heads else len(text)))
-        for (start, name), (end, _) in zip(heads, heads[1:] + [(len(text), "")]):
-            spans.setdefault(name, []).append((index, start, end))
-    dropped = set().union(*spans.values())
+        heads = [(0, "", ""), *_heads(text), (len(text), "", "")]
+        for (start, _, name), (end, _, _) in zip(heads, heads[1:]):
+            entries.setdefault(name, []).append((index, start, end))
+    pieces: list[list[tuple[int, Tokens]]] = [[] for _ in texts]  # (start, tokens) kept
+    todo = {"", *uses}
     while todo:
-        for index, start, end in spans.pop(todo.pop(), ()):
-            dropped.discard((index, start, end))
-            todo.update(WORD.findall(texts[index], start, end))
-    cuts: list[list[tuple[int, int]]] = [[] for _ in texts]
-    for index, start, end in dropped:
-        cuts[index].append((start, end))
-    return [_blanked(text, sorted(cut)) for text, cut in zip(texts, cuts)]
+        for index, start, end in entries.pop(todo.pop(), ()):
+            tokens = lex(texts[index], start, end)
+            pieces[index].append((start, tokens))
+            todo |= tokens.identifiers()
+    return [_joined(parts, len(text)) for parts, text in zip(pieces, texts)]
 
 
-def _blanked(text: str, cuts: list[tuple[int, int]]) -> str:
-    """`text` with each span of the ordered `cuts` blanked except for its newlines."""
-    out, last = [], 0
-    for start, end in cuts:
-        blank = "\n".join(" " * len(line) for line in text[start:end].split("\n"))
-        out += [text[last:start], blank]
-        last = end
-    out.append(text[last:])
-    return "".join(out)
+def _joined(parts: list[tuple[int, Tokens]], end: int) -> Tokens:
+    """The streams of `parts`, (start, tokens) pairs of one text, in text
+    order, each without its EOF, then EOF at `end`; or a stream with the
+    error of the first of them that has one."""
+    out = Tokens()
+    for _, tokens in sorted(parts, key=lambda part: part[0]):
+        if tokens.error is not None:
+            out.error = tokens.error
+            return out
+        out.kinds += tokens.kinds[:-1]
+        out.texts += tokens.texts[:-1]
+        out.spans += tokens.spans[:-1]
+    out.kinds.append("EOF")
+    out.texts.append("")
+    out.spans.append((end, end))
+    return out
 
 
 def load_prelude(
     checker: Checker,
     path: Optional[str] = None,
-    uses: Optional[str] = None,
-    deps: Optional[list[str]] = None,
+    uses: Optional[Tokens] = None,
+    deps: Optional[list] = None,
 ) -> list[Diagnostic]:
     """Check the prelude into the given checker; returns its diagnostics.
 
-    Given `uses`, the shipped prelude (`path` and TTT_PRELUDE each unset or
-    empty) is checked as its slice for `uses`; a prelude named by either is
-    always checked whole, so an ill-typed entry that `uses` never reaches is
-    still reported.  `deps`, the texts of the modules the caller checks next, in
-    order, are sliced in place with the prelude, by one closure over them
-    all, and are left whole when the prelude is.
+    Given `uses`, the tokens of the file that the caller checks next, the
+    shipped prelude (`path` and TTT_PRELUDE each unset or empty) is checked
+    as its slice for their identifiers (`slice_tokens`), unless the file
+    does not tokenize (`uses.error`) and so may name anything.  A prelude
+    named by either is always checked whole, so an ill-typed entry that
+    `uses` never reaches is still reported.  `deps`, the texts of the
+    modules the caller checks before that file, in order, are sliced with
+    the prelude, by one closure over them all: each is replaced in place by
+    its kept tokens, or by None, for whole, when the prelude is whole.
     """
     text, actual = read_prelude(path)
-    if uses is not None and not (path or os.environ.get(ENV_VAR)):
-        text, *sliced = slice_texts([text, *(deps or [])], uses)
-        if deps is not None:
-            deps[:] = sliced
-    return checker.check_source(text, actual)
+    tokens, sliced = None, [None] * len(deps or ())
+    if uses is not None and uses.error is None and not (path or os.environ.get(ENV_VAR)):
+        tokens, *sliced = slice_tokens([text, *(deps or [])], uses.identifiers())
+    if deps is not None:
+        deps[:] = sliced
+    return checker.check_source(text, actual, tokens)
 
 
 def verify_prelude(path: Optional[str] = None) -> PreludeReport:

@@ -62,6 +62,12 @@ def _parse_error(message: str, span: Span, file: str) -> NoReturn:
 # `λ`.  `\w` and `\d` are `isalnum`-or-underscore and `isdecimal`.
 WORD = re.compile(r"[^\W\dλ][\w']*")
 
+# The head of a `def` or `axiom` entry as the tokenizer reads it: the keyword
+# first on its line, found after a newline (so search a text with one put in
+# front), then its name after any blanks, line breaks or comments.  A comment
+# is matched to the end of its line, so a failed match backtracks linearly.
+ENTRY_HEAD = re.compile(r"\n[^\S\n]*(def|axiom)(?:\s|--[^\n]*(?![^\n]))+(" + WORD.pattern + ")")
+
 # One master pattern: blanks and comments, then one token, whose group is
 # the entry of `_GROUP_KINDS` at its number.  `fail-check` comes before the
 # word it starts with; `_PUNCT` is longest first.  `\s` is `str.isspace`.
@@ -89,21 +95,29 @@ _NUMERAL_DIGITS = len(str(MAX_NUMERAL))
 
 class Tokens:
     """A token stream as parallel lists, EOF last; perfbench's tracer counts
-    tokens by its length."""
+    tokens by its length.  `error` is the E-PARSE that stopped a stream made
+    by `lex`, which then has no tokens; the parser raises it."""
 
     def __init__(self) -> None:
         self.kinds, self.texts, self.spans = [], [], []  # str, str, Span
+        self.error: Optional[Diagnostic] = None
 
     def __len__(self) -> int:
         return len(self.kinds)
 
+    def identifiers(self) -> set[str]:
+        return {lexeme for kind, lexeme in zip(self.kinds, self.texts) if kind == "IDENT"}
 
-def tokenize(text: str, file: str = "<input>") -> Tokens:
+
+def tokenize(text: str, file: str = "<input>", start: int = 0,
+             end: Optional[int] = None) -> Tokens:
+    """The tokens of `text[start:end]`, EOF at `end`, with spans that index
+    `text`; an open `{` or `"` does not run past `end`."""
     tokens = Tokens()
     kinds, texts, spans = tokens.kinds, tokens.texts, tokens.spans
-    i, n = 0, len(text)
+    i, n = start, len(text) if end is None else end
     while True:  # one pass, restarted after each `{...}`
-        for m in _TOKEN.finditer(text, i):
+        for m in _TOKEN.finditer(text, i, n):
             k = m.lastindex
             kind, lexeme, span = _GROUP_KINDS[k], m[k], m.span(k)
             if kind == "WORD":
@@ -143,6 +157,17 @@ def tokenize(text: str, file: str = "<input>") -> Tokens:
             spans.append(span)
             if kind == "EOF":  # the end, after any blanks; a second, empty match may follow
                 return tokens
+
+
+def lex(text: str, start: int = 0, end: Optional[int] = None) -> Tokens:
+    """`tokenize(text, start=start, end=end)`, or, where it stops at an
+    E-PARSE, a stream with no tokens and that diagnostic as its `error`."""
+    try:
+        return tokenize(text, "<input>", start, end)
+    except KernelError as exc:
+        tokens = Tokens()
+        tokens.error = exc.diagnostic
+        return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +368,14 @@ _OPERATORS = {
 
 
 class Parser:
-    def __init__(self, text: str, file: str = "<input>"):
+    def __init__(self, text: str, file: str = "<input>", tokens: Optional[Tokens] = None):
+        """A parser of `tokens`, by default all of `text`'s; spans index `text`."""
         self.file = file
         self.text = text
-        tokens = tokenize(text, file)
+        if tokens is None:
+            tokens = tokenize(text, file)
+        elif tokens.error is not None:
+            _parse_error(tokens.error.message, tokens.error.span, file)
         self.kinds, self.texts, self.spans = tokens.kinds, tokens.texts, tokens.spans
         self.pos = 0
         self.wrapped: Optional[STerm] = None  # the last `((x : A))`, which binds nothing
@@ -623,8 +652,9 @@ class Parser:
         return SCoe(cell, body, span=(start, self.spans[self.expect("RPAREN")][1]))
 
 
-def parse_module(text: str, file: str = "<input>") -> SurfaceModule:
-    return Parser(text, file).parse_module()
+def parse_module(text: str, file: str = "<input>",
+                 tokens: Optional[Tokens] = None) -> SurfaceModule:
+    return Parser(text, file, tokens).parse_module()
 
 
 def parse_term(text: str, file: str = "<input>") -> STerm:

@@ -1,7 +1,8 @@
 """Helpers that only the tests use: a 2-cell's boundary check, the text of a
-declaration for round-trip tests, 2-cell equality on cells of any form, and
-the plain references that the lock words of a variable, the normal form of a
-2-cell, the term walks and the term parser are compared against.
+declaration for round-trip tests, 2-cell equality on cells of any form, the
+names of the entries a token slice keeps, and the plain references that the
+lock words of a variable, the normal form of a 2-cell, the term walks, the
+term parser and the prelude slice are compared against.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from trikernel.syntax import (
     CALLS,
     CONSTANTS,
     PREFIX,
+    WORD,
     Decl,
     SAnnot,
     SApp,
@@ -45,6 +47,7 @@ from trikernel.syntax import (
     SSigma,
     SUniv,
     SVar,
+    parse_module,
     print_term,
 )
 
@@ -381,3 +384,40 @@ class LevelParser(syntax.Parser):
         self.expect("LPAREN")
         body = self.parse_term()
         return SCoe(cell, body, span=(start, self.spans[self.expect("RPAREN")][1]))
+
+
+def kept_names(text: str, tokens) -> list[str]:
+    """The names of the `def` and `axiom` entries of `text` that `tokens`, a
+    slice of it, keeps, in text order."""
+    return [d.name for d in parse_module(text, "<slice>", tokens).decls
+            if d.kind in ("def", "axiom")]
+
+
+def word_slice(texts: list[str], uses: str) -> list[list[str]]:
+    """The names of the entries of each of `texts` that the word closure
+    keeps, in text order: the slice before identifier tokens, the reference
+    a token slice keeps a subset of.  An entry starts at a line that starts
+    with `def ` or `axiom ` and runs to the next; any word of `uses`, of the
+    text before any text's first entry or of a kept entry, also in a
+    comment, a brace or a string, keeps every entry of that name."""
+    spans: dict[str, list[tuple[int, int, int]]] = {}
+    todo = set(WORD.findall(uses))
+    for index, text in enumerate(texts):
+        heads, offset = [], 0
+        for line in text.splitlines(keepends=True):
+            stripped = line.strip()
+            if stripped.startswith(("def ", "axiom ")):
+                name = stripped.split(None, 1)[1].split(":", 1)[0].split()
+                if name:
+                    heads.append((offset, name[0]))
+            offset += len(line)
+        todo.update(WORD.findall(text, 0, heads[0][0] if heads else len(text)))
+        for (start, name), (end, _) in zip(heads, heads[1:] + [(len(text), "")]):
+            spans.setdefault(name, []).append((index, start, end))
+    kept: list[list[tuple[int, str]]] = [[] for _ in texts]
+    while todo:
+        name = todo.pop()
+        for index, start, end in spans.pop(name, ()):
+            kept[index].append((start, name))
+            todo.update(WORD.findall(texts[index], start, end))
+    return [[name for _, name in sorted(entries)] for entries in kept]

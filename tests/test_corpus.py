@@ -34,9 +34,9 @@ from trikernel.core import (
 from trikernel.kernel import Checker, print_core
 from trikernel.modality import ModeError, cell_normalize, generator_cell
 from trikernel.prelude import load_prelude, parse_metadata, read_prelude
-from trikernel.syntax import parse_module, parse_term
+from trikernel.syntax import lex, parse_module, parse_term
 
-from support import print_decl
+from support import kept_names, print_decl
 
 STDLIB = default_stdlib_dir()
 
@@ -243,14 +243,53 @@ def test_a_check_before_a_dependencys_first_entry_gives_the_whole_verdict(
     monkeypatch.delenv("TTT_PRELUDE", raising=False)
     prelude_text, shipped = read_prelude()
     library = "\n".join(map(read_corpus_file, ("simplices.ttt", "hom.ttt", "segal.ttt", "iso.ttt")))
-    reached = prelude.slice_texts([prelude_text], library)[0]
-    assert "hasHLevel" not in {e.name for e in parse_metadata(reached)}
+    reached = prelude.slice_tokens([prelude_text], lex(library).identifiers())[0]
+    assert "hasHLevel" not in kept_names(prelude_text, reached)
     stdlib = library_copy(tmp_path, "simplices.ttt", lambda text: f"{statement}\n{text}")
     manifest = load_manifest(stdlib)
     for name in ("segal.ttt", "iso.ttt"):
         sliced = check_file(manifest, name, stdlib)
         assert sliced == check_file(manifest, name, stdlib, shipped), name
         assert sliced.ok == statement.endswith("U 0"), (name, sliced.actual)
+
+
+@pytest.mark.parametrize("broken, message", [
+    ("{g", "unterminated '{'"),
+    ('"E-CONV', "unterminated string literal"),
+    ("? x", "unexpected character '?'"),
+])
+def test_a_reached_dependency_entry_that_does_not_tokenize_fails_the_file(
+    tmp_path, monkeypatch, broken, message
+):
+    # an E-PARSE inside the entry, not a traceback, and an open brace or
+    # quote does not run on into the next entry
+    monkeypatch.delenv("TTT_PRELUDE", raising=False)
+    text = read_corpus_file("simplices.ttt")
+    stdlib = library_copy(tmp_path, "simplices.ttt", lambda old: (
+        old + f"def extra : U 0\n  := {broken}\n" + 'def after : U 0 := U 0 -- } "\n'))
+    segal = os.path.join(stdlib, "segal.ttt")
+    with open(segal, "a", encoding="utf-8") as handle:
+        handle.write("check extra : U 0\n")
+    result = check_file(load_manifest(stdlib), "segal.ttt", stdlib)
+    assert result.actual == "dependency simplices.ttt failed"
+    [diag] = result.diagnostics
+    assert (diag.file, diag.code, diag.message) == ("simplices.ttt", "E-PARSE", message)
+    assert (diag.line, diag.column) == (text.count("\n") + 2, 6)
+    assert diag.span[1] <= len(text) + len("def extra : U 0\n  := ") + len(broken) + 1
+
+
+def test_a_file_that_does_not_tokenize_gets_the_whole_verdict(tmp_path, monkeypatch):
+    # its dependencies are checked whole, so the ill-typed entry it names
+    # fails it first, as with the whole prelude
+    monkeypatch.delenv("TTT_PRELUDE", raising=False)
+    stdlib = library_copy(tmp_path, "simplices.ttt",
+                          lambda old: old + "def never_named_dep : Nat := true\n")
+    with open(os.path.join(stdlib, "segal.ttt"), "a", encoding="utf-8") as handle:
+        handle.write("check never_named_dep : Nat\ncheck ? : Nat\n")
+    manifest = load_manifest(stdlib)
+    sliced = check_file(manifest, "segal.ttt", stdlib)
+    assert sliced.actual == "dependency simplices.ttt failed"
+    assert sliced == check_file(manifest, "segal.ttt", stdlib, prelude.default_prelude_path())
 
 
 def test_corpus_run_checks_the_shipped_prelude_whole(tmp_path, monkeypatch):

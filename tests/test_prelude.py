@@ -4,17 +4,21 @@ import os
 
 import pytest
 
+from trikernel.core import constants
 from trikernel.corpus import default_stdlib_dir, load_manifest
+from trikernel.diagnostics import KernelError
 from trikernel.kernel import Checker
 from trikernel.prelude import (
     AXIOM_TAGS,
     load_prelude,
     parse_metadata,
     read_prelude,
-    slice_texts,
+    slice_tokens,
     verify_prelude,
 )
-from trikernel.syntax import WORD
+from trikernel.syntax import lex, tokenize
+
+from support import kept_names, word_slice
 
 
 def test_prelude_checks_clean():
@@ -129,17 +133,27 @@ def test_tier_counts_match_documented_manifest():
     assert report.tier_counts["infra"] >= 60
 
 
+def triples(tokens):
+    return list(zip(tokens.kinds, tokens.texts, tokens.spans))
+
+
+def assert_tokens_of(text, tokens):
+    """Each token of the slice `tokens` is the token of the whole `text` at
+    its span, in text order, and EOF is at the end of `text`."""
+    whole = {span: (kind, lexeme) for kind, lexeme, span in triples(tokenize(text))}
+    assert tokens.error is None
+    assert all(whole.get(span) == (kind, lexeme) for kind, lexeme, span in triples(tokens))
+    assert tokens.spans == sorted(set(tokens.spans))
+    assert triples(tokens)[-1] == ("EOF", "", (len(text), len(text)))
+
+
 def test_prelude_slice_keeps_offsets_and_lines():
-    # a dropped entry is blanked in place: the text keeps its length and its
-    # newlines, and every other character is kept or made a space
+    # a kept token is the whole text's token at the same span, so offsets,
+    # lines and columns stay exact
     text, _ = read_prelude()
-    newlines = [i for i, ch in enumerate(text) if ch == "\n"]
     for uses in ("", "def t : U 0 := sym", "transport Space hom\n-- IsEquiv0"):
-        sliced = slice_texts([text], uses)[0]
-        assert len(sliced) == len(text)
-        assert [i for i, ch in enumerate(sliced) if ch == "\n"] == newlines
-        assert all(kept in (ch, " ") for kept, ch in zip(sliced, text))
-    assert parse_metadata(slice_texts([text], "")[0]) == []
+        assert_tokens_of(text, slice_tokens([text], lex(uses).identifiers())[0])
+    assert kept_names(text, slice_tokens([text], set())[0]) == []
 
 
 def test_prelude_slice_for_hom_has_one_entry():
@@ -147,8 +161,8 @@ def test_prelude_slice_for_hom_has_one_entry():
 
     text, _ = read_prelude()
     with open(f"{default_stdlib_dir()}/hom.ttt", encoding="utf-8") as handle:
-        uses = handle.read()
-    assert len(parse_metadata(slice_texts([text], uses)[0])) == 1
+        uses = lex(handle.read()).identifiers()
+    assert len(kept_names(text, slice_tokens([text], uses)[0])) == 1
 
 
 def test_prelude_slice_closes_under_the_words_of_kept_entries():
@@ -158,10 +172,10 @@ def test_prelude_slice_closes_under_the_words_of_kept_entries():
         "def C : U 0 := B\n"
         "axiom D : U 0\n"
     )
-    sliced = slice_texts([text], "def x : U 0 := C")[0]
-    assert [e.name for e in parse_metadata(sliced)] == ["A", "B", "C"]
+    sliced = slice_tokens([text], {"x", "C"})[0]
+    assert kept_names(text, sliced) == ["A", "B", "C"]
     checker = Checker()
-    assert checker.check_source(sliced) == []
+    assert checker.check_source(text, "<input>", sliced) == []
     assert list(checker.globals) == ["A", "B", "C"]
 
 
@@ -171,20 +185,22 @@ def read_library_file(name):
 
 
 def reference_slice(text, uses):
-    """The one-text slice by a plain fixpoint over whole lines: the words of
-    `uses` and of kept entries keep entries, until nothing more is kept."""
+    """The one-text slice by a plain fixpoint over whole lines: the identifier
+    tokens of `uses` and of kept entries keep entries, until nothing more is
+    kept; every other entry is blanked, newlines kept."""
     lines = text.splitlines(keepends=True)
     starts = [i for i, line in enumerate(lines) if line.strip().startswith(("def ", "axiom "))]
     entries = []
     for start, end in zip(starts, starts[1:] + [len(lines)]):
         name = lines[start].strip().split(None, 1)[1].split(":", 1)[0].split()[0]
         entries.append((name, "".join(lines[start:end])))
-    kept = set(WORD.findall(uses))
+    kept = tokenize(uses).identifiers()
     grown = True
     while grown:
-        words = set().union(*(WORD.findall(chunk) for name, chunk in entries if name in kept))
-        grown = not words <= kept
-        kept |= words
+        names = set().union(*(tokenize(chunk).identifiers()
+                              for name, chunk in entries if name in kept))
+        grown = not names <= kept
+        kept |= names
     out = "".join(lines[: starts[0] if starts else len(lines)])
     for name, chunk in entries:
         out += chunk if name in kept else "\n".join(" " * len(line) for line in chunk.split("\n"))
@@ -196,7 +212,8 @@ def test_one_text_slice_of_the_shipped_prelude_is_unchanged_for_each_library_fil
     text, _ = read_prelude()
     for entry in load_manifest().entries:
         uses = read_library_file(entry.file)
-        assert slice_texts([text], uses)[0] == reference_slice(text, uses), entry.file
+        sliced = slice_tokens([text], lex(uses).identifiers())[0]
+        assert triples(sliced) == triples(tokenize(reference_slice(text, uses))), entry.file
 
 
 def test_slice_texts_keeps_offsets_and_lines_in_every_text():
@@ -205,16 +222,13 @@ def test_slice_texts_keeps_offsets_and_lines_in_every_text():
     entry = manifest.entry("monoid.ttt")
     texts = [prelude_text] + [read_library_file(dep) for dep in entry.deps]
     for uses in ("", read_library_file("monoid.ttt"), "def t : U 0 := Space"):
-        sliced = slice_texts(texts, uses)
+        sliced = slice_tokens(texts, lex(uses).identifiers())
         assert len(sliced) == len(texts)
         for text, cut in zip(texts, sliced):
-            assert len(cut) == len(text)
-            assert [i for i, ch in enumerate(cut) if ch == "\n"] == [
-                i for i, ch in enumerate(text) if ch == "\n"
-            ]
-            assert all(kept in (ch, " ") for kept, ch in zip(cut, text))
+            assert_tokens_of(text, cut)
     # the library's last file reaches some, not all, of its dependencies' entries
-    kept = [len(parse_metadata(cut)) for cut in slice_texts(texts, read_library_file("monoid.ttt"))]
+    cuts = slice_tokens(texts, lex(read_library_file("monoid.ttt")).identifiers())
+    kept = [len(kept_names(text, cut)) for text, cut in zip(texts, cuts)]
     whole = [len(parse_metadata(text)) for text in texts]
     assert 0 < sum(kept[1:]) < sum(whole[1:])
 
@@ -227,20 +241,110 @@ def test_slice_texts_keeps_an_entry_reached_only_through_another_text():
     )
     first = "def A : U 0 := P\naxiom Q : U 0\naxiom Z : U 0\n"
     second = "def B : U 0 := A\naxiom Y : U 0\n"
-    sliced = slice_texts([prelude_text, first, second], "def x : U 0 := Wrap B")
-    names = [[e.name for e in parse_metadata(cut)] for cut in sliced]
-    # A only through B, P only through A, Q only through a word of Wrap
-    assert names == [["P", "Wrap"], ["A", "Q"], ["B"]]
+    texts = [prelude_text, first, second]
+    sliced = slice_tokens(texts, lex("def x : U 0 := Wrap B").identifiers())
+    # A only through B, P only through A, Q only through an identifier of Wrap
+    assert [kept_names(text, cut) for text, cut in zip(texts, sliced)] == [
+        ["P", "Wrap"], ["A", "Q"], ["B"]]
     checker = Checker()
-    for cut in sliced:
-        assert checker.check_source(cut) == []
+    for text, cut in zip(texts, sliced):
+        assert checker.check_source(text, "<input>", cut) == []
     assert list(checker.globals) == ["P", "Wrap", "A", "Q", "B"]
 
 
 def test_text_before_a_first_entry_is_kept_and_its_words_are_uses():
     texts = ["axiom A : U 0\naxiom D : U 0\n", "check A : U 0\n\ndef B : U 0 := A\n"]
-    prelude_part, dep = slice_texts(texts, "")
-    assert [e.name for e in parse_metadata(prelude_part)] == ["A"]
-    assert dep == "check A : U 0\n\n                \n"
+    prelude_part, dep = slice_tokens(texts, set())
+    assert kept_names(texts[0], prelude_part) == ["A"]
+    end = len(texts[1])
+    assert triples(dep) == triples(tokenize(texts[1], end=13))[:-1] + [("EOF", "", (end, end))]
     # the one-text case counts them too
-    assert slice_texts([texts[1]], "")[0] == dep
+    assert triples(slice_tokens([texts[1]], set())[0]) == triples(dep)
+
+
+def sliced_and_whole(text, uses):
+    """The diagnostics of checking `uses` after `text`, sliced and whole."""
+    out = []
+    for sliced in (True, False):
+        checker = Checker()
+        tokens = slice_tokens([text], lex(uses).identifiers())[0] if sliced else None
+        out.append(checker.check_source(text, "t.ttt", tokens) + checker.check_source(uses))
+    return out
+
+
+@pytest.mark.parametrize("blanks", ["\t", "    ", "\n", "\n\n  ", " -- a comment\n"])
+def test_an_entry_head_is_read_as_the_tokenizer_reads_it(blanks):
+    # any blanks, line breaks or comments between the keyword and the name
+    text = f"axiom A : U 0\ndef{blanks}B : U 0 := A\n  axiom{blanks}C : U 0\n"
+    sliced, whole = sliced_and_whole(text, "check B : U 0\ncheck C : U 0")
+    assert sliced == whole == []
+    assert [e.name for e in parse_metadata(text)] == ["A", "B", "C"]
+    assert kept_names(text, slice_tokens([text], {"B"})[0]) == ["A", "B"]
+
+
+def test_a_second_declaration_on_a_line_stays_part_of_that_lines_entry():
+    text = "axiom A : U 0  axiom C : U 0\naxiom define : U 0\ndef fun : U 0 := A\n"
+    assert [e.name for e in parse_metadata(text)] == ["A", "define"]
+    assert kept_names(text, slice_tokens([text], {"A"})[0]) == ["A", "C"]
+    # so C is kept only with A; `def fun` is no head, and fails A's entry
+    assert kept_names(text, slice_tokens([text], {"C"})[0]) == []
+    assert [d.code for d in Checker().check_source(text)] == ["E-PARSE"]
+
+
+@pytest.mark.parametrize("broken, message", [
+    ("f {g", "unterminated '{'"),
+    ('f "E-CONV', "unterminated string literal"),
+    ("f ? x", "unexpected character '?'"),
+])
+def test_a_kept_entry_that_does_not_tokenize_is_an_e_parse_inside_it(broken, message):
+    # the first such entry in text order, at the span that the tokenizer
+    # gives inside the entry: an open brace or quote does not run on into
+    # the next entries, though the whole text's would end in a comment there
+    entries = ["axiom f : U 0 -> U 0\n", "axiom g : U 0\n", f"def bad : U 0\n  := {broken}\n",
+               "def worse : U 0 := f ?\n", 'def closes : U 0 := g -- } "\n']
+    text = "".join(entries)
+    start = len("".join(entries[:2]))
+    end = start + len(entries[2])
+    with pytest.raises(KernelError) as err:
+        tokenize(text[start:end])
+    want = tuple(start + offset for offset in err.value.diagnostic.span)
+    [cut] = slice_tokens([text], {"worse", "bad", "closes", "unused"})
+    assert cut.error is not None and (cut.error.message, cut.error.span) == (message, want)
+    [diag] = Checker().check_source(text, "dep.ttt", cut)
+    assert (diag.file, diag.code, diag.message, diag.span) == ("dep.ttt", "E-PARSE", message, want)
+    assert (diag.line, diag.column) == (4, 8)
+    # an entry no use reaches is not tokenized
+    assert slice_tokens([text], {"closes"})[0].error is None
+
+
+def library_slices(name):
+    """The shipped prelude and `name`'s dependencies, their texts and their
+    token slices for `name`."""
+    entry, deps = load_manifest().files[name]
+    texts = [read_prelude()[0]] + [read_library_file(dep) for dep in deps]
+    return texts, slice_tokens(texts, lex(read_library_file(name)).identifiers())
+
+
+def test_the_token_slice_keeps_a_subset_of_the_word_slice():
+    # identifier tokens keep entries; words in comments, braces or strings do not
+    kept = {}
+    for entry in load_manifest().entries:
+        texts, cuts = library_slices(entry.file)
+        names = [kept_names(text, cut) for text, cut in zip(texts, cuts)]
+        words = word_slice(texts, read_library_file(entry.file))
+        assert all(set(n) <= set(w) for n, w in zip(names, words)), entry.file
+        kept[entry.file] = (sum(map(len, names)), sum(map(len, words)))
+    # words in comments kept 31 more entries of iso.ttt, 27 through compose_horn
+    assert kept["iso.ttt"] == (9, 40)
+    assert kept["interval.ttt"] == (63, 63)
+
+
+def test_every_constant_of_a_kept_global_is_kept():
+    for entry in load_manifest().entries:
+        texts, cuts = library_slices(entry.file)
+        checker = Checker()
+        for text, cut in zip(texts, cuts):
+            assert checker.check_source(text, "<input>", cut) == [], entry.file
+        for name, glob in checker.globals.items():
+            named = constants(glob.ty) | (constants(glob.body) if glob.body is not None else set())
+            assert named <= set(checker.globals), (entry.file, name)

@@ -404,17 +404,30 @@ def test_tokenizer_matches_reference_on_random_text():
         assert _tokens(text) == _reference_tokenize(text), text
 
 
+def _covered(text, tokens):
+    """`text` with every character outside the spans of `tokens` a blank, and
+    its newlines kept."""
+    out = [" " if ch != "\n" else ch for ch in text]
+    for start, end in tokens.spans:
+        out[start:end] = text[start:end]
+    return "".join(out)
+
+
 @functools.lru_cache(maxsize=None)
 def _benchmark_texts():
     """The texts the benchmark parses: the prelude and dependency slices that
-    `corpus.check_file` parses for each of the 17 manifest files, and the
-    interval modules of seeds 1 and 7, generated as perfbench's `interval`
-    workload does (a pool of 4 rounds of 36)."""
+    `corpus.check_file` parses for each of the 17 manifest files, each as the
+    text whose tokens the slice's are (`_covered`), and the interval modules
+    of seeds 1 and 7, generated as perfbench's `interval` workload does (a
+    pool of 4 rounds of 36)."""
     seen, original = [], syntax.parse_module
 
-    def recording(text, file="<input>"):
+    def recording(text, file="<input>", tokens=None):
+        if tokens is not None:
+            text = _covered(text, tokens)
+            assert _tokens(text) == list(zip(tokens.kinds, tokens.texts, tokens.spans)), file
         seen.append(text)
-        return original(text, file)
+        return original(text, file, tokens)
 
     syntax.parse_module = recording
     try:
