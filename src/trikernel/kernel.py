@@ -7,7 +7,15 @@ cross interval binders.  Variable access across locks is mediated by a
 2-cell from the declaration's annotation to the first word of
 `Ctx.lock_words` that one reaches.  A binder is an interval hypothesis when
 `core.binds_interval` says so; the elaborator stores an interval domain of a
-Pi as ``Int`` itself, unfolded once.
+Pi as ``Int`` itself.
+
+A definition unfolds (in `whnf`) only where its unfolding is read, and three
+places read none.  Conversion compares two applications of one defined
+constant to as many arguments argument by argument, and unfolds both sides
+only when a pair differs.  An unannotated Pi domain is tested for ``Int``
+without unfolding when the definition's body gives its unfolding's head, a
+rigid one (`Checker._is_int`); a modal one is never tested.  `type_of` types
+a constant's application from the constant's declared type.
 
 Conversion compares forms that are canonical when built.  A variable's
 2-cell is normal when made, so syntactic equality decides two variables.
@@ -255,6 +263,41 @@ class Checker:
                     return self.whnf(xw.arg)
                 return Down(xw)
 
+    def _defined_spine(self, t: Term) -> Optional[tuple[GlobalDef, list[Term]]]:
+        """The definition and the arguments, outermost first, of `t` when it
+        is a defined constant applied to zero or more arguments."""
+        args = []
+        while type(t) is App:
+            args.append(t.arg)
+            t = t.fn
+        if type(t) is not Const:
+            return None
+        entry = self.globals.get(t.name)
+        if entry is None or entry.body is None:
+            return None
+        args.reverse()
+        return entry, args
+
+    def _is_int(self, ty: Term) -> bool:
+        """Whether the whnf of the type `ty` is ``Int``.
+
+        A defined constant applied to as many arguments as its body has
+        leading lambdas, whose body under them has a rigid head (neither a
+        variable nor a redex), is not unfolded: substitution cannot change
+        that head, so the whnf has it.
+        """
+        spine = self._defined_spine(ty)
+        if spine is not None:
+            body = spine[0].body
+            for _ in spine[1]:
+                if type(body) is not Lam:
+                    break
+                body = body.body
+            else:
+                if type(body) is not Var and type(body) not in _REDEX_FORMERS:
+                    return type(body) is IntT
+        return type(self.whnf(ty)) is IntT
+
     # -- interval canonical forms ---------------------------------------------
 
     def int_canon(self, t: Term) -> lattice.Poly:
@@ -314,8 +357,17 @@ class Checker:
         return syn_eq(t, u) or self.conv_str(t, u)
 
     def conv_str(self, t: Term, u: Term) -> bool:
-        """Definitional equality of two terms of one type, by their whnfs."""
+        """Definitional equality of two terms of one type, by their whnfs.
+
+        Two applications of one defined constant to as many arguments each
+        are equal when their arguments are, pairwise; only when some pair is
+        not are both sides unfolded.
+        """
         while True:
+            ts, us = self._defined_spine(t), self._defined_spine(u)
+            if (ts and us and ts[0] is us[0] and len(ts[1]) == len(us[1])
+                    and all(map(self.conv, ts[1], us[1]))):
+                return True
             tw, uw = self.whnf(t), self.whnf(u)
             if (tw is not t or uw is not u) and syn_eq(tw, uw):
                 return True
@@ -348,21 +400,29 @@ class Checker:
     # -- type synthesis ----------------------------------------------------------
 
     def type_of(self, ctx: Ctx, t: Term) -> Term:
-        """Type of the well-typed core term `t`, read off its weak-head normal form.
+        """Type of the well-typed core term `t`.
 
-        `t` is a type, whose type is its universe, or a neutral term: the
-        principal argument of a stuck eliminator.  Introduction forms carry no
-        annotation in the core, so they have no synthesized type.
+        A constant applied to zero or more arguments is typed from the
+        constant's declared type, without unfolding it; any other term is
+        typed by its weak-head normal form.  Without cumulativity a declared
+        type fixes the level that `universe_of` reads.  `t` is a type, whose
+        type is its universe, or a neutral term: the principal argument of a
+        stuck eliminator.  Introduction forms carry no annotation in the core,
+        so they have no synthesized type.
         """
+        apps = _spine(t, App)
+        head = apps[0].fn if apps else t
+        if type(head) is Const:
+            entry = self.globals.get(head.name)
+            if entry is None:
+                self.err("E-UNBOUND", f"unknown constant {head.name!r}")
+            return self._app_type(ctx, entry.ty, apps)
         match w := self.whnf(t):
             case Var(ix, cell):
                 base = ctx.type_of(ix)
                 return base if cell is None else apply_cell(base, cell)
-            case Const(name):
-                entry = self.globals.get(name)
-                if entry is None:
-                    self.err("E-UNBOUND", f"unknown constant {name!r}")
-                return entry.ty
+            case Const():  # an axiom, reached by reduction
+                return self.type_of(ctx, w)
             case App():
                 apps = _spine(w, App)
                 return self._app_type(ctx, self.type_of(ctx, apps[0].fn), apps)
@@ -551,8 +611,8 @@ class Checker:
                     )
                 dc, l1 = self.elab_type(ctx.lock(word), dom)
                 # an interval domain is stored as `Int` itself, the one form
-                # that `binds_interval` reads
-                if binds_interval(word, self.whnf(dc)):
+                # that `binds_interval` reads; a modal binder binds none
+                if not word and self._is_int(dc):
                     dc = INT
                 ctx2 = ctx.extend(name, word, dc)
                 cc, l2 = self.elab_type(ctx2, cod)
@@ -728,8 +788,8 @@ class Checker:
 
     def _check_via_infer(self, ctx: Ctx, s: syntax.STerm, ty: Term) -> Term:
         tc, ity = self.infer(ctx, s)
-        # `conv` unfolds both sides itself when they differ syntactically; the
-        # whnfs here serve only the diagnostic
+        # `conv` unfolds what it needs itself; the whnfs here serve only the
+        # diagnostic
         if self.conv(ity, ty):
             return tc
         tyw, ityw = self.whnf(ty), self.whnf(ity)

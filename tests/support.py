@@ -1,15 +1,34 @@
 """Helpers that only the tests use: a 2-cell's boundary check, the text of a
 declaration for round-trip tests, 2-cell equality on cells of any form, the
 names of the entries a token slice keeps, and the plain references that the
-lock words of a variable, the normal form of a 2-cell, the term walks, the
-term parser and the prelude slice are compared against.
+lock words of a variable, the normal form of a 2-cell, the term walks,
+conversion, the term parser and the prelude slice are compared against.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from trikernel.core import _DATA_FIELDS, _FIELDS, Term, Var, _rows
+from trikernel.core import (
+    _DATA_FIELDS,
+    _FIELDS,
+    _KIDS,
+    I0,
+    I1,
+    App,
+    Fst,
+    JoinT,
+    Lam,
+    MeetT,
+    Pair,
+    Snd,
+    Term,
+    Var,
+    _rows,
+    same_data,
+    shift,
+    syn_eq,
+)
 from trikernel.modality import (
     ModeError,
     TwoCell,
@@ -19,7 +38,7 @@ from trikernel.modality import (
     format_word,
     normalize,
 )
-from trikernel import syntax
+from trikernel import lattice, syntax
 from trikernel.modality import parse_cell, parse_word
 from trikernel.syntax import (
     CALLS,
@@ -162,6 +181,51 @@ def reference_map(t: Term, fn, depth: int = 0, locks: tuple[str, ...] = ()) -> T
         return t
     return cls(*[changes[name] if name in changes else getattr(t, name)
                  for name in _FIELDS[cls]])
+
+
+def eager_conv(checker, t: Term, u: Term) -> bool:
+    """Definitional equality as `Checker.conv` decides it when it unfolds
+    every definition it meets: syntactic equality, else the whnfs of both
+    sides compared.  Interval atoms are matched by this relation too, in a
+    table of its own, so the checker's atom table is not touched."""
+    atoms: list[Term] = []
+
+    def leaf(a: Term) -> int | Term:
+        w = checker.whnf(a)
+        if isinstance(w, (I0, I1, MeetT, JoinT)):
+            return w
+        for ident, other in enumerate(atoms):
+            if conv(other, w):
+                return ident
+        atoms.append(w)
+        return len(atoms) - 1
+
+    def conv(t: Term, u: Term) -> bool:
+        return syn_eq(t, u) or conv_str(t, u)
+
+    def conv_str(t: Term, u: Term) -> bool:
+        while True:
+            tw, uw = checker.whnf(t), checker.whnf(u)
+            if (tw is not t or uw is not u) and syn_eq(tw, uw):
+                return True
+            if isinstance(tw, (MeetT, JoinT)) or isinstance(uw, (MeetT, JoinT)):
+                return lattice.decide(tw, uw, leaf)
+            if isinstance(tw, Lam) and not isinstance(uw, Lam):
+                return conv(tw.body, App(shift(uw, 1), Var(0)))
+            if isinstance(uw, Lam) and not isinstance(tw, Lam):
+                return conv(App(shift(tw, 1), Var(0)), uw.body)
+            if isinstance(tw, Pair) and not isinstance(uw, Pair):
+                return conv(tw.fst, Fst(uw)) and conv(tw.snd, Snd(uw))
+            if isinstance(uw, Pair) and not isinstance(tw, Pair):
+                return conv(Fst(tw), uw.fst) and conv(Snd(tw), uw.snd)
+            if type(tw) is not type(uw) or not same_data(tw, uw):
+                return False
+            kids = _KIDS[type(tw)]
+            if len(kids) != 1:
+                return all(conv(getattr(tw, name), getattr(uw, name)) for name in kids)
+            t, u = getattr(tw, kids[0]), getattr(uw, kids[0])
+
+    return conv(t, u)
 
 
 class LevelParser(syntax.Parser):

@@ -1,7 +1,9 @@
 """Kernel behavior: typing, conversion, modal discipline, 2-cell action."""
 
 import itertools
+import os
 import random
+import sys
 import time
 from importlib import resources
 
@@ -71,7 +73,7 @@ from trikernel.prelude import load_prelude
 from trikernel.record import fields
 from trikernel.syntax import parse_module, parse_term
 
-from support import cell_eq, lock_candidates
+from support import cell_eq, eager_conv, lock_candidates
 
 
 def run(text):
@@ -979,6 +981,12 @@ def test_constant_time_variable_use_matches_telescope_scan_on_library(monkeypatc
     shipped = str(resources.files("trikernel") / "prelude.ttt")
     for entry in manifest.entries:
         assert corpus.check_file(manifest, entry.file, prelude_path=shipped).ok, entry.file
+    # a 12-binder telescope: the library builds contexts of at most 9
+    # entries, since conversion compares a shared head's arguments instead
+    # of unfolding it
+    binders = " ".join(f"x{k}" for k in range(11))
+    assert Checker().check_source(
+        f"def t : (A : U 0) -> ({binders} : A) -> A := fun A {binders} => x0") == []
     # every variable use is in a context that the scan checked
     assert len(uses) > 10_000 and None not in uses and max(uses) >= 9
     assert max(len(ctx.entries) for ctx in checked.values()) >= 12
@@ -1139,8 +1147,13 @@ def test_an_explicit_identity_cell_is_no_annotation():
 @pytest.mark.parametrize("source", [
     "def f : (A : U 0) -> (a : A) -> <p| A> := fun A a => mod{p}(a)",
     "def f : (A : U 0 @ g) -> (a : A @ g) -> <g.p| A> := fun A a => mod{g.p}(a)",
-    # an interval domain through a definition still binds an interval
+    # an interval domain through a definition still binds an interval: a
+    # body that is `Int`, a variable or a redex under its lambdas is unfolded
     "def Iv : U 0 := Int\ndef f : (A : U 0) -> (a : A) -> (i : Iv) -> A := fun A a => mod{p}(a)",
+    "def F : U 0 -> U 0 := fun A => A\n"
+    "def f : (A : U 0) -> (a : A) -> (i : F Int) -> A := fun A a => mod{p}(a)",
+    "def F : Bool -> U 0 := fun b => boolrec(fun k => U 0, Int, Nat, b)\n"
+    "def f : (A : U 0) -> (a : A) -> (i : F true) -> A := fun A a => mod{p}(a)",
 ])
 def test_path_modal_introduction(source):
     run_ok(source)
@@ -1218,3 +1231,107 @@ def test_constant_types_are_built_once(monkeypatch):
     meet = " /\\ ".join(["(x \\/ y)"] * 8)
     assert checker.check_source(f"check {meet} : Int") == []
     assert len(calls) >= 16 and past_identity == []
+
+
+def test_a_shared_head_converts_by_its_arguments_without_unfolding(monkeypatch):
+    # `big A` unfolds to a Sigma of 41 components
+    checker = run_ok("def id : U 0 -> U 0 := fun A => A\n"
+                     "def big : U 0 -> U 0 := fun A => " + "A * " * 40 + "A\n")
+    body = checker.globals["big"].body.body
+    instantiated = []
+    original = kernel.instantiate
+
+    def recording(t, args):
+        instantiated.append(t)
+        return original(t, args)
+
+    monkeypatch.setattr(kernel, "instantiate", recording)
+    assert checker.check_source("def t : (A : U 0) -> big (id A) -> big A := fun A x => x") == []
+    assert instantiated and not any(t is body for t in instantiated)
+
+
+def test_a_shared_head_whose_arguments_differ_converts_by_unfolding():
+    checker = run_ok("def const : U 0 -> Nat -> U 0 := fun A x => A\n"
+                     "def t : (x y : Nat) -> const Nat x -> const Nat y := fun x y a => a\n")
+    # spines of one head are compared argument by argument only at one length
+    const_nat = App(Const("const"), NatT())
+    assert not checker.conv(const_nat, App(const_nat, Zero()))
+
+
+@pytest.mark.parametrize("decl, message, expected, actual", [
+    ("def t : pick Nat Bool -> pick Bool Nat := fun a => a", "type mismatch", "Bool", "Nat"),
+    ("def t : pick Nat Bool = pick Bool Nat := refl", "refl requires definitionally equal sides",
+     "Nat", "Bool"),
+])
+def test_a_shared_head_whose_unfoldings_differ_is_a_conversion_error(decl, message, expected,
+                                                                     actual):
+    d = run_fail("def pick : U 0 -> U 0 -> U 0 := fun A B => A\n" + decl, "E-CONV")
+    assert (d.line, d.message, d.expected, d.actual) == (2, message, expected, actual)
+
+
+def test_unfolding_only_where_it_is_read_agrees_with_unfolding_everywhere(monkeypatch):
+    # the differential guard of each skipped unfolding: every outermost
+    # conversion against the eager relation, every Pi domain tested without
+    # a whnf against its whnf, and every type read from a declared type
+    # against the type of the unfolded term
+    convs, shared, domains, levels, depth = [], [], [], [], [0]
+    real_conv, real_is_int = Checker.conv, Checker._is_int
+    real_type_of, real_whnf = Checker.type_of, Checker.whnf
+
+    def conv(self, t, u):
+        heads = self._defined_spine(t), self._defined_spine(u)
+        if None not in heads and heads[0][0] is heads[1][0] and not syn_eq(t, u):
+            shared.append(t)
+        depth[0] += 1
+        try:
+            got = real_conv(self, t, u)
+        finally:
+            depth[0] -= 1
+        if not depth[0]:
+            assert got == eager_conv(self, t, u), (print_core(t), print_core(u))
+            convs.append(got)
+        return got
+
+    def is_int(self, ty):
+        unfolded = []
+        self.whnf = lambda t: unfolded.append(t) or real_whnf(self, t)
+        try:
+            got = real_is_int(self, ty)
+        finally:
+            del self.whnf
+        assert got == (type(self.whnf(ty)) is IntT), print_core(ty)
+        if not unfolded:
+            domains.append(got)
+        return got
+
+    def type_of(self, ctx, t):
+        got = real_type_of(self, ctx, t)
+        if self._defined_spine(t) is not None:
+            unfolded = real_type_of(self, ctx, self.whnf(t))
+            want = self.whnf(unfolded)
+            if isinstance(want, Univ):
+                assert self.whnf(got) == want, print_core(t, ctx.names())
+                levels.append(want.level)
+            else:
+                assert eager_conv(self, got, unfolded), print_core(t, ctx.names())
+        return got
+
+    monkeypatch.setattr(Checker, "conv", conv)
+    monkeypatch.setattr(Checker, "_is_int", is_int)
+    monkeypatch.setattr(Checker, "type_of", type_of)
+    manifest = corpus.load_manifest()
+    shipped = str(resources.files("trikernel") / "prelude.ttt")
+    for entry in manifest.entries:  # the passing and the negative files
+        for prelude_path in (None, shipped):  # sliced and whole
+            assert corpus.check_file(manifest, entry.file, prelude_path=prelude_path).ok
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                    "perfbench"))
+    import intervalgen
+
+    for seed in (1, 7):
+        rng = random.Random(seed)
+        for case in (case for _ in range(4) for case in intervalgen.make_round(rng)):
+            Checker().check_source(case.text)
+    # each skipped unfolding was met, and conversions of both verdicts
+    assert len(convs) > 20_000 and convs.count(False) > 200 and len(shared) >= 40
+    assert len(domains) >= 500 and len(levels) >= 250
