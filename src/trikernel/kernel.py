@@ -12,10 +12,11 @@ Pi as ``Int`` itself.
 A definition unfolds (in `whnf`) only where its unfolding is read, and three
 places read none.  Conversion compares two applications of one defined
 constant to as many arguments argument by argument, and unfolds both sides
-only when a pair differs.  An unannotated Pi domain is tested for ``Int``
-without unfolding when the definition's body gives its unfolding's head, a
-rigid one (`Checker._is_int`); a modal one is never tested.  `type_of` types
-a constant's application from the constant's declared type.
+only when a pair differs, then unfolding every definition beneath them.  An
+unannotated Pi domain is tested for ``Int`` without unfolding when the
+definition's body gives its unfolding's head, a rigid one
+(`Checker._is_int`); a modal one is never tested.  `type_of` types a
+constant's application from the constant's declared type.
 
 Conversion compares forms that are canonical when built.  A variable's
 2-cell is normal when made, so syntactic equality decides two variables.
@@ -171,6 +172,9 @@ class Checker:
         self.globals: dict[str, GlobalDef] = {}  # in order of definition
         self.atoms = lattice.AtomTable()
         self._atoms_by_former: dict[type, list[int]] = {}
+        # whether `conv_str` compares a shared head's arguments before it
+        # unfolds; off beneath a shared head whose arguments did not convert
+        self._args_first = True
 
     # -- diagnostics ---------------------------------------------------------
 
@@ -263,20 +267,13 @@ class Checker:
                     return self.whnf(xw.arg)
                 return Down(xw)
 
-    def _defined_spine(self, t: Term) -> Optional[tuple[GlobalDef, list[Term]]]:
-        """The definition and the arguments, outermost first, of `t` when it
-        is a defined constant applied to zero or more arguments."""
-        args = []
-        while type(t) is App:
-            args.append(t.arg)
-            t = t.fn
-        if type(t) is not Const:
-            return None
-        entry = self.globals.get(t.name)
-        if entry is None or entry.body is None:
-            return None
-        args.reverse()
-        return entry, args
+    def _head(self, t: Term) -> tuple[Optional[GlobalDef], list]:
+        """The global of the head of the application spine `t` when that head
+        is a known constant (else None), and the spine's applications, as
+        `_spine` gives them."""
+        apps = _spine(t, App)
+        head = apps[0].fn if apps else t
+        return (self.globals.get(head.name) if type(head) is Const else None), apps
 
     def _is_int(self, ty: Term) -> bool:
         """Whether the whnf of the type `ty` is ``Int``.
@@ -286,10 +283,10 @@ class Checker:
         variable nor a redex), is not unfolded: substitution cannot change
         that head, so the whnf has it.
         """
-        spine = self._defined_spine(ty)
-        if spine is not None:
-            body = spine[0].body
-            for _ in spine[1]:
+        entry, apps = self._head(ty)
+        if entry is not None and entry.body is not None:
+            body = entry.body
+            for _ in apps:
                 if type(body) is not Lam:
                     break
                 body = body.body
@@ -361,13 +358,23 @@ class Checker:
 
         Two applications of one defined constant to as many arguments each
         are equal when their arguments are, pairwise; only when some pair is
-        not are both sides unfolded.
+        not are both sides unfolded, and then compared by unfolding every
+        definition beneath: the unfoldings hold the pair that failed, and to
+        compare it by its arguments again at each copy would take time
+        exponential in the nesting of such heads.
         """
         while True:
-            ts, us = self._defined_spine(t), self._defined_spine(u)
-            if (ts and us and ts[0] is us[0] and len(ts[1]) == len(us[1])
-                    and all(map(self.conv, ts[1], us[1]))):
-                return True
+            te, tapps = self._head(t)
+            ue, uapps = self._head(u)
+            if (self._args_first and te is ue and te is not None and te.body is not None
+                    and len(tapps) == len(uapps)):
+                if all(self.conv(a.arg, b.arg) for a, b in zip(tapps, uapps)):
+                    return True
+                self._args_first = False
+                try:
+                    return self.conv_str(t, u)
+                finally:
+                    self._args_first = True
             tw, uw = self.whnf(t), self.whnf(u)
             if (tw is not t or uw is not u) and syn_eq(tw, uw):
                 return True
@@ -410,19 +417,18 @@ class Checker:
         stuck eliminator.  Introduction forms carry no annotation in the core,
         so they have no synthesized type.
         """
-        apps = _spine(t, App)
-        head = apps[0].fn if apps else t
-        if type(head) is Const:
-            entry = self.globals.get(head.name)
-            if entry is None:
-                self.err("E-UNBOUND", f"unknown constant {head.name!r}")
+        entry, apps = self._head(t)
+        if entry is not None:
             return self._app_type(ctx, entry.ty, apps)
         match w := self.whnf(t):
             case Var(ix, cell):
                 base = ctx.type_of(ix)
                 return base if cell is None else apply_cell(base, cell)
-            case Const():  # an axiom, reached by reduction
-                return self.type_of(ctx, w)
+            case Const(name):
+                entry = self.globals.get(name)
+                if entry is None:
+                    self.err("E-UNBOUND", f"unknown constant {name!r}")
+                return entry.ty
             case App():
                 apps = _spine(w, App)
                 return self._app_type(ctx, self.type_of(ctx, apps[0].fn), apps)
@@ -611,8 +617,9 @@ class Checker:
                     )
                 dc, l1 = self.elab_type(ctx.lock(word), dom)
                 # an interval domain is stored as `Int` itself, the one form
-                # that `binds_interval` reads; a modal binder binds none
-                if not word and self._is_int(dc):
+                # that `binds_interval` reads; a binder that would bind none
+                # at `Int` is not tested
+                if binds_interval(word, INT) and self._is_int(dc):
                     dc = INT
                 ctx2 = ctx.extend(name, word, dc)
                 cc, l2 = self.elab_type(ctx2, cod)

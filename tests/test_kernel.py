@@ -1269,6 +1269,31 @@ def test_a_shared_head_whose_unfoldings_differ_is_a_conversion_error(decl, messa
     assert (d.line, d.message, d.expected, d.actual) == (2, message, expected, actual)
 
 
+def test_nested_shared_heads_whose_arguments_differ_fail_in_polynomial_time(monkeypatch):
+    # each level's unfolding holds the failed pair of the level below twice:
+    # compared by its arguments again at each copy, 24 levels would take
+    # some 2**24 unfoldings
+    def nested(leaf, depth):
+        for _ in range(depth):
+            leaf = f"g ({leaf})" if " " in leaf else f"g {leaf}"
+        return leaf
+
+    calls = []
+    original = Checker.whnf
+
+    def counting(self, t):
+        calls.append(t)
+        assert len(calls) < 5_000
+        return original(self, t)
+
+    monkeypatch.setattr(Checker, "whnf", counting)
+    d = run_fail("axiom x : U 0\naxiom y : U 0\ndef g : U 0 -> U 0 := fun A => A * A\n"
+                 f"def t : {nested('x', 24)} -> {nested('y', 24)} := fun z => z\n", "E-CONV")
+    # the diagnostic is the one that unfolding everything gives
+    assert (d.expected, d.actual) == (f"{nested('y', 23)} * {nested('y', 23)}",
+                                      f"{nested('x', 23)} * {nested('x', 23)}")
+
+
 def test_unfolding_only_where_it_is_read_agrees_with_unfolding_everywhere(monkeypatch):
     # the differential guard of each skipped unfolding: every outermost
     # conversion against the eager relation, every Pi domain tested without
@@ -1279,8 +1304,8 @@ def test_unfolding_only_where_it_is_read_agrees_with_unfolding_everywhere(monkey
     real_type_of, real_whnf = Checker.type_of, Checker.whnf
 
     def conv(self, t, u):
-        heads = self._defined_spine(t), self._defined_spine(u)
-        if None not in heads and heads[0][0] is heads[1][0] and not syn_eq(t, u):
+        (te, _), (ue, _) = self._head(t), self._head(u)
+        if te is ue and te is not None and te.body is not None and not syn_eq(t, u):
             shared.append(t)
         depth[0] += 1
         try:
@@ -1306,7 +1331,8 @@ def test_unfolding_only_where_it_is_read_agrees_with_unfolding_everywhere(monkey
 
     def type_of(self, ctx, t):
         got = real_type_of(self, ctx, t)
-        if self._defined_spine(t) is not None:
+        entry, _ = self._head(t)
+        if entry is not None and entry.body is not None:
             unfolded = real_type_of(self, ctx, self.whnf(t))
             want = self.whnf(unfolded)
             if isinstance(want, Univ):
